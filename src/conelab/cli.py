@@ -15,7 +15,6 @@ import math
 import sys
 
 import jsonschema
-import numpy as np
 
 from . import __version__
 from .errors import (CapacityError, DomainError, InternalFault,
@@ -105,7 +104,7 @@ def run_cone(args):
         cone = cones.cone_from_json(fh.read())
     scan = cones.doubling_scan(cone, n_samples=args.samples,
                                r_bounds=(args.r_lo, args.r_hi),
-                               seed=args.seed, workers=args.workers)
+                               seed=args.seed)
     results = {
         "dimension": cone.dimension,
         "n_vertices": cone.n_vertices,
@@ -266,9 +265,6 @@ def build_parser():
             sp.add_argument("--in", dest="infile", required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=1)
-        sp.add_argument("--tol-rel", dest="tol_rel", type=float,
-                        default=0.005)
 
     sp = sub.add_parser("graph", help="Cheeger/spectral gap comparison")
     common(sp)
@@ -292,6 +288,7 @@ def build_parser():
     common(sp)
     sp.add_argument("--times", default="0.1,0.25,0.5,1.0")
     sp.add_argument("--source", default="apex")
+    sp.add_argument("--tol-rel", dest="tol_rel", type=float, default=0.005)
     sp.add_argument("--csv", default=None)
     sp.set_defaults(func=run_heat)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -184,8 +184,6 @@ class DiscretizedCone:
 
         if r_min == 0:
             ring_r = (np.arange(1, K + 1)) * (self.r_max / K)
-            faces_lo = np.r_[0.5, np.arange(1, K) + 0.5] * (self.r_max / K)
-            faces_lo[0] = 0.5 * self.r_max / K
             cell_lo = np.r_[0.5 * self.r_max / K,
                             (np.arange(2, K + 1) - 0.5) * (self.r_max / K)]
             cell_hi = np.r_[(np.arange(1, K) + 0.5) * (self.r_max / K),
@@ -203,67 +201,57 @@ class DiscretizedCone:
             self.apex = None
 
         self.ring_radii = ring_r
-        self._cell_lo, self._cell_hi = cell_lo, cell_hi
         off = 1 if self.apex is not None else 0
-        nv = off + K * A
-        self.n_vertices = nv
+        self.n_vertices = off + K * A
 
-        radii = np.empty(nv)
-        link_index = np.empty(nv, dtype=int)
-        measures = np.empty(nv)
-        ring_of = np.empty(nv, dtype=int)
-        if self.apex is not None:
-            radii[0] = 0.0
-            link_index[0] = -1
-            ring_of[0] = -1
-            measures[0] = lm.sum() * apex_hi ** n / n
+        # Vertex (k, a), ring k over link node a, has index off + k*A + a.
+        # Away from the apex every array is a product of a ring array and a
+        # link array, and the Laplacian is L_r (x) diag(lm) + diag(T) (x) L_S
+        # with L_r the radial path Laplacian (weights hi_k^(n-1) / dr_k),
+        # T_k = r_k^(n-3) (hi_k - lo_k) and L_S the link Laplacian.  Per-ring
+        # powers are scalar pow calls: array ** takes fast paths for some
+        # exponents that can differ in the last bit.
         shell = (cell_hi ** n - cell_lo ** n) / n  # int r^(n-1) dr per ring
-        for k in range(K):
-            s = off + k * A
-            radii[s:s + A] = ring_r[k]
-            link_index[s:s + A] = np.arange(A)
-            ring_of[s:s + A] = k
-            measures[s:s + A] = lm * shell[k]
-        self.radii = radii
-        self.link_index = link_index
-        self.ring_of = ring_of
-        self.measures = measures
-
-        edges, cond, elen = [], [], []
-        # radial edges between consecutive rings, across the shared face
-        for k in range(K - 1):
-            f = cell_hi[k]
-            dr = ring_r[k + 1] - ring_r[k]
-            for a in range(A):
-                edges.append((off + k * A + a, off + (k + 1) * A + a))
-                cond.append(f ** (n - 1) * lm[a] / dr)
-                elen.append(dr)
+        rings = np.arange(K)
+        nodes = np.arange(A)
+        self.radii = np.repeat(ring_r, A)
+        self.link_index = np.tile(nodes, K)
+        self.ring_of = np.repeat(rings, A)
+        self.measures = np.kron(shell, lm)
         if self.apex is not None:
-            f = apex_hi
-            for a in range(A):
-                edges.append((0, off + a))
-                cond.append(f ** (n - 1) * lm[a] / ring_r[0])
-                elen.append(ring_r[0])
+            self.radii = np.r_[0.0, self.radii]
+            self.link_index = np.r_[-1, self.link_index]
+            self.ring_of = np.r_[-1, self.ring_of]
+            self.measures = np.r_[lm.sum() * apex_hi ** n / n, self.measures]
+
+        # radial edges between consecutive rings, across the shared face
+        dr = ring_r[1:] - ring_r[:-1]
+        face_pow = np.array([f ** (n - 1) for f in cell_hi[:-1]])
+        inner = off + np.arange((K - 1) * A)
+        edges = [np.c_[inner, inner + A]]
+        cond = [(face_pow[:, None] * lm / dr[:, None]).ravel()]
+        elen = [np.repeat(dr, A)]
+        if self.apex is not None:
+            edges.append(np.c_[np.zeros(A, dtype=int), off + nodes])
+            cond.append(apex_hi ** (n - 1) * lm / ring_r[0])
+            elen.append(np.full(A, ring_r[0]))
         # tangential edges within each ring
+        ring_pow = np.array([r ** (n - 3) for r in ring_r])
         width = cell_hi - cell_lo
-        for k in range(K):
-            r = ring_r[k]
-            for e in range(len(ledges)):
-                u, v = ledges[e]
-                edges.append((off + k * A + int(u), off + k * A + int(v)))
-                cond.append(lcond[e] * r ** (n - 3) * width[k])
-                elen.append(r * (ldist[int(u), int(v)]
-                                 if ldist[int(u), int(v)] > 0 else 0.0))
-        self.edges = np.asarray(edges, dtype=int)
-        self.conductances = np.asarray(cond, dtype=float)
-        self.edge_lengths = np.asarray(elen, dtype=float)
-        self.is_outer = ring_of == K - 1
-        self.is_inner = (ring_of == 0) if r_min > 0 else np.zeros(nv, bool)
+        edges.append((off + rings[:, None, None] * A + ledges).reshape(-1, 2))
+        cond.append((ring_pow[:, None] * lcond * width[:, None]).ravel())
+        elen.append((ring_r[:, None]
+                     * ldist[ledges[:, 0], ledges[:, 1]]).ravel())
+        self.edges = np.concatenate(edges)
+        self.conductances = np.concatenate(cond)
+        self.edge_lengths = np.concatenate(elen)
+        self.is_outer = self.ring_of == K - 1
+        self.is_inner = (self.ring_of == 0) & (r_min > 0)
 
     # -- geometry ---------------------------------------------------------
     def base_point(self) -> int:
         """The apex when present, else a vertex on the innermost ring."""
-        return self.apex if self.apex is not None else 0 if self.ring_of[0] == 0 else int(np.argmin(self.radii))
+        return self.apex if self.apex is not None else 0
 
     @property
     def total_measure(self) -> float:
@@ -358,11 +346,11 @@ class DoublingScan:
 
 def doubling_scan(cone: DiscretizedCone, n_samples: int = 100,
                   r_bounds=(0.5, 1.5), seed: int = 0, epsilon: float = 0.5,
-                  anchored: bool = False, workers: int = 1) -> DoublingScan:
+                  anchored: bool = False) -> DoublingScan:
     """Sample balls and record V(x, 2r)/V(x, r); clipped doubles excluded.
 
     With ``anchored=True`` all samples are centered at the base point.
-    Deterministic for a fixed seed; ``workers`` only chunks the evaluation.
+    Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     lo, hi = r_bounds

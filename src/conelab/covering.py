@@ -175,13 +175,9 @@ def associated_graph(cov: GoodCovering,
         raise PreconditionError(
             "covering is not good: " + "; ".join(report.violations))
     U, _, _ = cov._cell_masks()
-    Uf = U.astype(np.float32)
-    closU = (Uf @ cov._adj_matrix()) > 0
-    touch = (closU.astype(np.float32) @ Uf.T) > 0
-    touch |= touch.T
     muU = U @ cov.atom_measures
-    edges = [(i, j) for i in range(len(cov.cells))
-             for j in range(i + 1, len(cov.cells)) if touch[i, j]]
+    # a good covering has a witness for every touching pair (i, j), i <= j
+    edges = [(i, j) for i, j in report.witnesses if i < j]
     return WeightedGraph(enumerate(muU), edges)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +24,21 @@ DEFAULT_ENUM_CAP = 22
 
 #: Vertex count above which the spectral gap switches to a sparse solver.
 DENSE_EIG_LIMIT = 3000
+
+
+def dirichlet_laplacian(n, edges, weights) -> sp.csr_matrix:
+    """Matrix of the Dirichlet form sum_e w_e |f(i) - f(j)|^2 on n vertices.
+
+    ``edges`` is an (E, 2) array of vertex indices aligned with ``weights``.
+    Every edge is stored, zero weights included, so the sparsity pattern is
+    the graph and ``connected_components`` may run on the matrix itself.
+    """
+    e = np.asarray(edges, dtype=int).reshape(-1, 2)
+    w = np.asarray(weights, dtype=float)
+    a, b = e[:, 0], e[:, 1]
+    return sp.csr_matrix((np.r_[-w, -w, w, w],
+                          (np.r_[a, b, a, b], np.r_[b, a, a, b])),
+                         shape=(n, n))
 
 
 class WeightedGraph:
@@ -94,18 +109,9 @@ class WeightedGraph:
     def total_measure(self):
         return float(self.measures.sum())
 
-    def adjacency(self):
-        n = len(self)
-        if len(self.edge_pos) == 0:
-            return sp.csr_matrix((n, n))
-        a, b = self.edge_pos[:, 0], self.edge_pos[:, 1]
-        data = np.ones(len(a))
-        return sp.csr_matrix(
-            (np.r_[data, data], (np.r_[a, b], np.r_[b, a])), shape=(n, n))
-
     def is_connected(self):
-        ncomp, _ = connected_components(self.adjacency(), directed=False)
-        return ncomp == 1
+        L = dirichlet_laplacian(len(self), self.edge_pos, self.edge_measures)
+        return connected_components(L, directed=False)[0] == 1
 
     def with_edges(self, extra_edges):
         """New graph with additional edges (same vertices)."""
@@ -225,19 +231,6 @@ def subset_cut(g: WeightedGraph, subset) -> SubsetCut:
 # spectral gap
 
 
-def laplacian(g: WeightedGraph) -> sp.csr_matrix:
-    """Edge Laplacian: quadratic form sum m(i,j) |f(i)-f(j)|^2."""
-    n = len(g)
-    if len(g.edge_pos) == 0:
-        return sp.csr_matrix((n, n))
-    a, b = g.edge_pos[:, 0], g.edge_pos[:, 1]
-    w = g.edge_measures
-    rows = np.r_[a, b, a, b]
-    cols = np.r_[b, a, a, b]
-    data = np.r_[-w, -w, w, w]
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
 def spectral_gap(g: WeightedGraph) -> float:
     """Smallest nonzero eigenvalue of L f = lambda M f, M = diag(m).
 
@@ -250,7 +243,7 @@ def spectral_gap(g: WeightedGraph) -> float:
         return math.inf
     if not g.is_connected():
         return 0.0
-    L = laplacian(g)
+    L = dirichlet_laplacian(n, g.edge_pos, g.edge_measures)
     if n <= DENSE_EIG_LIMIT:
         w = scipy.linalg.eigh(L.toarray(), np.diag(g.measures),
                               eigvals_only=True)
@@ -268,11 +261,8 @@ def spectral_gap(g: WeightedGraph) -> float:
 def degree_bound_m0(g: WeightedGraph) -> float:
     """max over vertices of (1/m(i)) * sum over incident edges of m(i,j)."""
     tot = np.zeros(len(g))
-    w = g.edge_measures
-    for k in range(len(g.edge_pos)):
-        a, b = g.edge_pos[k]
-        tot[a] += w[k]
-        tot[b] += w[k]
+    # np.add.at adds repeated indices one by one, in edge order
+    np.add.at(tot, g.edge_pos.ravel(), np.repeat(g.edge_measures, 2))
     return float(np.max(tot / g.measures))
 
 

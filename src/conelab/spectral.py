@@ -7,7 +7,7 @@ quadratic form sum c_e |f(i)-f(j)|^2 against the vertex measure matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -16,27 +16,16 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
+from .graphs import dirichlet_laplacian
 
 __all__ = [
-    "conductance_laplacian", "heat_kernel", "HeatKernelSample",
+    "heat_kernel", "HeatKernelSample",
     "gaussian_fit", "GaussianFit", "greens_function", "GreensFunction",
     "green_by_time_integration", "poincare_constant",
     "scale_invariant_poincare_scan", "covering_cell_constant",
     "indicial_spectrum", "IndicialSpectrum",
 ]
-
-
-def conductance_laplacian(net) -> sp.csr_matrix:
-    """Sparse Laplacian of a conductance network."""
-    n = len(net.measures)
-    e = np.asarray(net.edges, dtype=int).reshape(-1, 2)
-    c = np.asarray(net.conductances, dtype=float)
-    a, b = e[:, 0], e[:, 1]
-    rows = np.r_[a, b, a, b]
-    cols = np.r_[b, a, a, b]
-    data = np.r_[-c, -c, c, c]
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def _robin_laplacian(cone) -> sp.csr_matrix:
@@ -47,12 +36,11 @@ def _robin_laplacian(cone) -> sp.csr_matrix:
 
     This removes the constant nullspace and mimics the infinite cone."""
     n = cone.dimension
-    L = conductance_laplacian(cone).tolil()
-    outer = np.flatnonzero(cone.is_outer)
     face = cone.r_max ** (n - 1) * cone._link_measures
-    for v in outer:
-        L[v, v] += (n - 2) / cone.r_max * face[cone.link_index[v]]
-    return L.tocsr()
+    robin = np.where(cone.is_outer,
+                     (n - 2) / cone.r_max * face[cone.link_index], 0.0)
+    L = dirichlet_laplacian(cone.n_vertices, cone.edges, cone.conductances)
+    return L + sp.diags(robin)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +101,7 @@ def heat_kernel(cone, source: int, times: Sequence[float],
         raise DomainError("times must be positive")
     if not 0 <= source < cone.n_vertices:
         raise DomainError("source vertex out of range")
-    L = conductance_laplacian(cone)
+    L = dirichlet_laplacian(cone.n_vertices, cone.edges, cone.conductances)
     M = sp.diags(cone.measures)
     h0 = np.zeros(cone.n_vertices)
     h0[source] = 1.0 / cone.measures[source]
@@ -283,8 +271,7 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     """
     U = sorted(set(int(v) for v in U))
     Up = sorted(set(int(v) for v in Uprime))
-    up_set = set(Up)
-    if not set(U) <= up_set:
+    if not set(U) <= set(Up):
         raise DomainError("U must be contained in U'")
     if mean_set is None:
         mean_set = U
@@ -293,25 +280,15 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
         raise DomainError("mean_set must be contained in U")
     if len(U) == 1:
         return 0.0
-    e = np.asarray(net.edges, dtype=int).reshape(-1, 2)
-    nglob = len(net.measures)
-    member = np.zeros(nglob, dtype=bool)
-    member[Up] = True
-    keep = member[e[:, 0]] & member[e[:, 1]]
-    e = e[keep]
-    c = np.asarray(net.conductances, dtype=float)[keep]
     nloc = len(Up)
-    loc_arr = np.full(nglob, -1, dtype=int)
-    loc_arr[Up] = np.arange(nloc)
-    loc = {v: k for k, v in enumerate(Up)}
-    a = loc_arr[e[:, 0]]
-    b = loc_arr[e[:, 1]]
-    L = sp.csr_matrix((np.r_[-c, -c, c, c],
-                       (np.r_[a, b, a, b], np.r_[b, a, a, b])),
-                      shape=(nloc, nloc))
-    adj = sp.csr_matrix((np.ones(len(a)), (a, b)), shape=(nloc, nloc))
-    ncomp, labels = connected_components(adj + adj.T, directed=False)
-    u_loc = np.array([loc[v] for v in U])
+    loc = np.full(len(net.measures), -1, dtype=int)
+    loc[Up] = np.arange(nloc)
+    e = loc[np.asarray(net.edges, dtype=int).reshape(-1, 2)]
+    keep = (e >= 0).all(axis=1)
+    L = dirichlet_laplacian(nloc, e[keep],
+                            np.asarray(net.conductances, dtype=float)[keep])
+    ncomp, labels = connected_components(L, directed=False)
+    u_loc = loc[U]
     if ncomp > 1:
         comps = set(labels[u_loc])
         if len(comps) > 1:
@@ -328,11 +305,9 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     m = np.asarray(net.measures, dtype=float)
     mU_full = np.zeros(nloc)
     mU_full[u_loc] = m[np.array(U)]
-    mean_pos = set(mean_set)
     mm_full = np.zeros(nloc)
-    for ul, v in zip(u_loc, U):
-        if v in mean_pos:
-            mm_full[ul] = mU_full[ul]
+    in_mean = u_loc[np.isin(U, mean_set)]
+    mm_full[in_mean] = mU_full[in_mean]
     mu_mean = mm_full.sum()
     mu_U = mU_full.sum()
 

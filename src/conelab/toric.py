@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -119,45 +119,41 @@ def _kernel_basis(A):
     return [tuple(V[i][k] for i in range(cols)) for k in range(rank, cols)]
 
 
+def _row_reduce(M):
+    """Exact Gauss-Jordan elimination over Q.
+
+    Returns ``(R, pivots, det)``: the reduced row echelon form of M, its
+    pivot columns and, for square M, the determinant (0 when singular).
+    """
+    R = [[Fraction(x) for x in row] for row in M]
+    pivots, det = [], Fraction(1)
+    for col in range(len(R[0]) if R else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(R)) if R[r][col] != 0), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != top:
+            R[top], R[piv] = R[piv], R[top]
+            det = -det
+        inv = R[top][col]
+        det *= inv
+        R[top] = [x / inv for x in R[top]]
+        for r in range(len(R)):
+            if r != top and R[r][col] != 0:
+                f = R[r][col]
+                R[r] = [x - f * y for x, y in zip(R[r], R[top])]
+        pivots.append(col)
+    return R, pivots, det
+
+
 def _frac_solve(A, b):
     """Exact solve of a square rational system; None if singular."""
     n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        M[col] = [x / inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return tuple(M[i][n] for i in range(n))
-
-
-def _det(M):
-    """Exact determinant of a small integer/rational matrix."""
-    n = len(M)
-    M = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = M[col][col]
-        M[col] = [x / inv for x in M[col]]
-        for r in range(col + 1, n):
-            if M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return det
+    R, pivots, _ = _row_reduce([list(row) + [x] for row, x in zip(A, b)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(row[n] for row in R)
 
 
 def _primitive(v):
@@ -311,19 +307,12 @@ def cross_section(cone: ToricConeData, gamma) -> CrossSection:
 
 def _lstsq_exact(B, diff):
     """Solve the overdetermined consistent system B q = diff exactly."""
-    m, k = len(B), len(B[0]) if B and B[0] else (len(B), 0)
+    m = len(B)
     k = len(B[0]) if B else 0
     if k == 0:
         return ()
-    # pick k independent rows
-    rows = []
-    for i in range(m):
-        rows.append(i)
-        sub = [[Fraction(B[r][c]) for c in range(k)] for r in rows]
-        if _rank_frac(sub) < len(rows):
-            rows.pop()
-        if len(rows) == k:
-            break
+    # the pivot columns of B^T are the first k independent rows of B
+    rows = _row_reduce(zip(*B))[1]
     A = [[B[r][c] for c in range(k)] for r in rows]
     b = [diff[r] for r in rows]
     sol = _frac_solve(A, b)
@@ -337,31 +326,12 @@ def _lstsq_exact(B, diff):
     return sol
 
 
-def _rank_frac(M):
-    M = [row[:] for row in M]
-    rank = 0
-    n_rows, n_cols = len(M), len(M[0]) if M else 0
-    for col in range(n_cols):
-        piv = next((r for r in range(rank, n_rows) if M[r][col] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = M[rank][col]
-        M[rank] = [x / inv for x in M[rank]]
-        for r in range(n_rows):
-            if r != rank and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
-        rank += 1
-    return rank
-
-
 def _point_rank(pts):
     if len(pts) <= 1:
         return 0
     base = pts[0]
-    M = [[Fraction(p[i] - base[i]) for i in range(len(base))] for p in pts[1:]]
-    return _rank_frac(M)
+    M = [[p[i] - base[i] for i in range(len(base))] for p in pts[1:]]
+    return len(_row_reduce(M)[1])
 
 
 def _segment_points(verts2d):
@@ -489,7 +459,8 @@ def maximal_triangulation(section: CrossSection,
     simplices = tuple(tuple(index[p] for p in s) for s in simpl2d)
     maximal = all(not _tri_extra_points(s, pts) for s in simpl2d) \
         if section.dim == 2 else True
-    basic = all(abs(_det([rays[i] for i in s])) == 1 for s in simplices)
+    basic = all(abs(_row_reduce([rays[i] for i in s])[2]) == 1
+                for s in simplices)
     return FanTriangulation(cone, section, rays, len(boundary), simplices,
                             bool(maximal), bool(basic))
 
@@ -605,15 +576,14 @@ def _poly_vertices(ineqs, dim):
         y = _frac_solve(A, b)
         if y is None:
             continue
-        ok = all(sum(Fraction(u[i]) * y[i] for i in range(dim)) >= rhs
-                 - Fraction(0) for u, rhs in ineqs)
-        if ok and all(sum(Fraction(u[i]) * y[i] for i in range(dim)) >= rhs
-                      for u, rhs in ineqs):
+        if all(sum(Fraction(u[i]) * y[i] for i in range(dim)) >= rhs
+               for u, rhs in ineqs):
             verts.add(tuple(y))
     return sorted(verts)
 
 
 def _hull_volume(verts, dim):
+    """Volume of the convex hull of ``verts`` in R^dim; 0 if degenerate."""
     if len(verts) < dim + 1:
         return 0.0
     from scipy.spatial import ConvexHull, QhullError
@@ -645,12 +615,7 @@ def _face_relative_volume(verts, u, dim):
     e1 = np.cross(n, a)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n, e1)
-    proj = np.c_[pts @ e1, pts @ e2]
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        return float(ConvexHull(proj).volume) / norm
-    except QhullError:
-        return 0.0
+    return _hull_volume(np.c_[pts @ e1, pts @ e2], 2) / norm
 
 
 @dataclass

@@ -105,6 +105,26 @@ class TestHeatCommand:
         assert "c2" in doc["results"]["fit"]
 
 
+    def test_tol_rel_recorded(self, tmp_path):
+        inp = write(tmp_path, "cone.json", json.dumps(CONE_DOC))
+        out = str(tmp_path / "r.json")
+        assert main(["heat", "--in", inp, "--times", "0.2",
+                     "--tol-rel", "0.01", "--out", out]) == 0
+        assert json.load(open(out))["config"]["tol_rel"] == 0.01
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("argv", [
+        ["cone", "--in", "cone.json", "--workers", "2"],
+        ["graph", "--in", "g.json", "--tol-rel", "0.1"],
+    ])
+    def test_rejected_by_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestGreenCommand:
     def test_two_dimensional_cone_rejected(self, tmp_path):
         inp = write(tmp_path, "cone.json", json.dumps(CONE_DOC))

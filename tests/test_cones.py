@@ -8,7 +8,8 @@ from conelab import (CircleLink, DomainError, GraphLink, annular_covering,
                      combine_parameter, doubling_scan, net_covering,
                      radius_field, separated_net, sphere_link,
                      validate_covering)
-from conelab.cones import cone_from_json
+from conelab.cones import _link_mesh, cone_from_json
+from conelab.graphs import dirichlet_laplacian
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,6 +42,118 @@ class TestMeasures:
     def test_sphere_link_area(self):
         link = sphere_link(10, 20)
         assert sum(link.measures) == pytest.approx(4.0 * math.pi)
+
+
+def _path_laplacian(w):
+    L = np.zeros((len(w) + 1, len(w) + 1))
+    for k, wk in enumerate(w):
+        L[k:k + 2, k:k + 2] += wk * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return L
+
+
+class TestProductStructure:
+    """Without an apex the cone is a product of rings and link nodes:
+    measures = shell (x) lm and L = L_r (x) diag(lm) + diag(T) (x) L_S."""
+
+    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+    def test_circle_and_sphere_links(self, spacing):
+        K, r_min, r_max = 9, 0.2, 3.0
+        if spacing == "uniform":
+            faces = np.linspace(r_min, r_max, K + 1)
+        else:
+            faces = r_min * (r_max / r_min) ** (np.arange(K + 1) / K)
+        lo, hi = faces[:-1], faces[1:]
+        r = 0.5 * (lo + hi)
+        A = 10
+        circle = (build_cone(CircleLink(TWO_PI), r_min, r_max, K,
+                             angular_steps=A, spacing=spacing),
+                  np.full(A, TWO_PI / A),
+                  [(a, (a + 1) % A) for a in range(A)],
+                  np.full(A, A / TWO_PI))
+        link = sphere_link(6, 12)
+        sphere = (build_cone(link, r_min, r_max, K, spacing=spacing),
+                  np.array(link.measures), link.edges,
+                  np.array(link.conductances))
+        for cone, lm, ledges, lcond in (circle, sphere):
+            n = cone.dimension
+            L_S = np.zeros((len(lm), len(lm)))
+            for (u, v), c in zip(ledges, lcond):
+                L_S[np.ix_([u, v], [u, v])] += c * np.array([[1.0, -1.0],
+                                                             [-1.0, 1.0]])
+            L_r = _path_laplacian(hi[:-1] ** (n - 1) / np.diff(r))
+            T = r ** (n - 3) * (hi - lo)
+            want = np.kron(L_r, np.diag(lm)) + np.kron(np.diag(T), L_S)
+            got = dirichlet_laplacian(cone.n_vertices, cone.edges,
+                                      cone.conductances).toarray()
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            shell = (hi ** n - lo ** n) / n
+            assert np.array_equal(cone.measures, np.kron(shell, lm))
+
+
+def _loop_assembly(link, r_min, r_max, K, angular=None, spacing="uniform"):
+    """Vertex and edge arrays of the cone, built one vertex and one edge at
+    a time in the documented order: radial, apex, then tangential edges."""
+    lm, ledges, lcond, ldist = _link_mesh(link, angular)
+    A, n = len(lm), link.dim + 1
+    if r_min == 0:
+        h = r_max / K
+        ring_r = np.arange(1, K + 1) * h
+        lo = np.r_[0.5 * h, (np.arange(2, K + 1) - 0.5) * h]
+        hi = np.r_[(np.arange(1, K) + 0.5) * h, r_max]
+        apex_hi = 0.5 * r_max / K
+    else:
+        faces = (np.linspace(r_min, r_max, K + 1) if spacing == "uniform"
+                 else r_min * (r_max / r_min) ** (np.arange(K + 1) / K))
+        ring_r = 0.5 * (faces[:-1] + faces[1:])
+        lo, hi = faces[:-1], faces[1:]
+    off = int(r_min == 0)
+    shell = (hi ** n - lo ** n) / n
+    measures = [lm.sum() * apex_hi ** n / n] if off else []
+    for k in range(K):
+        measures += [lm[a] * shell[k] for a in range(A)]
+    edges, cond, elen = [], [], []
+    for k in range(K - 1):
+        dr = ring_r[k + 1] - ring_r[k]
+        for a in range(A):
+            edges.append((off + k * A + a, off + (k + 1) * A + a))
+            cond.append(hi[k] ** (n - 1) * lm[a] / dr)
+            elen.append(dr)
+    for a in range(A if off else 0):
+        edges.append((0, off + a))
+        cond.append(apex_hi ** (n - 1) * lm[a] / ring_r[0])
+        elen.append(ring_r[0])
+    for k in range(K):
+        for (u, v), c in zip(ledges, lcond):
+            edges.append((off + k * A + u, off + k * A + v))
+            cond.append(c * ring_r[k] ** (n - 3) * (hi[k] - lo[k]))
+            elen.append(ring_r[k] * ldist[u, v])
+    return measures, edges, cond, elen
+
+
+class TestAssemblyMatchesLoops:
+    """The vectorized assembly repeats the float operations of the loops,
+    so the arrays agree bit for bit."""
+
+    # the 168- and 128-ring grids have radii where array ** -1 and ** 2
+    # differ from scalar pow in the last bit
+    @pytest.mark.parametrize("args", [
+        (CircleLink(TWO_PI), 0.0, 3.0, 12, 10),
+        (CircleLink(math.pi), 0.0, 2.0, 7, 5),
+        (CircleLink(TWO_PI), 0.15, 16.0, 168, 3, "geometric"),
+        (sphere_link(2, 3), 0.05, 5.0, 128),
+        (sphere_link(4, 8), 0.2, 2.0, 6, None, "geometric"),
+    ])
+    def test_bitwise_equal(self, args):
+        link, r_min, r_max, K = args[:4]
+        angular = args[4] if len(args) > 4 else None
+        spacing = args[5] if len(args) > 5 else "uniform"
+        cone = build_cone(link, r_min, r_max, K, angular_steps=angular,
+                          spacing=spacing)
+        measures, edges, cond, elen = _loop_assembly(*args)
+        assert cone.measures.tobytes() == np.array(measures).tobytes()
+        assert np.array_equal(cone.edges, np.array(edges))
+        assert cone.conductances.tobytes() == np.array(cond).tobytes()
+        assert cone.edge_lengths.tobytes() == np.array(elen).tobytes()
 
 
 class TestDistances:

@@ -7,8 +7,8 @@ import pytest
 from conelab import (CapacityError, DomainError, WeightedGraph,
                      cheeger_constant, cheeger_gap_report, degree_bound_m0,
                      isoperimetric_constant, spectral_gap)
-from conelab.graphs import (graph_from_json, graph_to_json,
-                            random_connected_graph, subset_cut)
+from conelab.graphs import (dirichlet_laplacian, graph_from_json,
+                            graph_to_json, random_connected_graph, subset_cut)
 
 
 def k2():
@@ -82,6 +82,16 @@ class TestInvariants:
             assert spectral_gap(gs) == pytest.approx(spectral_gap(g))
             assert degree_bound_m0(gs) == pytest.approx(degree_bound_m0(g))
 
+    def test_degree_bound_matches_edge_loop(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            g = random_connected_graph(rng, 12)
+            tot = np.zeros(len(g))
+            for (a, b), w in zip(g.edge_pos, g.edge_measures):
+                tot[a] += w
+                tot[b] += w
+            assert degree_bound_m0(g) == float(np.max(tot / g.measures))
+
     def test_disconnected(self):
         g = WeightedGraph([(0, 1.0), (1, 1.0), (2, 1.0)], [(0, 1)])
         assert spectral_gap(g) == 0.0
@@ -95,6 +105,24 @@ class TestInvariants:
         g = cycle(6)
         with pytest.raises(CapacityError):
             cheeger_constant(g, cap=5)
+
+
+class TestDirichletLaplacian:
+    def test_form_and_constants(self):
+        rng = np.random.default_rng(7)
+        edges = np.array([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 1)])
+        w = rng.uniform(0.1, 5.0, size=len(edges))
+        L = dirichlet_laplacian(5, edges, w)
+        assert np.allclose(L @ np.ones(5), 0.0, atol=1e-12)
+        f = rng.standard_normal(5)
+        want = sum(wk * (f[i] - f[j]) ** 2 for (i, j), wk in zip(edges, w))
+        assert f @ (L @ f) == pytest.approx(want, rel=1e-12)
+
+    def test_isolated_vertex_disconnects(self):
+        g = WeightedGraph([(0, 1.0), (1, 2.0), (2, 1.0), (3, 0.5)],
+                          [(0, 1), (1, 2), (2, 0)])
+        assert not g.is_connected()
+        assert g.with_edges([(2, 3)]).is_connected()
 
 
 class TestIsoperimetric:
