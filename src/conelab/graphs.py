@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import CapacityError, DomainError
 
@@ -24,6 +25,10 @@ DEFAULT_ENUM_CAP = 22
 
 #: Vertex count above which the spectral gap switches to a sparse solver.
 DENSE_EIG_LIMIT = 3000
+
+#: Largest accepted residual bound of the sparse spectral gap, relative to
+#: the gap.
+GAP_RESIDUAL_TOL = 1e-6
 
 
 def dirichlet_laplacian(n, edges, weights) -> sp.csr_matrix:
@@ -236,7 +241,10 @@ def spectral_gap(g: WeightedGraph) -> float:
 
     Equals the infimum of sum m(i,j)|f(i)-f(j)|^2 / sum m(i)|f(i)-mean|^2
     over nonconstant f.  Returns 0 for disconnected graphs and +inf for a
-    single vertex (no nonconstant test functions).
+    single vertex (no nonconstant test functions).  Above
+    ``DENSE_EIG_LIMIT`` vertices it is found by shift-invert Lanczos
+    (ARPACK) just below 0, and a residual check raises CapacityError
+    instead of returning an unconverged value.
     """
     n = len(g)
     if n == 1:
@@ -248,14 +256,25 @@ def spectral_gap(g: WeightedGraph) -> float:
         w = scipy.linalg.eigh(L.toarray(), np.diag(g.measures),
                               eigvals_only=True)
         return float(max(w[1], 0.0))
-    # large graphs: LOBPCG on the complement of constants
+    # large graphs: shift-invert Lanczos just below 0 finds the two
+    # smallest eigenvalues (0 and the gap)
     M = sp.diags(g.measures)
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((n, 1))
-    Y = np.ones((n, 1))
-    vals, _ = sp.linalg.lobpcg(L, X, B=M, Y=Y, largest=False,
-                               tol=1e-10, maxiter=500)
-    return float(max(vals[0], 0.0))
+    sigma = -1e-6 * float(np.max(L.diagonal() / g.measures))
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        vals, vecs = eigsh(L, k=2, M=M, sigma=sigma, which="LM", v0=v0)
+    except ArpackNoConvergence as exc:
+        raise CapacityError(f"Lanczos solve for the spectral gap on {n} "
+                            f"vertices did not converge") from exc
+    k = int(np.argmax(vals))
+    lam, v = float(vals[k]), vecs[:, k]
+    # some eigenvalue lies within |M^(-1/2) (L v - lam M v)| / |v|_M of lam
+    res = (L @ v - lam * g.measures * v) / np.sqrt(g.measures)
+    bound = np.linalg.norm(res) / math.sqrt(np.dot(v, g.measures * v))
+    if not bound <= GAP_RESIDUAL_TOL * lam:
+        raise CapacityError(f"spectral gap {lam:.6e} on {n} vertices has "
+                            f"relative residual {bound / lam:.2e}")
+    return lam
 
 
 def degree_bound_m0(g: WeightedGraph) -> float:

@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import conelab.graphs
 from conelab import GoodCovering, WeightedGraph, bp_table_csv
 from conelab.cli import main
 from conelab.covering import covering_to_json
@@ -70,6 +72,20 @@ class TestCoverCommand:
         assert doc["results"]["ok"] is True
         assert doc["results"]["q1"] == 3
         assert "graph_spectral_gap" in doc["results"]
+
+    def test_solver_failure_exits_2(self, tmp_path, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("forced", None, None)
+        monkeypatch.setattr(conelab.graphs, "DENSE_EIG_LIMIT", 1)
+        monkeypatch.setattr(conelab.graphs, "eigsh", no_convergence)
+        atoms = {a: 1.0 for a in range(5)}
+        cells = [([i], [i - 1, i, i + 1], [i - 1, i, i + 1])
+                 for i in (1, 2, 3)]
+        cov = GoodCovering(atoms, cells, [1, 2, 3], range(5),
+                           [(a, a + 1) for a in range(4)])
+        inp = write(tmp_path, "c.json", covering_to_json(cov))
+        assert main(["cover", "--in", inp,
+                     "--out", str(tmp_path / "r.json")]) == 2
 
 
 class TestConeCommand:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import conelab.graphs
 from conelab import (CapacityError, DomainError, WeightedGraph,
                      cheeger_constant, cheeger_gap_report, degree_bound_m0,
                      isoperimetric_constant, spectral_gap)
@@ -105,6 +106,44 @@ class TestInvariants:
         g = cycle(6)
         with pytest.raises(CapacityError):
             cheeger_constant(g, cap=5)
+
+
+def path(n):
+    return WeightedGraph([(i, 1.0) for i in range(n)],
+                         [(i, i + 1) for i in range(n - 1)])
+
+
+class TestSparseSpectralGap:
+    """Graphs above DENSE_EIG_LIMIT, solved by shift-invert Lanczos."""
+
+    @pytest.mark.parametrize("n", [3001, 5000])
+    def test_path_oracle(self, n):
+        assert n > conelab.graphs.DENSE_EIG_LIMIT
+        exact = 2.0 - 2.0 * math.cos(math.pi / n)
+        assert spectral_gap(path(n)) == pytest.approx(exact, rel=1e-6)
+
+    def test_matches_dense_with_varied_measures(self, monkeypatch):
+        g = random_connected_graph(np.random.default_rng(5), 60)
+        dense = spectral_gap(g)
+        monkeypatch.setattr(conelab.graphs, "DENSE_EIG_LIMIT", len(g) - 1)
+        assert spectral_gap(g) == pytest.approx(dense, rel=1e-9)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        eigsh = conelab.graphs.eigsh
+        monkeypatch.setattr(conelab.graphs, "eigsh",
+                            lambda *a, **k: eigsh(*a, maxiter=1, ncv=3, **k))
+        with pytest.raises(CapacityError):
+            spectral_gap(path(5000))
+
+    def test_large_residual_raises(self, monkeypatch):
+        eigsh = conelab.graphs.eigsh
+
+        def off_by_1e3(*a, **k):
+            vals, vecs = eigsh(*a, **k)
+            return vals * (1 + 1e-3), vecs
+        monkeypatch.setattr(conelab.graphs, "eigsh", off_by_1e3)
+        with pytest.raises(CapacityError):
+            spectral_gap(path(3001))
 
 
 class TestDirichletLaplacian:

@@ -3,12 +3,16 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.linalg import splu
 
-from conelab import (CircleLink, DomainError, build_cone,
+import conelab.spectral
+from conelab import (CapacityError, CircleLink, DomainError, build_cone,
                      covering_cell_constant, gaussian_fit,
                      green_by_time_integration, greens_function, heat_kernel,
                      indicial_spectrum, net_covering, poincare_constant,
                      scale_invariant_poincare_scan, sphere_link)
+from conelab.graphs import dirichlet_laplacian
 from conelab.spectral import HeatKernelSample
 
 TWO_PI = 2.0 * math.pi
@@ -77,6 +81,65 @@ class TestPoincare:
         part = poincare_constant(net, U, range(100), mean_set=range(20, 40))
         # centering at a sub-mean can only increase the variance bound
         assert part >= full * (1 - 1e-9)
+
+
+def schur_reference(net, U, Uprime):
+    """Largest eigenvalue of the pencil (Q, L') on U' with the first U vertex
+    grounded, from its dense Schur form on U: the vertices of U' outside U
+    are eliminated exactly, S = L_UU - L_UV L_VV^-1 L_VU, and (Q_U, S) is
+    solved by a dense generalized eigen-solve."""
+    U, Up = sorted(U), sorted(Uprime)
+    loc = np.full(len(net.measures), -1)
+    loc[Up] = np.arange(len(Up))
+    e = loc[np.asarray(net.edges).reshape(-1, 2)]
+    inside = (e >= 0).all(axis=1)
+    L = dirichlet_laplacian(len(Up), e[inside],
+                            np.asarray(net.conductances)[inside]).tocsr()
+    iu = loc[U[1:]]
+    iv = np.setdiff1d(np.arange(len(Up)), loc[U])
+    B = L[iv][:, iu].tocsc()
+    cols = np.flatnonzero(np.diff(B.indptr))   # U vertices next to V
+    X = splu(L[iv][:, iv].tocsc()).solve(B[:, cols].toarray())
+    S = L[iu][:, iu].toarray()
+    S[np.ix_(cols, cols)] -= B[:, cols].T @ X
+    m = np.asarray(net.measures)[U]
+    Q = np.diag(m) - np.outer(m, m) / m.sum()
+    k = len(S) - 1
+    return scipy.linalg.eigh(Q[1:, 1:], S, eigvals_only=True,
+                             subset_by_index=[k, k])[0]
+
+
+class TestPoincareLanczos:
+    """Pairs above the 400-vertex dense cutoff, solved by Lanczos."""
+
+    def test_unit_interval_oracle(self):
+        # U = U' = the whole path: the constant is 1 / gap of the path
+        # graph, h^2 / (4 sin^2(pi / 2n)), and tends to 1/pi^2
+        n = 1000
+        lam = poincare_constant(path_net(n, 1.0 / n), range(n), range(n))
+        exact = 1.0 / (4 * n * n * math.sin(math.pi / (2 * n)) ** 2)
+        assert lam == pytest.approx(exact, rel=1e-10)
+        assert lam == pytest.approx(1.0 / math.pi ** 2, rel=1e-5)
+
+    def test_criterion_2_region_matches_schur_reference(self):
+        cone = build_cone(CircleLink(TWO_PI), 0.15, 16.0, 168,
+                          angular_steps=48, spacing="geometric")
+        R = 2.0
+        region = np.flatnonzero((cone.radii >= R)
+                                & (cone.radii <= 2 * R)).tolist()
+        Up = sorted(net_covering(cone, region, 0.3 * R).Asharp)
+        assert len(Up) > 400
+        lam = poincare_constant(cone, region, Up)
+        assert lam == pytest.approx(schur_reference(cone, region, Up),
+                                    rel=1e-9)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        eigsh = conelab.spectral.eigsh
+        monkeypatch.setattr(conelab.spectral, "eigsh",
+                            lambda *a, **k: eigsh(*a, maxiter=1, ncv=3, **k))
+        n = 1000
+        with pytest.raises(CapacityError):
+            poincare_constant(path_net(n, 1.0 / n), range(n), range(n))
 
 
 class TestHeatKernel:
