@@ -38,7 +38,7 @@ def write_report(tool, config, results, args, warnings=()):
     if warnings:
         doc["warnings"] = list(warnings)
     jsonschema.validate(doc, _schema())
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)

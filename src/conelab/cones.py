@@ -39,8 +39,8 @@ class CircleLink:
     dim: int = 1
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise DomainError("circle length must be positive")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise DomainError("circle length must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,15 @@ class GraphLink:
             raise DomainError("link cell measures must be positive")
         if self.dim < 1:
             raise DomainError("link dimension must be >= 1")
+        data = [self.measures, self.conductances, self.lengths]
+        if self.directions is not None:
+            data.append(self.directions)
+        if not all(np.all(np.isfinite(np.asarray(x, dtype=float)))
+                   for x in data):
+            raise DomainError("link measures, conductances, lengths and "
+                              "directions must be finite")
+        if any(c < 0 for c in self.conductances):
+            raise DomainError("link conductances must be non-negative")
 
 
 def sphere_link(n_theta: int, n_phi: int) -> GraphLink:
@@ -153,11 +162,57 @@ class BallVolume:
     clipped: bool
 
 
+@dataclass(frozen=True, eq=False)
+class ProductFactors:
+    """The factors of a cone's measures and conductances.
+
+    Away from the apex a cone over A link nodes with K rings is a product:
+    the measures are ``shell (x) link_measures`` and the Laplacian is
+
+        L = L_r (x) diag(link_measures) + diag(T) (x) L_S.
+
+    L_S is the link Laplacian (``link_edges``, ``link_conductances``), L_r
+    the radial path Laplacian with gap weights w_k = hi_k^(n-1) / dr_k
+    (``radial_weights``) and T_k = r_k^(n-3) (hi_k - lo_k)
+    (``ring_factors``).  An apex is joined to link node a of ring 0 by the
+    conductance ``apex_conductance * link_measures[a]``.  Numerators and
+    denominators are kept apart because the conductances divide
+    (numerator * link factor) by the denominator, which is what keeps them
+    bitwise equal to the edge-by-edge formulas.
+    """
+    link_measures: np.ndarray
+    link_edges: np.ndarray          # (E_S, 2) node pairs
+    link_conductances: np.ndarray
+    shell: np.ndarray               # int r^(n-1) dr over each ring's cell
+    face_powers: np.ndarray         # hi_k^(n-1), face between ring k and k+1
+    gaps: np.ndarray                # dr_k = r_(k+1) - r_k
+    ring_powers: np.ndarray         # r_k^(n-3)
+    widths: np.ndarray              # hi_k - lo_k
+    apex_power: Optional[float]     # apex_hi^(n-1); None without an apex
+    apex_gap: Optional[float]       # r_0, the apex-to-ring-0 distance
+
+    @property
+    def radial_weights(self) -> np.ndarray:
+        return self.face_powers / self.gaps
+
+    @property
+    def ring_factors(self) -> np.ndarray:
+        return self.ring_powers * self.widths
+
+    @property
+    def apex_conductance(self) -> Optional[float]:
+        if self.apex_power is None:
+            return None
+        return self.apex_power / self.apex_gap
+
+
 class DiscretizedCone:
     """Product discretization of a truncated cone over a link."""
 
     def __init__(self, link, r_min, r_max, radial_steps, angular_steps=None,
                  spacing="uniform"):
+        if not (math.isfinite(r_min) and math.isfinite(r_max)):
+            raise DomainError("r_min and r_max must be finite")
         if r_min < 0 or r_min >= r_max:
             raise DomainError("need 0 <= r_min < r_max")
         if radial_steps < 2:
@@ -174,7 +229,6 @@ class DiscretizedCone:
         self.radial_steps = int(radial_steps)
         self.spacing = spacing
         lm, ledges, lcond, ldist = _link_mesh(link, angular_steps)
-        self._link_measures = lm
         self._link_dist = ldist
         A = len(lm)
         self.link_nodes = A
@@ -182,6 +236,7 @@ class DiscretizedCone:
         self.dimension = n
         K = self.radial_steps
 
+        apex_hi = None
         if r_min == 0:
             ring_r = (np.arange(1, K + 1)) * (self.r_max / K)
             cell_lo = np.r_[0.5 * self.r_max / K,
@@ -205,19 +260,24 @@ class DiscretizedCone:
         self.n_vertices = off + K * A
 
         # Vertex (k, a), ring k over link node a, has index off + k*A + a.
-        # Away from the apex every array is a product of a ring array and a
-        # link array, and the Laplacian is L_r (x) diag(lm) + diag(T) (x) L_S
-        # with L_r the radial path Laplacian (weights hi_k^(n-1) / dr_k),
-        # T_k = r_k^(n-3) (hi_k - lo_k) and L_S the link Laplacian.  Per-ring
-        # powers are scalar pow calls: array ** takes fast paths for some
-        # exponents that can differ in the last bit.
-        shell = (cell_hi ** n - cell_lo ** n) / n  # int r^(n-1) dr per ring
+        # Per-ring powers are scalar pow calls: array ** takes fast paths for
+        # some exponents that can differ in the last bit.
+        f = ProductFactors(
+            link_measures=lm, link_edges=ledges, link_conductances=lcond,
+            shell=(cell_hi ** n - cell_lo ** n) / n,
+            face_powers=np.array([h ** (n - 1) for h in cell_hi[:-1]]),
+            gaps=ring_r[1:] - ring_r[:-1],
+            ring_powers=np.array([r ** (n - 3) for r in ring_r]),
+            widths=cell_hi - cell_lo,
+            apex_power=None if apex_hi is None else apex_hi ** (n - 1),
+            apex_gap=None if apex_hi is None else ring_r[0])
+        self.factors = f
         rings = np.arange(K)
         nodes = np.arange(A)
         self.radii = np.repeat(ring_r, A)
         self.link_index = np.tile(nodes, K)
         self.ring_of = np.repeat(rings, A)
-        self.measures = np.kron(shell, lm)
+        self.measures = np.kron(f.shell, lm)
         if self.apex is not None:
             self.radii = np.r_[0.0, self.radii]
             self.link_index = np.r_[-1, self.link_index]
@@ -225,21 +285,18 @@ class DiscretizedCone:
             self.measures = np.r_[lm.sum() * apex_hi ** n / n, self.measures]
 
         # radial edges between consecutive rings, across the shared face
-        dr = ring_r[1:] - ring_r[:-1]
-        face_pow = np.array([f ** (n - 1) for f in cell_hi[:-1]])
         inner = off + np.arange((K - 1) * A)
         edges = [np.c_[inner, inner + A]]
-        cond = [(face_pow[:, None] * lm / dr[:, None]).ravel()]
-        elen = [np.repeat(dr, A)]
+        cond = [(f.face_powers[:, None] * lm / f.gaps[:, None]).ravel()]
+        elen = [np.repeat(f.gaps, A)]
         if self.apex is not None:
             edges.append(np.c_[np.zeros(A, dtype=int), off + nodes])
-            cond.append(apex_hi ** (n - 1) * lm / ring_r[0])
-            elen.append(np.full(A, ring_r[0]))
+            cond.append(f.apex_power * lm / f.apex_gap)
+            elen.append(np.full(A, f.apex_gap))
         # tangential edges within each ring
-        ring_pow = np.array([r ** (n - 3) for r in ring_r])
-        width = cell_hi - cell_lo
         edges.append((off + rings[:, None, None] * A + ledges).reshape(-1, 2))
-        cond.append((ring_pow[:, None] * lcond * width[:, None]).ravel())
+        cond.append((f.ring_powers[:, None] * lcond
+                     * f.widths[:, None]).ravel())
         elen.append((ring_r[:, None]
                      * ldist[ledges[:, 0], ledges[:, 1]]).ravel())
         self.edges = np.concatenate(edges)

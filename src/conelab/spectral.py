@@ -1,8 +1,11 @@
 """Heat kernels, Green's functions, Poincare constants and indicial roots.
 
-All solvers act on the conductance data of a :class:`~conelab.cones.DiscretizedCone`
-(or any object exposing ``measures``, ``edges``, ``conductances``): the
-quadratic form sum c_e |f(i)-f(j)|^2 against the vertex measure matrix.
+Poincare constants act on the conductance data of any network exposing
+``measures``, ``edges`` and ``conductances``: the quadratic form
+sum c_e |f(i)-f(j)|^2 against the vertex measure matrix.  Heat kernels and
+Green's functions need a :class:`~conelab.cones.DiscretizedCone`: they use
+its product structure (separation of variables in the link eigenmodes, see
+:func:`_modal`) and check the result against the vertex-basis network.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                   splu)
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, InternalFault
 from .graphs import dirichlet_laplacian
 
 __all__ = [
@@ -28,20 +31,85 @@ __all__ = [
     "indicial_spectrum", "IndicialSpectrum",
 ]
 
+#: Largest accepted residual of the Green's function, relative to the scale
+#: of the products summed in it (see :func:`greens_function`).
+GREEN_RESIDUAL_TOL = 1e-10
+
+#: Largest accepted deviation of a heat-kernel sample's total mass from 1.
+HEAT_MASS_TOL = 1e-9
+
+
+def _outflow(cone) -> float:
+    """Robin coefficient of the outer ring per unit link measure: an outflow
+    matching the decay rate r^(2-n) of a decaying harmonic function,
+
+        normal flux = (n-2)/r_max * value * (outer face area),
+
+    with outer face area r_max^(n-1) * (link measure)."""
+    n = cone.dimension
+    return (n - 2) / cone.r_max * cone.r_max ** (n - 1)
+
 
 def _robin_laplacian(cone) -> sp.csr_matrix:
-    """Laplacian with an outflow (Robin) term on the outer truncation ring
-    matching the decay rate r^(2-n) of a decaying harmonic function:
-
-        normal flux = (n-2)/r_max * value * (outer face area).
-
-    This removes the constant nullspace and mimics the infinite cone."""
-    n = cone.dimension
-    face = cone.r_max ** (n - 1) * cone._link_measures
-    robin = np.where(cone.is_outer,
-                     (n - 2) / cone.r_max * face[cone.link_index], 0.0)
+    """Laplacian with the outflow (Robin) term of :func:`_outflow` on the
+    outer truncation ring.  This removes the constant nullspace and mimics
+    the infinite cone."""
+    lm = cone.factors.link_measures
+    robin = np.where(cone.is_outer, _outflow(cone) * lm[cone.link_index], 0.0)
     L = dirichlet_laplacian(cone.n_vertices, cone.edges, cone.conductances)
     return L + sp.diags(robin)
+
+
+def _modal(cone, robin):
+    """The cone's Laplacian and measure in the basis of link eigenmodes.
+
+    One dense generalized eigen-solve of the link, L_S Phi = M_S Phi diag(mu)
+    with Phi^T M_S Phi = I, gives V = 1 (+) (I_K (x) Phi) (the apex, when
+    present, keeps its own coordinate).  Since L = L_r (x) M_S + diag(T) (x)
+    L_S, V^T L V is the radial tridiagonal matrix L_r + mu_j diag(T) in each
+    mode j, and V^T M V is diag(shell) in each mode (Cheeger's separation of
+    variables on cones, in discrete form).  Coordinates are ordered apex
+    first, then mode 0's rings, mode 1's rings, ..., so the whole operator
+    is one symmetric tridiagonal matrix: the apex edges add the constant
+    c_apex to ring 0 of every mode and couple the apex only to mode 0,
+    with weight -c_apex Phi_0^T M_S 1, since the other modes are
+    M_S-orthogonal to the constants.  With ``robin`` the outflow term of
+    :func:`_robin_laplacian`, a multiple of M_S, adds the same constant to
+    the outer ring of every mode.
+
+    Returns the operator (CSC), the diagonal of the modal mass, and the
+    maps x -> V^T x and c -> V c.
+    """
+    f = cone.factors
+    lm = f.link_measures
+    A, K = len(lm), cone.radial_steps
+    off = 0 if cone.apex is None else 1
+    L_S = dirichlet_laplacian(A, f.link_edges, f.link_conductances)
+    mu, Phi = scipy.linalg.eigh(L_S.toarray(), np.diag(lm))
+    w = f.radial_weights
+    diag = np.r_[w, 0.0] + np.r_[0.0, w] + np.outer(mu, f.ring_factors)
+    coupling = np.zeros((A, K))
+    coupling[:, :-1] = -w
+    coupling = coupling.ravel()[:-1]
+    mass = np.tile(f.shell, A)
+    if robin:
+        diag[:, -1] += _outflow(cone)
+    if off:
+        c_apex = f.apex_conductance
+        diag[:, 0] += c_apex
+        diag = np.r_[c_apex * lm.sum(), diag.ravel()]
+        coupling = np.r_[-c_apex * np.dot(Phi[:, 0], lm), coupling]
+        mass = np.r_[cone.measures[0], mass]
+    L = sp.diags([coupling, diag.ravel(), coupling], [-1, 0, 1],
+                 format="csc")
+
+    def to_modes(x):
+        return np.r_[x[:off], (x[off:].reshape(K, A) @ Phi).T.ravel()]
+
+    def from_modes(c):
+        return np.r_[c[:off], (c[off:].reshape(A, K).T @ Phi.T).ravel()]
+
+    return L, mass, to_modes, from_modes
 
 
 # ---------------------------------------------------------------------------
@@ -92,27 +160,32 @@ def _march(L, M, h0, times, n_steps):
 def heat_kernel(cone, source: int, times: Sequence[float],
                 rel_tol: float = 0.005, n_steps: int = 64,
                 max_refine: int = 8, probes=None):
-    """Heat kernel h(t, source, .) by implicit (Crank-Nicolson) stepping.
+    """Heat kernel h(t, source, .) on a DiscretizedCone by implicit
+    (Crank-Nicolson) stepping in the link-eigenmode basis (:func:`_modal`).
 
     The number of time steps is doubled until the solutions at the probe
-    vertices change by less than ``rel_tol`` relatively.  Natural (Neumann)
-    boundary on the truncation rings; total mass is conserved.
+    vertices change by less than ``rel_tol`` relatively; CapacityError if
+    that takes more than ``max_refine`` marches.  Natural (Neumann) boundary
+    on the truncation rings; total mass is conserved, and InternalFault is
+    raised if a sample's mass is off 1 by more than HEAT_MASS_TOL.
     """
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0:
         raise DomainError("times must be positive")
     if not 0 <= source < cone.n_vertices:
         raise DomainError("source vertex out of range")
-    L = dirichlet_laplacian(cone.n_vertices, cone.edges, cone.conductances)
-    M = sp.diags(cone.measures)
-    h0 = np.zeros(cone.n_vertices)
-    h0[source] = 1.0 / cone.measures[source]
+    L, mass, to_modes, from_modes = _modal(cone, robin=False)
+    M = sp.diags(mass)
+    # h0 = delta_source / m_source, so V^-1 h0 = mass^-1 V^T e_source
+    e = np.zeros(cone.n_vertices)
+    e[source] = 1.0
+    c0 = to_modes(e) / mass
     if probes is None:
         order = np.argsort(cone.distances_from(source))
         probes = order[np.linspace(1, cone.n_vertices - 1, 6).astype(int)]
     prev = None
     for _ in range(max_refine):
-        sols = _march(L, M, h0, times, n_steps)
+        sols = [from_modes(c) for c in _march(L, M, c0, times, n_steps)]
         if prev is not None:
             num = max(np.max(np.abs(s[probes] - p[probes]))
                       for s, p in zip(sols, prev))
@@ -121,7 +194,15 @@ def heat_kernel(cone, source: int, times: Sequence[float],
                 break
         prev = sols
         n_steps *= 2
-    return [HeatKernelSample(t, source, s) for t, s in zip(times, sols)]
+    else:
+        raise CapacityError(f"heat kernel did not reach rel_tol {rel_tol:g} "
+                            f"in {max_refine} step doublings")
+    samples = [HeatKernelSample(t, source, s) for t, s in zip(times, sols)]
+    for s in samples:
+        if not abs(s.mass(cone) - 1.0) <= HEAT_MASS_TOL:
+            raise InternalFault(f"heat kernel mass {s.mass(cone)!r} at "
+                                f"t = {s.t:g} is not 1")
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +287,28 @@ class GreensFunction:
 
 
 def greens_function(cone, source: int) -> GreensFunction:
-    """Solve L G = delta_source on a cone of dimension n > 2.
+    """Solve L G = delta_source on a DiscretizedCone of dimension n > 2.
 
     The outer truncation ring carries a Robin condition matching the decay
     r^(2-n), so G approximates the Green's function of the infinite cone.
+    The solve runs in the link-eigenmode basis (:func:`_modal`); the residual
+    of G is then checked in the vertex basis, and InternalFault is raised if
+    ||L G - delta||_inf exceeds GREEN_RESIDUAL_TOL * || |L| |G| ||_inf.
     """
     if cone.dimension <= 2:
         raise DomainError("Green's function requires dimension n > 2")
-    L = _robin_laplacian(cone)
+    if not 0 <= source < cone.n_vertices:
+        raise DomainError("source vertex out of range")
+    L, _, to_modes, from_modes = _modal(cone, robin=True)
     rhs = np.zeros(cone.n_vertices)
     rhs[source] = 1.0
-    G = splu(L.tocsc()).solve(rhs)
+    G = from_modes(splu(L).solve(to_modes(rhs)))
+    Lv = _robin_laplacian(cone)
+    residual = float(np.max(np.abs(Lv @ G - rhs)))
+    scale = float(np.max(abs(Lv) @ np.abs(G)))
+    if not residual <= GREEN_RESIDUAL_TOL * scale:
+        raise InternalFault(f"Green's function residual {residual:.3g} "
+                            f"exceeds {GREEN_RESIDUAL_TOL:g} * {scale:.3g}")
     d = cone.distances_from(source)
     interior = (d > 0) & ~cone.is_outer
     C = float(np.max(G[interior] * d[interior] ** (cone.dimension - 2)))
@@ -228,8 +320,8 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
     """int_0^infty h(t, source, .) dt by backward-Euler quadrature.
 
     Uses the same Robin boundary as :func:`greens_function` (so the integral
-    converges) but a genuinely different computation: time stepping plus a
-    spectral tail estimate from the final decay rate.
+    converges) but a genuinely different computation: time stepping in the
+    vertex basis plus a spectral tail estimate from the final decay rate.
     """
     if cone.dimension <= 2:
         raise DomainError("requires dimension n > 2")
@@ -237,7 +329,8 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
     M = sp.diags(cone.measures)
     if dt is None:
         dt = 0.02 * cone.r_max ** 2 / n_steps * 4
-    lu = splu((M + dt * L).tocsc())
+    lu = splu((M + dt * L).tocsc(), permc_spec="MMD_AT_PLUS_A",
+              options={"SymmetricMode": True})
     h = np.zeros(cone.n_vertices)
     h[source] = 1.0 / cone.measures[source]
     total = np.zeros_like(h)

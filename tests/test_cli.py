@@ -109,6 +109,29 @@ class TestConeCommand:
         assert open(o1).read() == open(o2).read()
 
 
+class TestNonFiniteInput:
+    """A NaN radius used to pass validation: ``cone`` wrote a NaN token and
+    ``heat`` died on a singular factorization."""
+
+    @pytest.mark.parametrize("command", ["cone", "heat"])
+    def test_nan_radius_exits_2(self, tmp_path, capsys, command):
+        text = json.dumps(dict(CONE_DOC, r_max=float("nan")))
+        assert "NaN" in text
+        inp = write(tmp_path, "cone.json", text)
+        out = tmp_path / "r.json"
+        assert main([command, "--in", inp, "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_with_nan_is_refused(self, tmp_path):
+        # every doubled ball is clipped, so the largest ratio is NaN
+        inp = write(tmp_path, "cone.json", json.dumps(CONE_DOC))
+        out = tmp_path / "r.json"
+        assert main(["cone", "--in", inp, "--samples", "5", "--r-lo", "5",
+                     "--r-hi", "6", "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestHeatCommand:
     def test_fit_report(self, tmp_path):
         inp = write(tmp_path, "cone.json", json.dumps(
@@ -145,6 +168,12 @@ class TestGreenCommand:
     def test_two_dimensional_cone_rejected(self, tmp_path):
         inp = write(tmp_path, "cone.json", json.dumps(CONE_DOC))
         assert main(["green", "--in", inp]) == 2
+
+    def test_source_out_of_range(self, tmp_path):
+        doc = {"link": {"kind": "sphere", "n_theta": 4, "n_phi": 8},
+               "r_min": 0.05, "r_max": 3.0, "radial_steps": 8}
+        inp = write(tmp_path, "cone.json", json.dumps(doc))
+        assert main(["green", "--in", inp, "--source", "256"]) == 2
 
     def test_sphere_cone(self, tmp_path):
         doc = {"link": {"kind": "sphere", "n_theta": 6, "n_phi": 12},

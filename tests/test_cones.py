@@ -82,6 +82,10 @@ class TestProductStructure:
                                                              [-1.0, 1.0]])
             L_r = _path_laplacian(hi[:-1] ** (n - 1) / np.diff(r))
             T = r ** (n - 3) * (hi - lo)
+            f = cone.factors
+            assert np.allclose(f.radial_weights, hi[:-1] ** (n - 1)
+                               / np.diff(r), rtol=1e-14, atol=0)
+            assert np.allclose(f.ring_factors, T, rtol=1e-14, atol=0)
             want = np.kron(L_r, np.diag(lm)) + np.kron(np.diag(T), L_S)
             got = dirichlet_laplacian(cone.n_vertices, cone.edges,
                                       cone.conductances).toarray()
@@ -136,13 +140,15 @@ class TestAssemblyMatchesLoops:
 
     # the 168- and 128-ring grids have radii where array ** -1 and ** 2
     # differ from scalar pow in the last bit
-    @pytest.mark.parametrize("args", [
+    LOOP_GRIDS = [
         (CircleLink(TWO_PI), 0.0, 3.0, 12, 10),
         (CircleLink(math.pi), 0.0, 2.0, 7, 5),
         (CircleLink(TWO_PI), 0.15, 16.0, 168, 3, "geometric"),
         (sphere_link(2, 3), 0.05, 5.0, 128),
         (sphere_link(4, 8), 0.2, 2.0, 6, None, "geometric"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("args", LOOP_GRIDS)
     def test_bitwise_equal(self, args):
         link, r_min, r_max, K = args[:4]
         angular = args[4] if len(args) > 4 else None
@@ -154,6 +160,34 @@ class TestAssemblyMatchesLoops:
         assert np.array_equal(cone.edges, np.array(edges))
         assert cone.conductances.tobytes() == np.array(cond).tobytes()
         assert cone.edge_lengths.tobytes() == np.array(elen).tobytes()
+
+    @pytest.mark.parametrize("args", LOOP_GRIDS)
+    def test_factors_reassemble_bitwise(self, args):
+        """Each conductance is (ring numerator * link factor) / ring
+        denominator of the stored product factors, edge by edge."""
+        link, r_min, r_max, K = args[:4]
+        cone = build_cone(link, r_min, r_max, K,
+                          angular_steps=args[4] if len(args) > 4 else None,
+                          spacing=args[5] if len(args) > 5 else "uniform")
+        f = cone.factors
+        lm, A = f.link_measures, len(f.link_measures)
+        cond = [f.face_powers[k] * lm[a] / f.gaps[k]
+                for k in range(K - 1) for a in range(A)]
+        edges = [(k * A + a, (k + 1) * A + a)
+                 for k in range(K - 1) for a in range(A)]
+        if f.apex_power is not None:
+            cond += [f.apex_power * lm[a] / f.apex_gap for a in range(A)]
+            edges = ([(u + 1, v + 1) for u, v in edges]
+                     + [(0, 1 + a) for a in range(A)])
+        off = 0 if f.apex_power is None else 1
+        for k in range(K):
+            for (u, v), c in zip(f.link_edges, f.link_conductances):
+                edges.append((off + k * A + u, off + k * A + v))
+                cond.append(c * f.ring_powers[k] * f.widths[k])
+        assert np.array_equal(cone.edges, np.array(edges))
+        assert cone.conductances.tobytes() == np.array(cond).tobytes()
+        measures = [lm[a] * f.shell[k] for k in range(K) for a in range(A)]
+        assert cone.measures[off:].tobytes() == np.array(measures).tobytes()
 
 
 class TestDistances:
@@ -289,6 +323,28 @@ class TestConstructionAndIO:
             build_cone(CircleLink(TWO_PI), 2.0, 1.0, 10)
         with pytest.raises(DomainError):
             CircleLink(-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            build_cone(CircleLink(TWO_PI), 0.0, bad, 10, angular_steps=8)
+        with pytest.raises(DomainError):
+            build_cone(CircleLink(TWO_PI), bad, 1.0, 10, angular_steps=8)
+        with pytest.raises(DomainError):
+            CircleLink(bad)
+        good = dict(measures=(1.0, 1.0), edges=((0, 1),),
+                    conductances=(1.0,), lengths=(1.0,), dim=1)
+        for field in ("measures", "conductances", "lengths"):
+            with pytest.raises(DomainError):
+                GraphLink(**dict(good, **{field: (bad,) * len(good[field])}))
+        with pytest.raises(DomainError):
+            GraphLink(**good, directions=((1.0, 0.0), (bad, 1.0)))
+
+    def test_rejects_negative_link_conductance(self):
+        # an indefinite link Laplacian made the heat kernel lose mass
+        with pytest.raises(DomainError):
+            GraphLink((1.0, 1.0, 1.0), ((0, 1), (1, 2), (2, 0)),
+                      (1.0, -5.0, 1.0), (1.0, 1.0, 1.0))
 
     def test_graph_link_cone(self):
         # two segments of length 1 joined at both ends: a circle of length 2

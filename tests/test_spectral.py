@@ -4,11 +4,13 @@ import types
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 import conelab.spectral
-from conelab import (CapacityError, CircleLink, DomainError, build_cone,
-                     covering_cell_constant, gaussian_fit,
+from conelab import (CapacityError, CircleLink, DomainError, InternalFault,
+                     build_cone, covering_cell_constant, gaussian_fit,
                      green_by_time_integration, greens_function, heat_kernel,
                      indicial_spectrum, net_covering, poincare_constant,
                      scale_invariant_poincare_scan, sphere_link)
@@ -211,6 +213,148 @@ class TestGreen:
         keep = (d > 0.4) & (cone.radii < 3.0)
         rel = np.abs(quad[keep] - direct[keep]) / direct[keep]
         assert rel.max() < 0.05
+
+
+def vertex_green(cone, source):
+    """Reference Green's function: one sparse solve of the vertex-basis
+    Laplacian plus the outflow term (n-2)/r_max * r_max^(n-1) * link
+    measure on the outer ring."""
+    n = cone.dimension
+    lm = cone.factors.link_measures
+    robin = np.where(cone.is_outer, (n - 2) / cone.r_max
+                     * cone.r_max ** (n - 1) * lm[cone.link_index], 0.0)
+    L = dirichlet_laplacian(cone.n_vertices, cone.edges, cone.conductances)
+    rhs = np.zeros(cone.n_vertices)
+    rhs[source] = 1.0
+    return splu((L + sp.diags(robin)).tocsc()).solve(rhs)
+
+
+def vertex_heat(cone, source, times, rel_tol, n_steps=64):
+    """Reference heat kernel: Crank-Nicolson in the vertex basis, opened by
+    two backward-Euler half steps, with the step doubling and probes of
+    heat_kernel."""
+    L = dirichlet_laplacian(cone.n_vertices, cone.edges, cone.conductances)
+    M = sp.diags(cone.measures)
+    h0 = np.zeros(cone.n_vertices)
+    h0[source] = 1.0 / cone.measures[source]
+    order = np.argsort(cone.distances_from(source))
+    probes = order[np.linspace(1, cone.n_vertices - 1, 6).astype(int)]
+    prev = None
+    for _ in range(8):
+        sols, h, t_prev = [], h0, 0.0
+        for i, t in enumerate(times):
+            n = max(2, int(math.ceil(n_steps * (t - t_prev) / times[-1])))
+            dt = (t - t_prev) / n
+            lu = splu((M + 0.5 * dt * L).tocsc())
+            B = M - 0.5 * dt * L
+            if i == 0:
+                h = lu.solve(M @ lu.solve(M @ h))
+                n -= 1
+            for _ in range(n):
+                h = lu.solve(B @ h)
+            sols.append(h)
+            t_prev = t
+        if prev is not None:
+            num = max(np.max(np.abs(s[probes] - p[probes]))
+                      for s, p in zip(sols, prev))
+            den = max(np.max(np.abs(s[probes])) for s in sols)
+            if num <= rel_tol * den:
+                return sols
+        prev = sols
+        n_steps *= 2
+    raise AssertionError("reference heat kernel did not converge")
+
+
+def ring_sources(cone):
+    """The apex or a vertex of the inner ring, one mid-grid and one on the
+    outer ring."""
+    A, K = cone.link_nodes, cone.radial_steps
+    off = cone.n_vertices - K * A
+    return [0, off + (K // 2) * A + A // 3, cone.n_vertices - 1]
+
+
+def assert_heat_matches(cone, source, times, rel_tol=0.005):
+    got = heat_kernel(cone, source, times, rel_tol=rel_tol)
+    want = vertex_heat(cone, source, sorted(times), rel_tol)
+    for s, h in zip(got, want):
+        assert np.max(np.abs(s.values - h)) <= 1e-10 * np.max(np.abs(h))
+
+
+def assert_green_matches(cone, source):
+    got = greens_function(cone, source).values
+    want = vertex_green(cone, source)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+
+class TestSeparatedVariables:
+    """heat_kernel and greens_function solve in the link-eigenmode basis;
+    the vertex-basis solves above are the reference."""
+
+    @pytest.mark.parametrize("length", [TWO_PI, math.pi])
+    def test_heat_circle_with_apex(self, length):
+        cone = build_cone(CircleLink(length), 0.0, 3.0, 24, angular_steps=12)
+        for source in ring_sources(cone):
+            assert_heat_matches(cone, source, [0.1, 0.3])
+
+    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+    def test_sphere_link(self, spacing):
+        cone = build_cone(sphere_link(4, 8), 0.1, 3.0, 12, spacing=spacing)
+        for source in ring_sources(cone):
+            assert_green_matches(cone, source)
+            assert_heat_matches(cone, source, [0.2, 0.5])
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(sphere=st.booleans(), apex=st.booleans(),
+           geometric=st.booleans(), K=st.integers(2, 10),
+           nodes=st.integers(3, 9), r_min=st.floats(0.05, 1.0),
+           width=st.floats(0.5, 4.0), where=st.floats(0.0, 1.0))
+    def test_random_small_cones(self, sphere, apex, geometric, K, nodes,
+                                r_min, width, where):
+        if sphere:
+            link = sphere_link(2 + nodes // 3, nodes)
+        else:
+            link = CircleLink(width * nodes / 3.0)
+        if apex and not sphere:
+            r_min, geometric = 0.0, False
+        cone = build_cone(link, r_min, r_min + width, K,
+                          angular_steps=None if sphere else nodes,
+                          spacing="geometric" if geometric else "uniform")
+        source = min(int(where * cone.n_vertices), cone.n_vertices - 1)
+        times = [0.05 * width ** 2, 0.2 * width ** 2]
+        assert_heat_matches(cone, source, times, rel_tol=0.05)
+        if sphere:
+            assert_green_matches(cone, source)
+
+    def test_corrupted_coupling_trips_internal_fault(self, monkeypatch):
+        modal = conelab.spectral._modal
+
+        def corrupted(cone, robin):
+            L, mass, to_modes, from_modes = modal(cone, robin)
+            L = L.tolil()
+            L[1, 2] *= 1.001
+            L[2, 1] *= 1.001
+            return L.tocsc(), mass, to_modes, from_modes
+
+        monkeypatch.setattr(conelab.spectral, "_modal", corrupted)
+        sphere = build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
+        with pytest.raises(InternalFault):
+            greens_function(sphere, 0)
+        disc = build_cone(CircleLink(TWO_PI), 0.0, 3.0, 24, angular_steps=12)
+        with pytest.raises(InternalFault):
+            heat_kernel(disc, 0, [0.2])
+
+    def test_unconverged_heat_kernel_raises(self):
+        cone = build_cone(CircleLink(TWO_PI), 0.0, 3.0, 24, angular_steps=12)
+        with pytest.raises(CapacityError):
+            heat_kernel(cone, 0, [0.2], max_refine=1)
+
+    def test_source_out_of_range(self):
+        cone = build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
+        for source in (-1, cone.n_vertices):
+            with pytest.raises(DomainError):
+                greens_function(cone, source)
+            with pytest.raises(DomainError):
+                heat_kernel(cone, source, [0.2])
 
 
 class TestIndicial:
