@@ -105,6 +105,11 @@ def run_cone(args):
     scan = cones.doubling_scan(cone, n_samples=args.samples,
                                r_bounds=(args.r_lo, args.r_hi),
                                seed=args.seed)
+    if not scan.records:
+        raise PreconditionError(
+            f"all {scan.n_clipped} sampled 2r-balls are clipped by the "
+            f"truncation boundary (r in [{args.r_lo:g}, {args.r_hi:g}]); "
+            f"no doubling ratio to report")
     results = {
         "dimension": cone.dimension,
         "n_vertices": cone.n_vertices,
@@ -131,7 +136,7 @@ def run_heat(args):
         cone = cones.cone_from_json(fh.read())
     source = cone.base_point() if args.source == "apex" else int(args.source)
     times = [float(t) for t in args.times.split(",")]
-    samples = spectral.heat_kernel(cone, source, times, rel_tol=args.tol_rel)
+    samples = spectral.heat_kernel(cone, source, times)
     fit = spectral.gaussian_fit(samples, cone)
     results = {
         "source": source,
@@ -151,8 +156,7 @@ def run_heat(args):
                     fh.write(f"{s.t:.12g},{v},{d[v]:.12g},"
                              f"{s.values[v]:.12g}\n")
     write_report("heat", {"in": args.infile, "times": times,
-                          "source": args.source, "tol_rel": args.tol_rel},
-                 results, args)
+                          "source": args.source}, results, args)
     return 0
 
 
@@ -288,7 +292,6 @@ def build_parser():
     common(sp)
     sp.add_argument("--times", default="0.1,0.25,0.5,1.0")
     sp.add_argument("--source", default="apex")
-    sp.add_argument("--tol-rel", dest="tol_rel", type=float, default=0.005)
     sp.add_argument("--csv", default=None)
     sp.set_defaults(func=run_heat)
 

@@ -336,12 +336,13 @@ class DiscretizedCone:
     def distance(self, u: int, v: int) -> float:
         return float(self.distances_from(u)[v])
 
-    def boundary_distance(self, v: int) -> float:
-        """Distance from v to the truncation boundary of the grid."""
+    def boundary_distance(self, v=slice(None)):
+        """Distance from vertex v (by default every vertex, as an array) to
+        the truncation boundary of the grid."""
         d = self.r_max - self.radii[v]
         if self.r_min > 0:
-            d = min(d, self.radii[v] - self.r_min)
-        return float(d)
+            d = np.minimum(d, self.radii[v] - self.r_min)
+        return d
 
     # -- measures of balls --------------------------------------------------
     def ball_volume(self, v: int, r: float) -> BallVolume:
@@ -413,6 +414,8 @@ def doubling_scan(cone: DiscretizedCone, n_samples: int = 100,
     lo, hi = r_bounds
     if not 0 < lo < hi:
         raise DomainError("need 0 < r_lo < r_hi")
+    if n_samples < 1:
+        raise DomainError("need at least one sample")
     records, n_clipped = [], 0
     tries = 0
     while len(records) < n_samples and tries < 50 * n_samples:

@@ -5,7 +5,9 @@ Poincare constants act on the conductance data of any network exposing
 sum c_e |f(i)-f(j)|^2 against the vertex measure matrix.  Heat kernels and
 Green's functions need a :class:`~conelab.cones.DiscretizedCone`: they use
 its product structure (separation of variables in the link eigenmodes, see
-:func:`_modal`) and check the result against the vertex-basis network.
+:func:`_modal`), in which the heat flow and its time integral are exact
+functions of the operator (:func:`_modal_apply`), with no time stepping.
+Each result is checked against the vertex-basis network.
 """
 from __future__ import annotations
 
@@ -112,6 +114,45 @@ def _modal(cone, robin):
     return L, mass, to_modes, from_modes
 
 
+def _modal_apply(cone, robin, source, f):
+    """The columns of V M^-1/2 Q f(Lambda) Q^T M^-1/2 V^T e_source, for
+    Q Lambda Q^T the eigen-decomposition of the mass-scaled operator
+    M^-1/2 L M^-1/2 of :func:`_modal`.
+
+    The operator is block diagonal: the apex (when present) with mode 0,
+    then K rings for each further link mode.  Each block takes one
+    symmetric tridiagonal eigen-solve, and f maps its eigenvalues to a
+    (block size, columns) array, so any function of the operator is exact
+    up to rounding at O(A K^2) cost."""
+    L, mass, to_modes, from_modes = _modal(cone, robin)
+    A, K = cone.link_nodes, cone.radial_steps
+    off = 0 if cone.apex is None else 1
+    scale = 1.0 / np.sqrt(mass)
+    diag = L.diagonal() * scale ** 2
+    coupling = L.diagonal(1) * scale[:-1] * scale[1:]
+    e = np.zeros(cone.n_vertices)
+    e[source] = 1.0
+    b = to_modes(e) * scale
+    bounds = np.r_[0, off + K * np.arange(1, A + 1)]
+    blocks = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        lam, Q = scipy.linalg.eigh_tridiagonal(diag[lo:hi],
+                                               coupling[lo:hi - 1])
+        blocks.append(Q @ (f(lam) * (Q.T @ b[lo:hi])[:, None]))
+    y = np.concatenate(blocks) * scale[:, None]
+    return [from_modes(col) for col in y.T]
+
+
+def _check_residual(Lv, x, rhs, what):
+    """InternalFault unless ||Lv x - rhs||_inf <= GREEN_RESIDUAL_TOL *
+    || |Lv| |x| ||_inf, the scale of the products summed in Lv x."""
+    residual = float(np.max(np.abs(Lv @ x - rhs)))
+    scale = float(np.max(abs(Lv) @ np.abs(x)))
+    if not residual <= GREEN_RESIDUAL_TOL * scale:
+        raise InternalFault(f"{what} residual {residual:.3g} "
+                            f"exceeds {GREEN_RESIDUAL_TOL:g} * {scale:.3g}")
+
+
 # ---------------------------------------------------------------------------
 # heat kernel
 
@@ -126,78 +167,23 @@ class HeatKernelSample:
         return float(np.dot(self.values, cone.measures))
 
 
-def _march(L, M, h0, times, n_steps):
-    """Crank-Nicolson march recording the solution at each target time.
+def heat_kernel(cone, source: int, times: Sequence[float]):
+    """Heat kernel h(t, source, .) on a DiscretizedCone, exact in time:
+    h(t) = exp(-t M^-1 L) delta_source / m_source, evaluated through the
+    eigen-decomposition of the link-eigenmode operator (:func:`_modal_apply`).
 
-    The first segment opens with two backward-Euler half steps to damp the
-    roughness of the point-mass initial datum."""
-    out = []
-    h = h0.copy()
-    t_prev = 0.0
-    first = True
-    for t in times:
-        seg = t - t_prev
-        n = max(2, int(math.ceil(n_steps * seg / times[-1])))
-        dt = seg / n
-        # backward Euler over dt/2 and Crank-Nicolson over dt share the
-        # matrix M + dt/2 L
-        lu = splu((M + 0.5 * dt * L).tocsc())
-        B = (M - 0.5 * dt * L).tocsr()
-        if first:
-            for _ in range(2):
-                h = lu.solve(M @ h)
-            first = False
-            remaining = n - 1
-        else:
-            remaining = n
-        for _ in range(remaining):
-            h = lu.solve(B @ h)
-        out.append(h.copy())
-        t_prev = t
-    return out
-
-
-def heat_kernel(cone, source: int, times: Sequence[float],
-                rel_tol: float = 0.005, n_steps: int = 64,
-                max_refine: int = 8, probes=None):
-    """Heat kernel h(t, source, .) on a DiscretizedCone by implicit
-    (Crank-Nicolson) stepping in the link-eigenmode basis (:func:`_modal`).
-
-    The number of time steps is doubled until the solutions at the probe
-    vertices change by less than ``rel_tol`` relatively; CapacityError if
-    that takes more than ``max_refine`` marches.  Natural (Neumann) boundary
-    on the truncation rings; total mass is conserved, and InternalFault is
-    raised if a sample's mass is off 1 by more than HEAT_MASS_TOL.
+    Natural (Neumann) boundary on the truncation rings; total mass is
+    conserved, and InternalFault is raised if a sample's mass is off 1 by
+    more than HEAT_MASS_TOL.
     """
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0:
         raise DomainError("times must be positive")
     if not 0 <= source < cone.n_vertices:
         raise DomainError("source vertex out of range")
-    L, mass, to_modes, from_modes = _modal(cone, robin=False)
-    M = sp.diags(mass)
-    # h0 = delta_source / m_source, so V^-1 h0 = mass^-1 V^T e_source
-    e = np.zeros(cone.n_vertices)
-    e[source] = 1.0
-    c0 = to_modes(e) / mass
-    if probes is None:
-        order = np.argsort(cone.distances_from(source))
-        probes = order[np.linspace(1, cone.n_vertices - 1, 6).astype(int)]
-    prev = None
-    for _ in range(max_refine):
-        sols = [from_modes(c) for c in _march(L, M, c0, times, n_steps)]
-        if prev is not None:
-            num = max(np.max(np.abs(s[probes] - p[probes]))
-                      for s, p in zip(sols, prev))
-            den = max(np.max(np.abs(s[probes])) for s in sols)
-            if den == 0 or num <= rel_tol * den:
-                break
-        prev = sols
-        n_steps *= 2
-    else:
-        raise CapacityError(f"heat kernel did not reach rel_tol {rel_tol:g} "
-                            f"in {max_refine} step doublings")
-    samples = [HeatKernelSample(t, source, s) for t, s in zip(times, sols)]
+    values = _modal_apply(cone, False, source,
+                          lambda lam: np.exp(-np.outer(lam, times)))
+    samples = [HeatKernelSample(t, source, v) for t, v in zip(times, values)]
     for s in samples:
         if not abs(s.mass(cone) - 1.0) <= HEAT_MASS_TOL:
             raise InternalFault(f"heat kernel mass {s.mass(cone)!r} at "
@@ -234,30 +220,27 @@ def gaussian_fit(samples, cone, slack: float = 3.0, band=(1.0, 4.0),
     amplitudes are the regression intercept widened by ``slack``.  ``passed``
     records the pointwise verification, so a single corrupted node fails it.
     """
-    xs, ys, tags = [], [], []
+    xs, ys, ts, vs = [], [], [], []
     nonpos = None
+    bd = cone.boundary_distance()
     for s in samples:
         rt = math.sqrt(s.t)
         d = cone.distances_from(s.source)
         V = cone.ball_volume(s.source, rt).volume
-        lo, hi = band[0] * rt, band[1] * rt
-        margin = boundary_factor * rt
-        for v in range(cone.n_vertices):
-            if not (lo <= d[v] <= hi):
-                continue
-            if cone.boundary_distance(v) < margin:
-                continue
-            val = s.values[v]
-            if val <= 0:
-                nonpos = (s.t, v, float(val), 0.0)
-                continue
-            xs.append(d[v] ** 2 / s.t)
-            ys.append(math.log(val * V))
-            tags.append((s.t, v))
+        admissible = ((band[0] * rt <= d) & (d <= band[1] * rt)
+                      & (bd >= boundary_factor * rt))
+        bad = admissible & (s.values <= 0)
+        if bad.any():
+            v = int(np.flatnonzero(bad)[-1])
+            nonpos = (s.t, v, float(s.values[v]), 0.0)
+        keep = np.flatnonzero(admissible & ~bad)
+        xs.append(d[keep] ** 2 / s.t)
+        ys.append(np.log(s.values[keep] * V))
+        ts.append(np.full(len(keep), s.t))
+        vs.append(keep)
+    xs, ys, ts, vs = (np.concatenate(a) for a in (xs, ys, ts, vs))
     if len(xs) < 4:
         raise DomainError("too few admissible samples for a Gaussian fit")
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
     slope, intercept = np.polyfit(xs, ys, 1)
     c2 = -float(slope)
     amp = math.exp(float(intercept))
@@ -269,7 +252,7 @@ def gaussian_fit(samples, cone, slack: float = 3.0, band=(1.0, 4.0),
                   and np.all(resid <= math.log(slack))
                   and np.all(resid >= -math.log(slack)))
     witness = nonpos if nonpos is not None else (
-        tags[worst][0], tags[worst][1], math.exp(ys[worst]),
+        float(ts[worst]), int(vs[worst]), math.exp(ys[worst]),
         amp * math.exp(slope * xs[worst]))
     return GaussianFit(c1, C1, c2, C2, passed, len(xs), witness, max_rel)
 
@@ -303,12 +286,7 @@ def greens_function(cone, source: int) -> GreensFunction:
     rhs = np.zeros(cone.n_vertices)
     rhs[source] = 1.0
     G = from_modes(splu(L).solve(to_modes(rhs)))
-    Lv = _robin_laplacian(cone)
-    residual = float(np.max(np.abs(Lv @ G - rhs)))
-    scale = float(np.max(abs(Lv) @ np.abs(G)))
-    if not residual <= GREEN_RESIDUAL_TOL * scale:
-        raise InternalFault(f"Green's function residual {residual:.3g} "
-                            f"exceeds {GREEN_RESIDUAL_TOL:g} * {scale:.3g}")
+    _check_residual(_robin_laplacian(cone), G, rhs, "Green's function")
     d = cone.distances_from(source)
     interior = (d > 0) & ~cone.is_outer
     C = float(np.max(G[interior] * d[interior] ** (cone.dimension - 2)))
@@ -320,31 +298,40 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
     """int_0^infty h(t, source, .) dt by backward-Euler quadrature.
 
     Uses the same Robin boundary as :func:`greens_function` (so the integral
-    converges) but a genuinely different computation: time stepping in the
-    vertex basis plus a spectral tail estimate from the final decay rate.
+    converges) but a different computation.  The N = ``n_steps`` steps
+    h_k = (M + dt L)^-1 M h_(k-1) from h_0 = delta_source / m_source sum in
+    closed form per eigenvalue of the modal operator (:func:`_modal_apply`):
+    T_N = dt (h_1 + ... + h_N) is (1 - (1 + dt lam)^-N) / lam.  A tail
+    estimate h_N / lam_N, with lam_N the decay rate of the mass from h_(N-1)
+    to h_N, stands for the rest of the integral.  The vertex-basis network
+    checks T_N through the identity L T_N = M (h_0 - h_N) that the steps sum
+    to; InternalFault is raised if its residual exceeds GREEN_RESIDUAL_TOL
+    * || |L| |T_N| ||_inf.
     """
     if cone.dimension <= 2:
         raise DomainError("requires dimension n > 2")
-    L = _robin_laplacian(cone)
-    M = sp.diags(cone.measures)
+    if not 0 <= source < cone.n_vertices:
+        raise DomainError("source vertex out of range")
+    if n_steps < 2:
+        raise DomainError("n_steps must be at least 2")
     if dt is None:
         dt = 0.02 * cone.r_max ** 2 / n_steps * 4
-    lu = splu((M + dt * L).tocsc(), permc_spec="MMD_AT_PLUS_A",
-              options={"SymmetricMode": True})
-    h = np.zeros(cone.n_vertices)
-    h[source] = 1.0 / cone.measures[source]
-    total = np.zeros_like(h)
-    prev_norm = None
-    lam = None
-    for _ in range(n_steps):
-        h = lu.solve(M @ h)
-        total += dt * h
-        norm = float(np.dot(h, cone.measures))
-        if prev_norm and norm > 0:
-            lam = -math.log(norm / prev_norm) / dt
-        prev_norm = norm
-    if lam and lam > 0:
-        total += h / lam
+
+    def quadrature(lam):
+        g = 1.0 / (1.0 + dt * lam)
+        return np.c_[(1.0 - g ** n_steps) / lam, g ** n_steps,
+                     g ** (n_steps - 1)]
+
+    total, h, h_prev = _modal_apply(cone, True, source, quadrature)
+    rhs = -cone.measures * h   # M (h_0 - h_N), where M h_0 = e_source
+    rhs[source] += 1.0
+    _check_residual(_robin_laplacian(cone), total, rhs, "time integration")
+    norm = float(np.dot(h, cone.measures))
+    prev_norm = float(np.dot(h_prev, cone.measures))
+    if prev_norm > 0 and norm > 0:
+        lam = -math.log(norm / prev_norm) / dt
+        if lam > 0:
+            total += h / lam
     return total
 
 
@@ -365,14 +352,14 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     CapacityError if Lanczos does not converge.  If U meets several
     components of U' the constant is +inf.
     """
-    U = sorted(set(int(v) for v in U))
-    Up = sorted(set(int(v) for v in Uprime))
-    if not set(U) <= set(Up):
+    def ids(vs):
+        return np.unique(np.fromiter(vs, dtype=int))
+
+    U, Up = ids(U), ids(Uprime)
+    if not np.isin(U, Up).all():
         raise DomainError("U must be contained in U'")
-    if mean_set is None:
-        mean_set = U
-    mean_set = sorted(set(int(v) for v in mean_set))
-    if not set(mean_set) <= set(U):
+    mean_set = U if mean_set is None else ids(mean_set)
+    if not np.isin(mean_set, U).all():
         raise DomainError("mean_set must be contained in U")
     if len(U) == 1:
         return 0.0
@@ -400,7 +387,7 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     #   Q(f) = sum_U m_i (f_i - a)^2,  a = (mm . f) / mu_mean
     m = np.asarray(net.measures, dtype=float)
     mU_full = np.zeros(nloc)
-    mU_full[u_loc] = m[np.array(U)]
+    mU_full[u_loc] = m[U]
     mm_full = np.zeros(nloc)
     in_mean = u_loc[np.isin(U, mean_set)]
     mm_full[in_mean] = mU_full[in_mean]

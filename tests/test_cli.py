@@ -123,13 +123,19 @@ class TestNonFiniteInput:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_report_with_nan_is_refused(self, tmp_path):
-        # every doubled ball is clipped, so the largest ratio is NaN
+    def test_report_with_nan_is_refused(self, tmp_path, capsys):
+        # every doubled ball is clipped, so there is no ratio to report
         inp = write(tmp_path, "cone.json", json.dumps(CONE_DOC))
         out = tmp_path / "r.json"
         assert main(["cone", "--in", inp, "--samples", "5", "--r-lo", "5",
                      "--r-hi", "6", "--out", str(out)]) == 2
+        # 50 tries per requested sample, every one clipped
+        err = capsys.readouterr().err
+        assert "all 250 sampled 2r-balls are clipped" in err
         assert not out.exists()
+        assert main(["cone", "--in", inp, "--samples", "0",
+                     "--out", str(out)]) == 2
+        assert "at least one sample" in capsys.readouterr().err
 
 
 class TestHeatCommand:
@@ -144,18 +150,11 @@ class TestHeatCommand:
         assert "c2" in doc["results"]["fit"]
 
 
-    def test_tol_rel_recorded(self, tmp_path):
-        inp = write(tmp_path, "cone.json", json.dumps(CONE_DOC))
-        out = str(tmp_path / "r.json")
-        assert main(["heat", "--in", inp, "--times", "0.2",
-                     "--tol-rel", "0.01", "--out", out]) == 0
-        assert json.load(open(out))["config"]["tol_rel"] == 0.01
-
-
 class TestRemovedOptions:
     @pytest.mark.parametrize("argv", [
         ["cone", "--in", "cone.json", "--workers", "2"],
         ["graph", "--in", "g.json", "--tol-rel", "0.1"],
+        ["heat", "--in", "cone.json", "--tol-rel", "0.01"],
     ])
     def test_rejected_by_parser(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

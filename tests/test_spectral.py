@@ -144,6 +144,52 @@ class TestPoincareLanczos:
             poincare_constant(path_net(n, 1.0 / n), range(n), range(n))
 
 
+def loop_gaussian_fit(samples, cone, slack=3.0, band=(1.0, 4.0),
+                      boundary_factor=2.0):
+    """Reference for gaussian_fit: the admissible points gathered vertex by
+    vertex; returns the GaussianFit fields as a tuple."""
+    xs, ys, tags = [], [], []
+    nonpos = None
+    for s in samples:
+        rt = math.sqrt(s.t)
+        d = cone.distances_from(s.source)
+        V = cone.ball_volume(s.source, rt).volume
+        for v in range(cone.n_vertices):
+            if not band[0] * rt <= d[v] <= band[1] * rt:
+                continue
+            if cone.boundary_distance(v) < boundary_factor * rt:
+                continue
+            if s.values[v] <= 0:
+                nonpos = (s.t, v, float(s.values[v]), 0.0)
+                continue
+            xs.append(d[v] ** 2 / s.t)
+            ys.append(math.log(s.values[v] * V))
+            tags.append((s.t, v))
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    amp = math.exp(intercept)
+    resid = ys - (intercept + slope * xs)
+    worst = int(np.argmax(np.abs(resid)))
+    passed = bool(-slope > 0 and nonpos is None
+                  and np.all(np.abs(resid) <= math.log(slack)))
+    witness = nonpos if nonpos is not None else (
+        *tags[worst], math.exp(ys[worst]), amp * math.exp(slope * xs[worst]))
+    return (amp / slack, -slope, -slope, amp * slack, passed, len(xs),
+            witness, float(np.exp(np.max(np.abs(resid))) - 1.0))
+
+
+def assert_fit_matches_loop(samples, cone):
+    fit = gaussian_fit(samples, cone)
+    want = loop_gaussian_fit(samples, cone)
+    got = (fit.c1, fit.C1, fit.c2, fit.C2, fit.passed, fit.n_points,
+           fit.witness, fit.max_rel_residual)
+    assert got[4:6] == want[4:6] and got[6][:2] == want[6][:2]
+    # the masked form may round the logarithm differently in the last bit
+    np.testing.assert_allclose(got[:4] + got[6][2:] + got[7:],
+                               want[:4] + want[6][2:] + want[7:],
+                               rtol=1e-12)
+
+
 class TestHeatKernel:
     def setup_method(self):
         self.cone = build_cone(CircleLink(TWO_PI), 0.0, 6.0, 96,
@@ -173,6 +219,7 @@ class TestHeatKernel:
         assert fit.passed
         assert fit.c2 == pytest.approx(0.25, rel=0.1)
         assert fit.c1 <= fit.C2 and fit.c1 > 0
+        assert_fit_matches_loop(samples, self.cone)
 
     def test_fit_rejects_corrupted_sample(self):
         o = self.cone.base_point()
@@ -185,6 +232,9 @@ class TestHeatKernel:
         fit = gaussian_fit(corrupted, self.cone)
         assert not fit.passed
         assert fit.witness is not None
+        assert_fit_matches_loop(corrupted, self.cone)
+        bad[idx + 1] = -1.0
+        assert_fit_matches_loop(corrupted, self.cone)
 
 
 class TestGreen:
@@ -215,54 +265,55 @@ class TestGreen:
         assert rel.max() < 0.05
 
 
-def vertex_green(cone, source):
-    """Reference Green's function: one sparse solve of the vertex-basis
-    Laplacian plus the outflow term (n-2)/r_max * r_max^(n-1) * link
-    measure on the outer ring."""
+def vertex_robin_laplacian(cone):
+    """The vertex-basis Laplacian plus the outflow term (n-2)/r_max *
+    r_max^(n-1) * link measure on the outer ring."""
     n = cone.dimension
     lm = cone.factors.link_measures
     robin = np.where(cone.is_outer, (n - 2) / cone.r_max
                      * cone.r_max ** (n - 1) * lm[cone.link_index], 0.0)
     L = dirichlet_laplacian(cone.n_vertices, cone.edges, cone.conductances)
+    return L + sp.diags(robin)
+
+
+def vertex_green(cone, source):
+    """Reference Green's function: one sparse solve of
+    vertex_robin_laplacian."""
     rhs = np.zeros(cone.n_vertices)
     rhs[source] = 1.0
-    return splu((L + sp.diags(robin)).tocsc()).solve(rhs)
+    return splu(vertex_robin_laplacian(cone).tocsc()).solve(rhs)
 
 
-def vertex_heat(cone, source, times, rel_tol, n_steps=64):
-    """Reference heat kernel: Crank-Nicolson in the vertex basis, opened by
-    two backward-Euler half steps, with the step doubling and probes of
-    heat_kernel."""
+def vertex_heat(cone, source, times):
+    """Reference heat kernel: h(t) = Phi e^(-t lam) Phi^T e_source from one
+    dense generalized eigen-solve L Phi = M Phi diag(lam), Phi^T M Phi = I,
+    of the vertex-basis network."""
     L = dirichlet_laplacian(cone.n_vertices, cone.edges, cone.conductances)
+    lam, Phi = scipy.linalg.eigh(L.toarray(), np.diag(cone.measures))
+    return [Phi @ (np.exp(-t * lam) * Phi[source]) for t in times]
+
+
+def vertex_time_integration(cone, source, dt, n_steps):
+    """Reference backward-Euler quadrature of the heat flow with the Robin
+    term of vertex_green, stepped in the vertex basis, plus the tail
+    estimate h_N / lam from the last decay rate of the mass."""
+    L = vertex_robin_laplacian(cone)
     M = sp.diags(cone.measures)
-    h0 = np.zeros(cone.n_vertices)
-    h0[source] = 1.0 / cone.measures[source]
-    order = np.argsort(cone.distances_from(source))
-    probes = order[np.linspace(1, cone.n_vertices - 1, 6).astype(int)]
-    prev = None
-    for _ in range(8):
-        sols, h, t_prev = [], h0, 0.0
-        for i, t in enumerate(times):
-            n = max(2, int(math.ceil(n_steps * (t - t_prev) / times[-1])))
-            dt = (t - t_prev) / n
-            lu = splu((M + 0.5 * dt * L).tocsc())
-            B = M - 0.5 * dt * L
-            if i == 0:
-                h = lu.solve(M @ lu.solve(M @ h))
-                n -= 1
-            for _ in range(n):
-                h = lu.solve(B @ h)
-            sols.append(h)
-            t_prev = t
-        if prev is not None:
-            num = max(np.max(np.abs(s[probes] - p[probes]))
-                      for s, p in zip(sols, prev))
-            den = max(np.max(np.abs(s[probes])) for s in sols)
-            if num <= rel_tol * den:
-                return sols
-        prev = sols
-        n_steps *= 2
-    raise AssertionError("reference heat kernel did not converge")
+    lu = splu((M + dt * L).tocsc())
+    h = np.zeros(cone.n_vertices)
+    h[source] = 1.0 / cone.measures[source]
+    total = np.zeros_like(h)
+    prev_norm = lam = None
+    for _ in range(n_steps):
+        h = lu.solve(M @ h)
+        total += dt * h
+        norm = float(np.dot(h, cone.measures))
+        if prev_norm and norm > 0:
+            lam = -math.log(norm / prev_norm) / dt
+        prev_norm = norm
+    if lam and lam > 0:
+        total += h / lam
+    return total
 
 
 def ring_sources(cone):
@@ -273,9 +324,9 @@ def ring_sources(cone):
     return [0, off + (K // 2) * A + A // 3, cone.n_vertices - 1]
 
 
-def assert_heat_matches(cone, source, times, rel_tol=0.005):
-    got = heat_kernel(cone, source, times, rel_tol=rel_tol)
-    want = vertex_heat(cone, source, sorted(times), rel_tol)
+def assert_heat_matches(cone, source, times):
+    got = heat_kernel(cone, source, times)
+    want = vertex_heat(cone, source, sorted(times))
     for s, h in zip(got, want):
         assert np.max(np.abs(s.values - h)) <= 1e-10 * np.max(np.abs(h))
 
@@ -287,8 +338,9 @@ def assert_green_matches(cone, source):
 
 
 class TestSeparatedVariables:
-    """heat_kernel and greens_function solve in the link-eigenmode basis;
-    the vertex-basis solves above are the reference."""
+    """heat_kernel, greens_function and green_by_time_integration solve in
+    the link-eigenmode basis; the vertex-basis computations above are the
+    reference."""
 
     @pytest.mark.parametrize("length", [TWO_PI, math.pi])
     def test_heat_circle_with_apex(self, length):
@@ -321,9 +373,17 @@ class TestSeparatedVariables:
                           spacing="geometric" if geometric else "uniform")
         source = min(int(where * cone.n_vertices), cone.n_vertices - 1)
         times = [0.05 * width ** 2, 0.2 * width ** 2]
-        assert_heat_matches(cone, source, times, rel_tol=0.05)
+        assert_heat_matches(cone, source, times)
         if sphere:
             assert_green_matches(cone, source)
+
+    def test_time_integration_matches_vertex_stepping(self):
+        cone = build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
+        for source in ring_sources(cone):
+            got = green_by_time_integration(cone, source, dt=0.05,
+                                            n_steps=60)
+            want = vertex_time_integration(cone, source, 0.05, 60)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
 
     def test_corrupted_coupling_trips_internal_fault(self, monkeypatch):
         modal = conelab.spectral._modal
@@ -339,14 +399,11 @@ class TestSeparatedVariables:
         sphere = build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
         with pytest.raises(InternalFault):
             greens_function(sphere, 0)
+        with pytest.raises(InternalFault):
+            green_by_time_integration(sphere, 0, dt=0.05, n_steps=60)
         disc = build_cone(CircleLink(TWO_PI), 0.0, 3.0, 24, angular_steps=12)
         with pytest.raises(InternalFault):
             heat_kernel(disc, 0, [0.2])
-
-    def test_unconverged_heat_kernel_raises(self):
-        cone = build_cone(CircleLink(TWO_PI), 0.0, 3.0, 24, angular_steps=12)
-        with pytest.raises(CapacityError):
-            heat_kernel(cone, 0, [0.2], max_refine=1)
 
     def test_source_out_of_range(self):
         cone = build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
@@ -355,6 +412,10 @@ class TestSeparatedVariables:
                 greens_function(cone, source)
             with pytest.raises(DomainError):
                 heat_kernel(cone, source, [0.2])
+            with pytest.raises(DomainError):
+                green_by_time_integration(cone, source)
+        with pytest.raises(DomainError):
+            green_by_time_integration(cone, 0, n_steps=1)
 
 
 class TestIndicial:
