@@ -152,6 +152,26 @@ def _link_mesh(link, angular_steps):
     raise DomainError(f"unknown link type {type(link).__name__}")
 
 
+def _link_rotation(link, measures, edges, cond):
+    """The rotation a -> (a+1) mod A of a circle link's nodes, kept only if
+    it maps the node measures and the edges with their conductances onto
+    themselves bit for bit; else None.  Graph links get None (no search
+    for their automorphisms)."""
+    if not isinstance(link, CircleLink):
+        return None
+    sigma = (np.arange(len(measures)) + 1) % len(measures)
+
+    def edge_table(e):
+        e = np.sort(e, axis=1)
+        order = np.lexsort((cond, e[:, 1], e[:, 0]))
+        return e[order].tobytes() + cond[order].tobytes()
+
+    if (measures[sigma].tobytes() == measures.tobytes()
+            and edge_table(sigma[edges]) == edge_table(edges)):
+        return sigma
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the cone
 
@@ -207,7 +227,15 @@ class ProductFactors:
 
 
 class DiscretizedCone:
-    """Product discretization of a truncated cone over a link."""
+    """Product discretization of a truncated cone over a link.
+
+    Vertex (k, a), ring k over link node a, has index off + k*A + a, with
+    off = 1 when the apex is vertex 0.  ``link_automorphism`` is the
+    rotation sigma(a) = (a+1) mod A of a circle link's nodes (see
+    :func:`_link_rotation`), or None.  Since the measures and conductances
+    are ring factors times link factors, (k, a) -> (k, sigma(a)) with the
+    apex fixed is then an automorphism of the whole weighted cone.
+    """
 
     def __init__(self, link, r_min, r_max, radial_steps, angular_steps=None,
                  spacing="uniform"):
@@ -230,6 +258,7 @@ class DiscretizedCone:
         self.spacing = spacing
         lm, ledges, lcond, ldist = _link_mesh(link, angular_steps)
         self._link_dist = ldist
+        self.link_automorphism = _link_rotation(link, lm, ledges, lcond)
         A = len(lm)
         self.link_nodes = A
         n = link.dim + 1
@@ -259,7 +288,6 @@ class DiscretizedCone:
         off = 1 if self.apex is not None else 0
         self.n_vertices = off + K * A
 
-        # Vertex (k, a), ring k over link node a, has index off + k*A + a.
         # Per-ring powers are scalar pow calls: array ** takes fast paths for
         # some exponents that can differ in the last bit.
         f = ProductFactors(
@@ -462,6 +490,14 @@ def separated_net(cone: DiscretizedCone, region, s: float) -> list:
     return net
 
 
+def _edges_within(cone: DiscretizedCone, atoms) -> list:
+    """The cone's edges with both ends in ``atoms``, as pairs of ints."""
+    inside = np.zeros(cone.n_vertices, dtype=bool)
+    inside[list(atoms)] = True
+    a, b = cone.edges[inside[cone.edges].all(axis=1)].T
+    return list(zip(a.tolist(), b.tolist()))
+
+
 def net_covering(cone: DiscretizedCone, region, s: float,
                  buffer_factor: float = 3.0) -> GoodCovering:
     """Good covering of ``region`` by balls around a maximal s-separated net.
@@ -491,10 +527,8 @@ def net_covering(cone: DiscretizedCone, region, s: float,
     Asharp = frozenset().union(*(c.Usharp for c in cells))
     atoms_needed |= Asharp
     atom_measures = {int(a): float(cone.measures[a]) for a in atoms_needed}
-    adjacency = [(int(a), int(b)) for a, b in cone.edges
-                 if int(a) in atoms_needed and int(b) in atoms_needed]
     return GoodCovering(atom_measures, cells, frozenset(int(v) for v in region),
-                        Asharp, adjacency)
+                        Asharp, _edges_within(cone, atoms_needed))
 
 
 def annular_covering(cone: DiscretizedCone, R: float, kappa: float,
@@ -529,12 +563,9 @@ def annular_covering(cone: DiscretizedCone, R: float, kappa: float,
         cells.append(Cell(U, Us, Us))
     A = frozenset(np.concatenate(bands).tolist())
     Asharp = frozenset().union(*(c.Usharp for c in cells))
-    atoms = sorted(Asharp)
-    atom_measures = {int(a): float(cone.measures[a]) for a in atoms}
-    aset = set(atoms)
-    adjacency = [(int(a), int(b)) for a, b in cone.edges
-                 if int(a) in aset and int(b) in aset]
-    return GoodCovering(atom_measures, cells, A, Asharp, adjacency)
+    atom_measures = {int(a): float(cone.measures[a]) for a in sorted(Asharp)}
+    return GoodCovering(atom_measures, cells, A, Asharp,
+                        _edges_within(cone, Asharp))
 
 
 # ---------------------------------------------------------------------------

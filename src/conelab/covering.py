@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DomainError, PreconditionError
 from .graphs import WeightedGraph
@@ -44,7 +45,13 @@ class GoodCovering:
     def __init__(self, atom_measures: dict, cells, A, Asharp, adjacency=()):
         if not atom_measures:
             raise DomainError("covering needs at least one atom")
-        self.atom_ids = tuple(sorted(atom_measures))
+        try:
+            self.atom_ids = tuple(sorted(atom_measures))
+        except TypeError:
+            kinds = " and ".join(sorted({type(a).__name__
+                                         for a in atom_measures}))
+            raise DomainError(f"atom ids must be all integers or all "
+                              f"strings, not a mix of {kinds}") from None
         self._index = {a: k for k, a in enumerate(self.atom_ids)}
         self.atom_measures = np.array(
             [float(atom_measures[a]) for a in self.atom_ids])
@@ -60,40 +67,46 @@ class GoodCovering:
         self.A = frozenset(A)
         self.Asharp = frozenset(Asharp)
         self.adjacency = tuple(adjacency)
-        for c in self.cells:
-            for s in (c.U, c.Ustar, c.Usharp):
-                for a in s:
-                    if a not in self._index:
-                        raise DomainError(f"cell references unknown atom {a!r}")
-        for a in self.A | self.Asharp:
-            if a not in self._index:
-                raise DomainError(f"region references unknown atom {a!r}")
+        masks = np.zeros((3, len(self.cells), len(self.atom_ids)), dtype=bool)
+        for i, c in enumerate(self.cells):
+            for j, s in enumerate((c.U, c.Ustar, c.Usharp)):
+                masks[j, i, self._positions(s, "cell")] = True
+        self._cell_bits = np.packbits(masks, axis=-1)
+        self._positions(self.A | self.Asharp, "region")
+        if any(len(e) != 2 for e in self.adjacency):
+            raise DomainError("adjacency entries must be pairs of atom ids")
+        self._adjacency_index = self._positions(
+            [a for e in self.adjacency for a in e], "adjacency").reshape(-1, 2)
 
     # -- boolean mask helpers -------------------------------------------
+    def _positions(self, atoms, what="set") -> np.ndarray:
+        """Indices of the atom ids; DomainError naming an unknown one."""
+        try:
+            return np.fromiter(map(self._index.__getitem__, atoms), dtype=int)
+        except KeyError as exc:
+            raise DomainError(f"{what} references unknown atom "
+                              f"{exc.args[0]!r}") from None
+
     def _mask(self, atoms) -> np.ndarray:
         m = np.zeros(len(self.atom_ids), dtype=bool)
-        for a in atoms:
-            m[self._index[a]] = True
+        m[self._positions(atoms)] = True
         return m
 
     def _cell_masks(self):
-        U = np.stack([self._mask(c.U) for c in self.cells])
-        Us = np.stack([self._mask(c.Ustar) for c in self.cells])
-        Uh = np.stack([self._mask(c.Usharp) for c in self.cells])
-        return U, Us, Uh
+        """U, U*, U# of every cell as boolean atom masks, (cells, atoms)
+        each; kept packed between calls."""
+        return np.unpackbits(self._cell_bits, axis=-1,
+                             count=len(self.atom_ids)).view(bool)
 
     def _adj_matrix(self):
-        """Sparse atom adjacency (with the identity), for closure dilation."""
-        import scipy.sparse as sp
+        """Sparse atom adjacency (with the identity), for closure dilation,
+        in the COO layout of :func:`~conelab.graphs.dirichlet_laplacian`."""
         n = len(self.atom_ids)
-        rows, cols = [], []
-        for i, j in self.adjacency:
-            a, b = self._index[i], self._index[j]
-            rows += [a, b]
-            cols += [b, a]
-        adj = sp.csr_matrix((np.ones(len(rows), dtype=np.float32),
-                             (rows, cols)), shape=(n, n))
-        return adj + sp.eye(n, dtype=np.float32, format="csr")
+        a, b = self._adjacency_index.T
+        d = np.arange(n)
+        rows, cols = np.r_[a, b, d], np.r_[b, a, d]
+        return sp.csr_matrix((np.ones(len(rows), dtype=np.float32),
+                              (rows, cols)), shape=(n, n))
 
     def measure(self, atoms) -> float:
         return float(self.atom_measures[self._mask(atoms)].sum())
@@ -262,6 +275,7 @@ def covering_from_json(text: str) -> GoodCovering:
         A = doc["A"]
         Asharp = doc["Asharp"]
         adjacency = [tuple(e) for e in doc.get("adjacency", [])]
+        # unhashable atom ids and non-numeric measures fail in here
+        return GoodCovering(atoms, cells, A, Asharp, adjacency)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed covering JSON: {exc}") from exc
-    return GoodCovering(atoms, cells, A, Asharp, adjacency)

@@ -40,6 +40,10 @@ GREEN_RESIDUAL_TOL = 1e-10
 #: Largest accepted deviation of a heat-kernel sample's total mass from 1.
 HEAT_MASS_TOL = 1e-9
 
+#: Largest relative difference accepted between the Poincare constants of
+#: two congruent cells (the spot check of :func:`covering_cell_constant`).
+_CONGRUENT_TOL = 1e-10
+
 
 def _outflow(cone) -> float:
     """Robin coefficient of the outer ring per unit link measure: an outflow
@@ -482,16 +486,72 @@ def scale_invariant_poincare_scan(cone, delta: float = 0.5,
     return PoincareScan(records, worst.value if worst else math.nan, worst)
 
 
+def _cell_key(net, cell):
+    """Canonical key of a cell (U, U*, U#) of network vertices: equal keys
+    mean congruent cells, whose Poincare constants agree.
+
+    Without a ``link_automorphism`` on ``net`` the key is the three sorted
+    vertex sets.  On a cone with the link rotation sigma it is the least
+    image of the three sets, as boolean (ring x link node) masks over the
+    cell's rings, under the powers of sigma that move a node of U's lowest
+    ring to node 0 (all powers if U holds no ring vertex).  Rotating the
+    cell rotates these candidates with it, so congruent cells get the same
+    key.  Only set membership enters, so rounding that breaks the symmetry
+    can split a class, never merge two.
+    """
+    sets = [np.sort(np.fromiter(s, dtype=int, count=len(s)))
+            for s in (cell.U, cell.Ustar, cell.Usharp)]
+    if getattr(net, "link_automorphism", None) is None:
+        return tuple(s.tobytes() for s in sets)
+    parts = [(net.ring_of[s], net.link_index[s]) for s in sets]
+    apex = tuple(bool((k < 0).any()) for k, _ in parts)   # ring -1: apex
+    parts = [(k[k >= 0], a[k >= 0]) for k, a in parts]
+    rings = np.concatenate([k for k, _ in parts])
+    lo, hi = (rings.min(), rings.max()) if len(rings) else (0, -1)
+    A = net.link_nodes
+    masks = np.zeros((3, hi - lo + 1, A), dtype=bool)
+    for mask, (k, a) in zip(masks, parts):
+        mask[k - lo, a] = True
+    k_U, a_U = parts[0]
+    start = np.unique(a_U[k_U == k_U.min()]) if len(k_U) else np.arange(A)
+    # the power sigma^(-a) moves node a to node 0
+    cols = (start[:, None] + np.arange(A)) % A
+    images = np.packbits(masks[:, :, cols].transpose(2, 0, 1, 3)
+                         .reshape(len(start), -1), axis=1)
+    return apex, lo, hi, min(row.tobytes() for row in images)
+
+
+def _agree(a, b):
+    return a == b or abs(a - b) <= _CONGRUENT_TOL * max(abs(a), abs(b))
+
+
 def covering_cell_constant(cov, net) -> float:
     """Measured per-cell constant S_c of a covering whose atoms are network
     vertices: the largest of Lambda(U_i, U*_i) and of the variant on U*_i
-    with the mean taken over U_i, tested against the energy on U#_i."""
-    worst = 0.0
+    with the mean taken over U_i, tested against the energy on U#_i.
+
+    Congruent cells have equal constants, so the two pencils are solved
+    once per congruence class (cells with equal :func:`_cell_key`): on a
+    cone over a circle, once per cell shape up to the link rotation.  As a
+    spot check, the second member of each class is solved again, and
+    InternalFault is raised if either constant differs from the first
+    member's by more than _CONGRUENT_TOL relative.
+    """
+    first, checked = {}, set()
     for c in cov.cells:
-        worst = max(worst, poincare_constant(net, c.U, c.Ustar))
-        worst = max(worst, poincare_constant(net, c.Ustar, c.Usharp,
-                                             mean_set=c.U))
-    return worst
+        key = _cell_key(net, c)
+        if key in checked:
+            continue
+        pair = (poincare_constant(net, c.U, c.Ustar),
+                poincare_constant(net, c.Ustar, c.Usharp, mean_set=c.U))
+        if key not in first:
+            first[key] = pair
+            continue
+        if not all(map(_agree, first[key], pair)):
+            raise InternalFault(f"congruent cells give Poincare constants "
+                                f"{first[key]} and {pair}")
+        checked.add(key)
+    return max([0.0] + [v for pair in first.values() for v in pair])
 
 
 # ---------------------------------------------------------------------------

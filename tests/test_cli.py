@@ -87,6 +87,47 @@ class TestCoverCommand:
         assert main(["cover", "--in", inp,
                      "--out", str(tmp_path / "r.json")]) == 2
 
+    @staticmethod
+    def chain(ids):
+        """test_valid_covering's three-interval chain over the atom ids."""
+        return {"atoms": [{"id": a, "measure": 1.0} for a in ids],
+                "cells": [{"U": [ids[i]], "Ustar": ids[i - 1:i + 2],
+                           "Usharp": ids[i - 1:i + 2]} for i in (1, 2, 3)],
+                "A": ids[1:4], "Asharp": ids,
+                "adjacency": [[a, b] for a, b in zip(ids, ids[1:])]}
+
+    def run_chain(self, tmp_path, doc):
+        inp = write(tmp_path, "c.json", json.dumps(doc))
+        return main(["cover", "--in", inp, "--out", str(tmp_path / "r.json")])
+
+    def test_string_atom_ids(self, tmp_path):
+        assert self.run_chain(tmp_path, self.chain(list("abcde"))) == 0
+        doc = json.load(open(tmp_path / "r.json"))
+        assert doc["results"]["ok"] is True
+        assert doc["results"]["q1"] == 3
+
+    def test_mixed_atom_ids_exit_2(self, tmp_path, capsys):
+        assert self.run_chain(tmp_path, self.chain([0, 1, "2", 3, 4])) == 2
+        err = capsys.readouterr().err
+        assert "all integers or all strings" in err
+        assert "int and str" in err
+
+    def test_unknown_adjacency_atom_exit_2(self, tmp_path, capsys):
+        doc = self.chain(list(range(5)))
+        doc["adjacency"].append([4, 7])
+        assert self.run_chain(tmp_path, doc) == 2
+        assert "adjacency references unknown atom 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["cell atom", "measure"])
+    def test_malformed_atom_exit_2(self, tmp_path, capsys, field):
+        doc = self.chain(list(range(5)))
+        if field == "cell atom":
+            doc["cells"][0]["U"] = [[1]]
+        else:
+            doc["atoms"][0]["measure"] = None
+        assert self.run_chain(tmp_path, doc) == 2
+        assert "malformed covering JSON" in capsys.readouterr().err
+
 
 class TestConeCommand:
     def test_scan_with_csv(self, tmp_path):

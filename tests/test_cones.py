@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import conelab.cones
 from conelab import (CircleLink, DomainError, GraphLink, annular_covering,
                      associated_graph, build_cone, classify_ball,
                      combine_parameter, doubling_scan, net_covering,
@@ -305,6 +306,50 @@ class TestNetsAndCoverings:
         # the nerve of a chain of annuli is a path
         assert g.is_connected()
         assert len(g.edges) == len(g) - 1
+
+
+def _edge_table(edges, conductances):
+    """The weighted edge set as bytes, independent of edge order and
+    orientation."""
+    e = np.sort(edges, axis=1)
+    order = np.lexsort((conductances, e[:, 1], e[:, 0]))
+    return e[order].tobytes() + conductances[order].tobytes()
+
+
+class TestLinkAutomorphism:
+    @pytest.mark.parametrize("r_min, spacing", [(0.0, "uniform"),
+                                                (0.2, "uniform"),
+                                                (0.2, "geometric")])
+    def test_circle_rotation_is_a_cone_automorphism(self, r_min, spacing):
+        A = 12
+        cone = build_cone(CircleLink(TWO_PI), r_min, 3.0, 9, angular_steps=A,
+                          spacing=spacing)
+        sigma = cone.link_automorphism
+        assert np.array_equal(sigma, (np.arange(A) + 1) % A)
+        # (k, a) -> (k, sigma(a)) with the apex fixed, on vertex indices
+        off = 0 if cone.apex is None else 1
+        v = np.arange(cone.n_vertices)
+        image = v.copy()
+        image[off:] = off + cone.ring_of[off:] * A + sigma[
+            cone.link_index[off:]]
+        assert sorted(image) == list(v)
+        assert (cone.measures[image].tobytes() == cone.measures.tobytes())
+        assert (_edge_table(image[cone.edges], cone.conductances)
+                == _edge_table(cone.edges, cone.conductances))
+
+    def test_graph_link_has_none(self):
+        cone = build_cone(sphere_link(4, 8), 0.5, 2.0, 6)
+        assert cone.link_automorphism is None
+
+    def test_perturbed_link_measure_has_none(self, monkeypatch):
+        def perturbed(link, angular_steps):
+            measures, edges, cond, dist = _link_mesh(link, angular_steps)
+            measures = measures.copy()
+            measures[3] = np.nextafter(measures[3], 1.0)
+            return measures, edges, cond, dist
+        monkeypatch.setattr(conelab.cones, "_link_mesh", perturbed)
+        cone = build_cone(CircleLink(TWO_PI), 0.2, 3.0, 9, angular_steps=12)
+        assert cone.link_automorphism is None
 
 
 class TestRadiusField:

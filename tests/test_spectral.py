@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 import conelab.spectral
-from conelab import (CapacityError, CircleLink, DomainError, InternalFault,
-                     build_cone, covering_cell_constant, gaussian_fit,
+from conelab import (CapacityError, Cell, CircleLink, DomainError,
+                     InternalFault, annular_covering, build_cone,
+                     covering_cell_constant, gaussian_fit,
                      green_by_time_integration, greens_function, heat_kernel,
                      indicial_spectrum, net_covering, poincare_constant,
                      scale_invariant_poincare_scan, sphere_link)
@@ -464,3 +465,137 @@ class TestCoveringConstants:
         s2 = scale_invariant_poincare_scan(cone, n_samples=6, seed=3)
         assert [r.value for r in s1.records] == [r.value for r in s2.records]
         assert math.isfinite(s1.c_max)
+
+
+def loop_cell_constant(cov, net):
+    """Reference: both pencils of every cell, with no congruence classes."""
+    worst = 0.0
+    for c in cov.cells:
+        worst = max(worst, poincare_constant(net, c.U, c.Ustar))
+        worst = max(worst, poincare_constant(net, c.Ustar, c.Usharp,
+                                             mean_set=c.U))
+    return worst
+
+
+def count_pencils(monkeypatch, perturb=False):
+    """Count the poincare_constant calls made through conelab.spectral;
+    with ``perturb``, scale the n-th result by 1 + n * 1e-8."""
+    calls = []
+    exact = conelab.spectral.poincare_constant
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        value = exact(*args, **kwargs)
+        return value * (1 + len(calls) * 1e-8) if perturb else value
+    monkeypatch.setattr(conelab.spectral, "poincare_constant", counted)
+    return calls
+
+
+def band_covering(cone, lo, hi, s):
+    region = np.flatnonzero((cone.radii >= lo) & (cone.radii <= hi))
+    return net_covering(cone, region.tolist(), s)
+
+
+def rotated(cone, vertices, shift, reflect=False):
+    """Image of a vertex set under (k, a) -> (k, +-a + shift mod A)."""
+    A = cone.link_nodes
+    off = 0 if cone.apex is None else 1
+    out = set()
+    for v in vertices:
+        if v == cone.apex:
+            out.add(v)
+            continue
+        k, a = divmod(v - off, A)
+        out.add(off + k * A + ((-a if reflect else a) + shift) % A)
+    return frozenset(out)
+
+
+def rotated_cell(cone, cell, shift, reflect=False):
+    return Cell(*(rotated(cone, s, shift, reflect)
+                  for s in (cell.U, cell.Ustar, cell.Usharp)))
+
+
+class TestCongruenceClasses:
+    """covering_cell_constant solves one pencil pair per congruence class
+    (plus a spot check of one duplicate) and equals the per-cell loop."""
+
+    def annulus(self):
+        return build_cone(CircleLink(TWO_PI), 0.3, 3.0, 16, angular_steps=24,
+                          spacing="geometric")
+
+    @pytest.mark.parametrize("case", ["annulus", "apex", "sphere",
+                                      "annular"])
+    def test_matches_cell_loop(self, case, monkeypatch):
+        if case == "annulus":
+            cone = self.annulus()
+            cov = band_covering(cone, 1.0, 2.0, 0.35)
+        elif case == "apex":
+            cone = build_cone(CircleLink(1.5 * math.pi), 0.0, 2.5, 12,
+                              angular_steps=18)
+            cov = band_covering(cone, 0.0, 1.2, 0.4)
+        elif case == "sphere":
+            cone = build_cone(sphere_link(3, 6), 0.5, 2.5, 8)
+            cov = band_covering(cone, 1.5, 2.0, 0.5)
+        else:
+            cone = build_cone(CircleLink(TWO_PI), 0.05, 8.0, 30,
+                              angular_steps=12, spacing="geometric")
+            cov = annular_covering(cone, R=1.0, kappa=2.0, levels=2)
+        want = loop_cell_constant(cov, cone)
+        calls = count_pencils(monkeypatch)
+        got = covering_cell_constant(cov, cone)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        classes = {conelab.spectral._cell_key(cone, c) for c in cov.cells}
+        duplicates = sum(
+            sum(conelab.spectral._cell_key(cone, c) == k for c in cov.cells)
+            > 1 for k in classes)
+        assert len(calls) == 2 * (len(classes) + duplicates)
+        if case in ("annulus", "apex"):
+            assert len(classes) < len(cov.cells)
+        else:
+            assert len(classes) == len(cov.cells)
+
+    def test_key_invariant_under_rotations(self):
+        for cone in (self.annulus(),
+                     build_cone(CircleLink(TWO_PI), 0.0, 2.0, 8,
+                                angular_steps=10)):
+            cov = band_covering(cone, 0.0, 1.5, 0.4)
+            for cell in (cov.cells[0], cov.cells[-1]):
+                key = conelab.spectral._cell_key(cone, cell)
+                for shift in range(cone.link_nodes):
+                    image = rotated_cell(cone, cell, shift)
+                    assert conelab.spectral._cell_key(cone, image) == key
+
+    def test_key_separates_reflection_and_outer_set(self):
+        cone = self.annulus()
+        A = cone.link_nodes
+
+        def v(k, a):
+            return k * A + a % A
+        U = frozenset({v(2, 0), v(2, 1), v(3, 0)})
+        Ustar = U | {v(2, 2), v(3, 1)}
+        cell = Cell(U, Ustar, Ustar | {v(4, 0)})
+        key = conelab.spectral._cell_key
+        mirror = rotated_cell(cone, cell, 0, reflect=True)
+        assert all(key(cone, rotated_cell(cone, mirror, s)) != key(cone, cell)
+                   for s in range(A))
+        wider = Cell(U, Ustar, Ustar | {v(4, 1)})
+        assert key(cone, wider) != key(cone, cell)
+        assert key(cone, rotated_cell(cone, cell, 5)) == key(cone, cell)
+
+    def test_perturbed_duplicate_raises(self, monkeypatch):
+        cone = self.annulus()
+        cov = band_covering(cone, 1.0, 2.0, 0.35)
+        count_pencils(monkeypatch, perturb=True)
+        with pytest.raises(InternalFault, match="congruent cells"):
+            covering_cell_constant(cov, cone)
+
+    def test_criterion_2_pencil_count(self, monkeypatch):
+        """Structural guard: the criterion-2 covering at R = 1 has 6 classes
+        of its 66 cells, 5 of them with a duplicate: 2 * (6 + 5) pencils."""
+        cone = build_cone(CircleLink(TWO_PI), 0.15, 16.0, 168,
+                          angular_steps=48, spacing="geometric")
+        cov = band_covering(cone, 1.0, 2.0, 0.3)
+        assert len(cov.cells) == 66
+        calls = count_pencils(monkeypatch)
+        covering_cell_constant(cov, cone)
+        assert len(calls) == 22
