@@ -184,29 +184,26 @@ def run_green(args):
 
 def run_toric(args):
     with open(args.infile) as fh:
-        doc = json.load(fh)
-    cone = toric.ToricConeData(int(doc["dim"]),
-                               tuple(tuple(int(x) for x in r)
-                                     for r in doc["rays"]))
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+        dim = int(doc["dim"])
+        rays = tuple(tuple(int(x) for x in r) for r in doc["rays"])
+        omega = float(doc["omega_link"])
+        raw = dict(doc.get("support_values", {}))
+        interior = doc.get("interior_value", 1)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DomainError(f"malformed toric JSON: {exc}") from exc
+    cone = toric.ToricConeData(dim, rays)
     gres = toric.gorenstein_covector(cone)
     if gres.gamma is None:
         raise PreconditionError(
             f"no Gorenstein covector: {gres.certificate}")
     section = toric.cross_section(cone, gres.gamma)
     tri = toric.maximal_triangulation(section, cone)
-    values = {}
-    raw = doc.get("support_values", {})
-    for u in tri.rays:
-        key = json.dumps(list(u))
-        key2 = str(list(u))
-        if key in raw:
-            values[u] = raw[key]
-        elif key2 in raw:
-            values[u] = raw[key2]
-        else:
-            values[u] = 0 if tri.rays.index(u) < tri.n_boundary \
-                else doc.get("interior_value", 1)
-    omega = float(doc["omega_link"])
+    values = {u: raw.get(json.dumps(list(u)),
+                         0 if i < tri.n_boundary else interior)
+              for i, u in enumerate(tri.rays)}
     kc = toric.kahler_class(tri, values)
     inv = toric.invariant_A(tri, values, omega, method="both")
     results = {

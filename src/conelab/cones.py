@@ -476,18 +476,24 @@ def separated_net(cone: DiscretizedCone, region, s: float) -> list:
     Pairwise distances are >= s and every region vertex lies within s of the
     net.  Deterministic: vertices are visited in index order.
     """
+    return _net_with_distances(cone, region, s)[0]
+
+
+def _net_with_distances(cone: DiscretizedCone, region, s: float):
+    """``separated_net`` and the distance array of each of its points."""
     if s <= 0:
         raise DomainError("separation must be positive")
     region = sorted(int(v) for v in region)
     if not region:
         raise DomainError("region is empty")
     mindist = np.full(cone.n_vertices, np.inf)
-    net = []
+    net, dists = [], []
     for v in region:
         if mindist[v] >= s:
             net.append(v)
-            mindist = np.minimum(mindist, cone.distances_from(v))
-    return net
+            dists.append(cone.distances_from(v))
+            mindist = np.minimum(mindist, dists[-1])
+    return net, dists
 
 
 def _edges_within(cone: DiscretizedCone, atoms) -> list:
@@ -506,8 +512,7 @@ def net_covering(cone: DiscretizedCone, region, s: float,
     the longest grid edge; the slack h makes the witness k(i,j) = i valid on
     a discrete grid (cells that touch have centers within 2s + h).
     """
-    net = separated_net(cone, region, s)
-    dists = [cone.distances_from(x) for x in net]
+    dists = _net_with_distances(cone, region, s)[1]
     in_U = np.zeros(cone.n_vertices, dtype=bool)
     for d in dists:
         in_U |= d <= s * (1 + 1e-12)

@@ -220,32 +220,25 @@ def gorenstein_covector(cone: ToricConeData) -> GorensteinResult:
 # cross-section polytope
 
 
+def _orient(a, b, p):
+    return ((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]))
+
+
 def _hull2d(points):
     """Convex hull of integer points (monotone chain), counterclockwise."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    def cross(o, a, b):
-        return ((a[0] - o[0]) * (b[1] - o[1])
-                - (a[1] - o[1]) * (b[0] - o[0]))
     lo, hi = [], []
     for p in pts:
-        while len(lo) >= 2 and cross(lo[-2], lo[-1], p) <= 0:
+        while len(lo) >= 2 and _orient(lo[-2], lo[-1], p) <= 0:
             lo.pop()
         lo.append(p)
     for p in reversed(pts):
-        while len(hi) >= 2 and cross(hi[-2], hi[-1], p) <= 0:
+        while len(hi) >= 2 and _orient(hi[-2], hi[-1], p) <= 0:
             hi.pop()
         hi.append(p)
     return lo[:-1] + hi[:-1]
-
-
-def _on_segment(p, a, b):
-    cross = ((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]))
-    if cross != 0:
-        return False
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
 @dataclass
@@ -347,29 +340,20 @@ def _segment_points(verts2d):
 
 
 def _polygon_points(verts2d):
+    """Lattice points of the polygon; a point is on the boundary when no edge
+    sees it on its right and one sees it on its line."""
     hull = _hull2d(verts2d)
     xs = [p[0] for p in verts2d]
     ys = [p[1] for p in verts2d]
     points, boundary, interior = [], [], []
     edges = list(zip(hull, hull[1:] + hull[:1]))
-    def inside(p):
-        for a, b in edges:
-            cr = ((b[0] - a[0]) * (p[1] - a[1])
-                  - (b[1] - a[1]) * (p[0] - a[0]))
-            if cr < 0:
-                return None
-            if cr == 0 and _on_segment(p, a, b):
-                return "boundary"
-        return "interior"
     for x in range(min(xs), max(xs) + 1):
         for y in range(min(ys), max(ys) + 1):
-            where = inside((x, y))
-            if where == "boundary":
-                points.append((x, y))
-                boundary.append((x, y))
-            elif where == "interior":
-                points.append((x, y))
-                interior.append((x, y))
+            sides = [_orient(a, b, (x, y)) for a, b in edges]
+            if min(sides) < 0:
+                continue
+            points.append((x, y))
+            (boundary if 0 in sides else interior).append((x, y))
     return points, boundary, interior
 
 
@@ -405,10 +389,6 @@ def _tri_extra_points(tri, all_pts):
         if (d1 >= 0 and d2 >= 0 and d3 >= 0) or (d1 <= 0 and d2 <= 0 and d3 <= 0):
             out.append(p)
     return sorted(out)
-
-
-def _orient(a, b, p):
-    return ((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]))
 
 
 def maximal_triangulation(section: CrossSection,
@@ -485,12 +465,9 @@ def _support_values(tri: FanTriangulation, values):
     if isinstance(values, dict):
         vals = []
         for u in tri.rays:
-            if u in values:
-                vals.append(_as_fraction(values[u]))
-            elif tuple(u) in values:
-                vals.append(_as_fraction(values[tuple(u)]))
-            else:
+            if u not in values:
                 raise DomainError(f"missing support value for ray {u}")
+            vals.append(_as_fraction(values[u]))
         return vals
     vals = [_as_fraction(x) for x in values]
     if len(vals) != len(tri.rays):
@@ -542,13 +519,11 @@ class KahlerClass:
     is_kahler: bool
 
 
-def kahler_class(tri: FanTriangulation, values) -> KahlerClass:
-    """Compactly supported class [omega_h] = -2 pi sum_j lambda_j c_j over the
-    exceptional divisors (interior rays).  A class with every lambda_j = 0 is
-    flagged as not Kahler; nonzero values failing strict convexity are
-    rejected."""
+def _checked_class(tri: FanTriangulation, values):
+    """Support values, their check and whether any is nonzero, for a class
+    that is compactly supported and, unless zero, strictly convex."""
     vals = _support_values(tri, values)
-    chk = support_function_check(tri, values)
+    chk = support_function_check(tri, vals)
     if not chk.compactly_supported:
         raise PreconditionError("support values must vanish on boundary rays")
     nonzero = any(v != 0 for v in vals)
@@ -556,6 +531,15 @@ def kahler_class(tri: FanTriangulation, values) -> KahlerClass:
         raise PreconditionError(
             "support function is not strictly convex: " +
             ", ".join(f"simplex {s} / ray {u}" for s, u in chk.witnesses[:3]))
+    return vals, chk, nonzero
+
+
+def kahler_class(tri: FanTriangulation, values) -> KahlerClass:
+    """Compactly supported class [omega_h] = -2 pi sum_j lambda_j c_j over the
+    exceptional divisors (interior rays).  A class with every lambda_j = 0 is
+    flagged as not Kahler; nonzero values failing strict convexity are
+    rejected."""
+    vals, chk, nonzero = _checked_class(tri, values)
     lambdas = {u: float(vals[tri.n_boundary + k])
                for k, u in enumerate(tri.interior_rays)}
     coeffs = {u: -2.0 * math.pi * lam for u, lam in lambdas.items()}
@@ -627,39 +611,49 @@ class InvariantA:
     m: int
 
 
+#: relative accuracy to which the two routes of ``invariant_A`` must agree
+REL_TOL = 1e-9
+
+
+def _divisor_facet(tri: FanTriangulation, forms, j):
+    """Sorted vertices of the bounded facet F_j of C_h: the forms l_sigma of
+    the top cones sigma that contain ray j (normal-fan correspondence)."""
+    return sorted({forms[k] for k, s in enumerate(tri.simplices) if j in s})
+
+
 def invariant_A(tri: FanTriangulation, values, omega_link: float,
-                method: str = "both", rel_tol: float = 1e-9) -> InvariantA:
+                method: str = "both") -> InvariantA:
     """Volume invariant of a compactly supported Kahler class on the
-    resolution, computed from the dual cone C = {y : <u_j, y> >= 0}:
+    resolution, computed from the dual cone C = {y : <u, y> >= 0} over the
+    cone's rays u:
 
       divisor_sum:      A = -(2 pi)^m / ((m-1) m Omega) sum_j lambda_j vol(F_j)
       polytope_volume:  A = -(2 pi)^m / ((m-1) Omega) vol(C \\ C_h)
 
-    where C_h = {y : <u_j, y> >= lambda_j}, F_j is the bounded facet of C_h on
-    <u_j, y> = lambda_j, and facet volumes are lattice-normalized.  The two
-    routes are independent; with ``method='both'`` they must agree to
-    ``rel_tol`` relative accuracy.  Negative for every nonzero class.
+    where C_h = {y : <u_j, y> >= lambda_j} over the triangulation rays and
+    facet volumes are lattice-normalized.  The divisor route reads the
+    bounded facet F_j of C_h on <u_j, y> = lambda_j from the fan: its
+    vertices are the forms l_sigma of the top cones sigma that contain ray
+    j.  The polytope route enumerates the vertices of C and C_h under a cap
+    <w, y> <= T, doubling T until the excised volume is stable.  With
+    ``method='both'`` the two must agree to ``REL_TOL`` relative accuracy.
+    Negative for every nonzero class.
     """
-    if omega_link <= 0:
-        raise DomainError("the link volume must be positive")
+    m = tri.cone.dim
+    if not (omega_link > 0 and math.isfinite((m - 1) * m * omega_link)):
+        raise DomainError(f"omega_link must be positive with (m-1) m "
+                          f"omega_link finite (m = {m}), got {omega_link!r}")
     if method not in ("both", "divisor_sum", "polytope_volume"):
         raise DomainError(f"unknown method {method!r}")
-    vals = _support_values(tri, values)
-    chk = support_function_check(tri, values)
-    if not chk.compactly_supported:
-        raise PreconditionError("class is not compactly supported")
-    nonzero = any(v != 0 for v in vals)
-    if nonzero and not chk.strictly_convex:
-        raise PreconditionError("support function is not strictly convex")
-    m = tri.cone.dim
+    vals, chk, nonzero = _checked_class(tri, values)
     rays = tri.rays
-    cone_ineqs = [(u, Fraction(0)) for u in rays]
+    cone_ineqs = [(u, Fraction(0)) for u in tri.cone.rays]
     h_ineqs = [(u, vals[j]) for j, u in enumerate(rays)]
     # cap direction: interior of the span of the rays
     w = tuple(sum(u[i] for u in rays) for i in range(m))
-    vh = _poly_vertices(h_ineqs, m)  # bounded vertices of C_h
-    wmax = max((sum(Fraction(w[i]) * v[i] for i in range(m)) for v in vh),
-               default=Fraction(1))
+    # the bounded vertices of C_h are the forms l_sigma
+    wmax = max(sum(Fraction(w[i]) * v[i] for i in range(m))
+               for v in chk.linear_forms)
     T = 2 * wmax + 1
 
     def excised(Tcap):
@@ -678,34 +672,26 @@ def invariant_A(tri: FanTriangulation, values, omega_link: float,
     else:
         raise InternalFault("excised volume did not stabilize under capping")
 
-    result_div = None
-    result_vol = None
+    result_div = result_vol = None
     if method in ("both", "polytope_volume"):
         result_vol = (-(2 * math.pi) ** m * vol / ((m - 1) * omega_link))
     if method in ("both", "divisor_sum"):
-        cap = (tuple(-x for x in w), -T)
-        vcap = _poly_vertices(h_ineqs + [cap], m)
         total = 0.0
         for j in range(tri.n_boundary, len(rays)):
-            if vals[j] == 0:
-                continue
-            u = rays[j]
-            face = [v for v in vcap
-                    if sum(Fraction(u[i]) * v[i] for i in range(m)) == vals[j]]
-            on_cap = [v for v in face
-                      if sum(Fraction(w[i]) * v[i] for i in range(m)) == T]
-            if on_cap:
-                raise PreconditionError(
-                    f"divisor facet of ray {u} is unbounded")
-            total += float(vals[j]) * _face_relative_volume(face, u, m)
+            if vals[j] != 0:
+                face = _divisor_facet(tri, chk.linear_forms, j)
+                total += float(vals[j]) * _face_relative_volume(face, rays[j],
+                                                                m)
         result_div = (-(2 * math.pi) ** m * total
                       / ((m - 1) * m * omega_link))
     if method == "both":
-        scale = max(abs(result_div), abs(result_vol), 1e-300)
-        if abs(result_div - result_vol) > rel_tol * scale and nonzero:
+        # compared before the Omega scaling, which may underflow either one
+        facets = total / m
+        if nonzero and abs(vol - facets) > REL_TOL * max(abs(vol),
+                                                          abs(facets)):
             raise InternalFault(
-                f"divisor_sum {result_div} and polytope_volume {result_vol} "
-                f"disagree beyond {rel_tol}")
+                f"excised volume {vol} and facet sum / m {facets} "
+                f"disagree beyond {REL_TOL}")
         value = result_div
     else:
         value = result_div if result_div is not None else result_vol

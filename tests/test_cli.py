@@ -243,6 +243,28 @@ class TestToricCommand:
         inp = write(tmp_path, "fan.json", json.dumps(doc))
         assert main(["toric", "--in", inp]) == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"dim": 2, "rays": [[1, [0]], [1, 2]], "omega_link": 1.0}',
+        '{"dim": 2, "rays": [[1, 0], [1, 2]], "omega_link": null}',
+        '{"dim": 2, "rays": 5, "omega_link": 1.0}',
+        '[{"dim": 2, "rays": [[1, 0], [1, 2]], "omega_link": 1.0}]',
+    ])
+    def test_malformed_document(self, tmp_path, capsys, text):
+        inp = write(tmp_path, "fan.json", text)
+        assert main(["toric", "--in", inp]) == 2
+        err = capsys.readouterr().err
+        assert "error: malformed toric JSON: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("omega", ["1e308", "Infinity"])
+    def test_bad_omega_link(self, tmp_path, capsys, omega):
+        inp = write(tmp_path, "fan.json", '{"dim": 2, "rays": [[1, 0], '
+                    '[1, 2]], "omega_link": ' + omega + '}')
+        assert main(["toric", "--in", inp]) == 2
+        err = capsys.readouterr().err
+        assert "error: omega_link must be positive" in err
+        assert "Traceback" not in err
+
 
 class TestBpCommand:
     def test_csv_matches_library(self, tmp_path, capsys):

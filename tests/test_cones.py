@@ -295,6 +295,28 @@ class TestNetsAndCoverings:
         g = associated_graph(cov, rep)
         assert g.is_connected()
 
+    def test_net_covering_measures_each_net_point_once(self, monkeypatch):
+        cone = flat_disc(r_max=4.0, radial=64, angular=48)
+        region = [v for v in range(cone.n_vertices)
+                  if 1.0 <= cone.radii[v] <= 2.0]
+        s = 0.35
+        net = separated_net(cone, region, s)
+        balls = [frozenset(np.flatnonzero(
+            cone.distances_from(x) <= s * (1 + 1e-12)).tolist()) for x in net]
+        calls = []
+        measure = conelab.cones.DiscretizedCone.distances_from
+
+        def counted(self, v):
+            calls.append(v)
+            return measure(self, v)
+
+        monkeypatch.setattr(conelab.cones.DiscretizedCone, "distances_from",
+                            counted)
+        cov = net_covering(cone, region, s)
+        assert calls == net
+        assert [c.U for c in cov.cells] == balls
+        assert all(c.U <= c.Ustar == c.Usharp for c in cov.cells)
+
     def test_annular_covering(self):
         cone = build_cone(CircleLink(TWO_PI), 0.05, 40.0, 120,
                           angular_steps=24, spacing="geometric")

@@ -22,7 +22,8 @@ from conelab.cli import main
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 
-#: case name -> (input file or None, extra arguments, side outputs)
+#: case name -> (input file or None, extra arguments, side outputs); a case
+#: is named after its subcommand, with an optional ``_variant`` suffix
 CASES = {
     "graph": ("graph.json", [], []),
     "cover": ("cover.json", [], []),
@@ -32,6 +33,7 @@ CASES = {
              ["heat.csv"]),
     "green": ("green.json", ["--csv", "green.csv"], ["green.csv"]),
     "toric": ("toric.json", [], []),
+    "toric_a9": ("a9.json", [], []),
     "bp": (None, ["--m", "3", "--k-range", "3..8", "--format", "json"], []),
 }
 
@@ -39,7 +41,7 @@ CASES = {
 def run_case(name, workdir):
     """Run one case inside ``workdir``; return {output file: bytes}."""
     infile, extra, side = CASES[name]
-    argv = [name]
+    argv = [name.partition("_")[0]]
     if infile is not None:
         shutil.copy(FIXTURES / infile, workdir / infile)
         argv += ["--in", infile]

@@ -2,12 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import conelab.toric
 from conelab import (DomainError, InternalFault, PreconditionError,
                      ToricConeData, UnsupportedError, cross_section,
                      gorenstein_covector, invariant_A, kahler_class,
                      maximal_triangulation, support_function_check)
-from conelab.toric import _smith_normal_form, integer_solve
+from conelab.toric import (_divisor_facet, _face_relative_volume, _hull2d,
+                           _hull_volume, _poly_vertices, _polygon_points,
+                           _primitive, _smith_normal_form, integer_solve)
 
 
 def a1_cone():
@@ -23,6 +27,76 @@ def z3_cone():
 def default_values(tri, interior=1):
     return {r: (0 if i < tri.n_boundary else interior)
             for i, r in enumerate(tri.rays)}
+
+
+def triangulate(cone):
+    return maximal_triangulation(
+        cross_section(cone, gorenstein_covector(cone).gamma), cone)
+
+
+def dot(u, y):
+    return sum(Fraction(a) * b for a, b in zip(u, y))
+
+
+def enumerated_facets(tri, vals):
+    """Divisor facets by brute force: the vertices of C_h, cut by a cap
+    beyond its bounded vertices, that lie on <u_j, y> = lambda_j, for every
+    interior ray j with lambda_j != 0."""
+    m = tri.cone.dim
+    h_ineqs = [(u, vals[j]) for j, u in enumerate(tri.rays)]
+    w = tuple(sum(u[i] for u in tri.rays) for i in range(m))
+    wmax = max(dot(w, v) for v in _poly_vertices(h_ineqs, m))
+    cap = (tuple(-x for x in w), -(2 * wmax + 1))
+    verts = _poly_vertices(h_ineqs + [cap], m)
+    return {j: [v for v in verts if dot(tri.rays[j], v) == vals[j]]
+            for j in range(tri.n_boundary, len(tri.rays)) if vals[j] != 0}
+
+
+def enumerated_invariant(tri, vals, omega):
+    """(divisor_sum, polytope_volume, excised_volume) with C and C_h both
+    bounded by every triangulation ray and the facets enumerated."""
+    m = tri.cone.dim
+    rays = tri.rays
+    w = tuple(sum(u[i] for u in rays) for i in range(m))
+    h_ineqs = [(u, vals[j]) for j, u in enumerate(rays)]
+    T = 2 * max(dot(w, v) for v in _poly_vertices(h_ineqs, m)) + 1
+
+    def excised(Tcap):
+        cap = (tuple(-x for x in w), -Tcap)
+        return (_hull_volume(_poly_vertices(
+                    [(u, Fraction(0)) for u in rays] + [cap], m), m)
+                - _hull_volume(_poly_vertices(h_ineqs + [cap], m), m))
+
+    vol, vol2 = excised(T), excised(2 * T)
+    while abs(vol - vol2) > 1e-12 * max(abs(vol), 1.0):
+        T, vol, vol2 = 2 * T, vol2, excised(4 * T)
+    total = 0.0
+    for j, face in enumerated_facets(tri, vals).items():
+        total += float(vals[j]) * _face_relative_volume(face, rays[j], m)
+    return (-(2 * math.pi) ** m * total / ((m - 1) * m * omega),
+            -(2 * math.pi) ** m * vol / ((m - 1) * omega), vol)
+
+
+@st.composite
+def a_fan_values(draw):
+    """A_{k-1} fan with integer support values j -> sum_i g_i k G(j, i), G
+    the path's Green function: second differences -k g_i < 0."""
+    k = draw(st.integers(2, 12))
+    g = draw(st.lists(st.integers(1, 20), min_size=k - 1, max_size=k - 1))
+    h = [sum(gi * min(j, i) * (k - max(j, i))
+             for i, gi in enumerate(g, start=1)) for j in range(k + 1)]
+    tri = triangulate(ToricConeData(2, [(1, 0), (1, k)]))
+    return tri, {u: h[u[1]] for u in tri.rays}, 2.0 * math.pi
+
+
+@st.composite
+def z3_values(draw):
+    """C^3 / Z_3 with a positive integer or fractional interior value."""
+    x = draw(st.one_of(st.integers(1, 1000),
+                       st.fractions(min_value=Fraction(1, 100), max_value=100,
+                                    max_denominator=100)))
+    tri = triangulate(z3_cone())
+    return tri, default_values(tri, interior=x), 4.0 * math.pi ** 2 / 3.0
 
 
 class TestConeData:
@@ -196,3 +270,66 @@ class TestInvariantA:
         a = invariant_A(tri, vals, omega_link=2.0, method="divisor_sum")
         b = invariant_A(tri, vals, omega_link=2.0, method="polytope_volume")
         assert a.value == pytest.approx(b.value, rel=1e-12)
+
+
+class TestFacetsFromTheFan:
+    """The divisor route reads its facets from the support forms; these
+    gate it against brute-force enumeration."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=st.one_of(a_fan_values(), z3_values()))
+    def test_forms_match_enumeration(self, case):
+        tri, vals, omega = case
+        fracs = [Fraction(vals[u]) for u in tri.rays]
+        forms = support_function_check(tri, vals).linear_forms
+        for j, face in enumerated_facets(tri, fracs).items():
+            assert _divisor_facet(tri, forms, j) == face
+        inv = invariant_A(tri, vals, omega_link=omega)
+        assert inv.divisor_sum == pytest.approx(inv.polytope_volume,
+                                                rel=1e-9)
+        want = enumerated_invariant(tri, fracs, omega)
+        got = (inv.divisor_sum, inv.polytope_volume, inv.excised_volume)
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    @pytest.mark.parametrize("make", [a1_cone, z3_cone])
+    def test_four_vertex_enumerations(self, make, monkeypatch):
+        # two per capped volume, at T and 2T, when the cap is stable at once
+        calls = []
+        enumerate_ = conelab.toric._poly_vertices
+
+        def counted(ineqs, dim):
+            calls.append(len(ineqs))
+            return enumerate_(ineqs, dim)
+
+        monkeypatch.setattr(conelab.toric, "_poly_vertices", counted)
+        cone = make()
+        tri = triangulate(cone)
+        invariant_A(tri, default_values(tri), omega_link=1.0)
+        assert len(calls) == 4
+        # C is bounded by the cone's own rays and the cap
+        assert sorted(calls)[:2] == [len(cone.rays) + 1] * 2
+
+
+class TestOmegaLink:
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan, 1e308])
+    def test_rejected_by_name(self, omega):
+        tri = triangulate(a1_cone())
+        with pytest.raises(DomainError, match="omega_link"):
+            invariant_A(tri, default_values(tri), omega_link=omega)
+
+
+class TestPolygonPoints:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                    min_size=3, max_size=8))
+    def test_pick_theorem(self, verts):
+        hull = _hull2d(verts)
+        if len(hull) < 3:
+            return
+        edges = list(zip(hull, hull[1:] + hull[:1]))
+        twice_area = sum(a[0] * b[1] - a[1] * b[0] for a, b in edges)
+        points, boundary, interior = _polygon_points(verts)
+        assert len(boundary) == sum(_primitive((b[0] - a[0], b[1] - a[1]))
+                                    for a, b in edges)
+        assert twice_area == 2 * len(interior) + len(boundary) - 2
+        assert sorted(points) == sorted(boundary + interior)
