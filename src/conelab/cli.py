@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 invalid input or infeasible configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import math
@@ -22,9 +23,21 @@ from .errors import (CapacityError, DomainError, InternalFault,
 from . import cones, covering, graphs, hypersurface, spectral, toric
 
 
-def _schema():
+@functools.cache
+def _validator():
+    """The report schema's validator, built and checked once."""
     ref = importlib.resources.files("conelab.schemas") / "report.schema.json"
-    return json.loads(ref.read_text())
+    schema = json.loads(ref.read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(doc):
+    """``jsonschema.validate(doc, schema)`` with the compiled validator."""
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def write_report(tool, config, results, args, warnings=()):
@@ -37,7 +50,7 @@ def write_report(tool, config, results, args, warnings=()):
     }
     if warnings:
         doc["warnings"] = list(warnings)
-    jsonschema.validate(doc, _schema())
+    _validate(doc)
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -204,7 +217,6 @@ def run_toric(args):
     values = {u: raw.get(json.dumps(list(u)),
                          0 if i < tri.n_boundary else interior)
               for i, u in enumerate(tri.rays)}
-    kc = toric.kahler_class(tri, values)
     inv = toric.invariant_A(tri, values, omega, method="both")
     results = {
         "gamma": list(gres.gamma),
@@ -214,7 +226,7 @@ def run_toric(args):
         "n_simplices": len(tri.simplices),
         "maximal": tri.maximal,
         "basic": tri.basic,
-        "is_kahler": kc.is_kahler,
+        "is_kahler": inv.is_kahler,
         "invariant_A": _num(inv.value),
         "divisor_sum": _num(inv.divisor_sum),
         "polytope_volume": _num(inv.polytope_volume),
@@ -249,7 +261,7 @@ def run_bp(args):
 def run_report(args):
     with open(args.infile) as fh:
         doc = json.load(fh)
-    jsonschema.validate(doc, _schema())
+    _validate(doc)
     print(f"valid report: tool={doc['tool']} version={doc['version']}")
     return 0
 

@@ -331,7 +331,6 @@ class DiscretizedCone:
         self.conductances = np.concatenate(cond)
         self.edge_lengths = np.concatenate(elen)
         self.is_outer = self.ring_of == K - 1
-        self.is_inner = (self.ring_of == 0) & (r_min > 0)
 
     # -- geometry ---------------------------------------------------------
     def base_point(self) -> int:
@@ -341,10 +340,6 @@ class DiscretizedCone:
     @property
     def total_measure(self) -> float:
         return float(self.measures.sum())
-
-    @property
-    def max_edge_length(self) -> float:
-        return float(self.edge_lengths.max())
 
     def distances_from(self, v: int) -> np.ndarray:
         """Exact cone distances from vertex v to every vertex."""
@@ -521,16 +516,13 @@ def net_covering(cone: DiscretizedCone, region, s: float,
     touch_edge = in_U[cone.edges[:, 0]] | in_U[cone.edges[:, 1]]
     h = float(cone.edge_lengths[touch_edge].max()) if touch_edge.any() else 0.0
     big = buffer_factor * s + h
-    atoms_needed = set(int(v) for v in region)
     cells = []
     for d in dists:
         U = frozenset(np.flatnonzero(d <= s * (1 + 1e-12)).tolist())
         Us = frozenset(np.flatnonzero(d <= big * (1 + 1e-12)).tolist())
         cells.append(Cell(U, Us, Us))
-        atoms_needed |= Us
-        atoms_needed |= U
     Asharp = frozenset().union(*(c.Usharp for c in cells))
-    atoms_needed |= Asharp
+    atoms_needed = Asharp.union(int(v) for v in region)
     atom_measures = {int(a): float(cone.measures[a]) for a in atoms_needed}
     return GoodCovering(atom_measures, cells, frozenset(int(v) for v in region),
                         Asharp, _edges_within(cone, atoms_needed))

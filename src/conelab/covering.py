@@ -108,9 +108,6 @@ class GoodCovering:
         return sp.csr_matrix((np.ones(len(rows), dtype=np.float32),
                               (rows, cols)), shape=(n, n))
 
-    def measure(self, atoms) -> float:
-        return float(self.atom_measures[self._mask(atoms)].sum())
-
 
 @dataclass
 class CoveringReport:

@@ -95,13 +95,6 @@ class WeightedGraph:
     def index(self, vid):
         return self._index[vid]
 
-    def edge_measure(self, i, j):
-        """m(i, j) = max(m(i), m(j)); the edge must exist."""
-        a, b = self._index[i], self._index[j]
-        if (min(a, b), max(a, b)) not in {tuple(e) for e in self.edge_pos}:
-            raise DomainError(f"({i!r}, {j!r}) is not an edge")
-        return float(max(self.measures[a], self.measures[b]))
-
     @property
     def edge_measures(self):
         """Array of max-endpoint measures aligned with ``edge_pos``."""

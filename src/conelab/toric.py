@@ -119,41 +119,23 @@ def _kernel_basis(A):
     return [tuple(V[i][k] for i in range(cols)) for k in range(rank, cols)]
 
 
-def _row_reduce(M):
-    """Exact Gauss-Jordan elimination over Q.
-
-    Returns ``(R, pivots, det)``: the reduced row echelon form of M, its
-    pivot columns and, for square M, the determinant (0 when singular).
-    """
-    R = [[Fraction(x) for x in row] for row in M]
-    pivots, det = [], Fraction(1)
-    for col in range(len(R[0]) if R else 0):
-        top = len(pivots)
-        piv = next((r for r in range(top, len(R)) if R[r][col] != 0), None)
-        if piv is None:
-            det = Fraction(0)
-            continue
-        if piv != top:
-            R[top], R[piv] = R[piv], R[top]
-            det = -det
-        inv = R[top][col]
-        det *= inv
-        R[top] = [x / inv for x in R[top]]
-        for r in range(len(R)):
-            if r != top and R[r][col] != 0:
-                f = R[r][col]
-                R[r] = [x - f * y for x, y in zip(R[r], R[top])]
-        pivots.append(col)
-    return R, pivots, det
+def _det(M):
+    """Exact determinant by cofactor expansion along the first row; the
+    systems of a fan in dimension <= 3 are at most 3 x 3."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j, a in enumerate(M[0]) if a != 0)
 
 
-def _frac_solve(A, b):
-    """Exact solve of a square rational system; None if singular."""
-    n = len(A)
-    R, pivots, _ = _row_reduce([list(row) + [x] for row, x in zip(A, b)])
-    if pivots != list(range(n)):
+def _solve(A, b):
+    """Exact solve of a square system by Cramer's rule; None if singular."""
+    d = _det(A)
+    if d == 0:
         return None
-    return tuple(row[n] for row in R)
+    return tuple(Fraction(_det([[*row[:i], x, *row[i + 1:]]
+                                for row, x in zip(A, b)]), d)
+                 for i in range(len(A)))
 
 
 def _primitive(v):
@@ -265,66 +247,45 @@ def cross_section(cone: ToricConeData, gamma) -> CrossSection:
 
     Its vertices are the rays (all of which must satisfy <gamma, u> = 1) and
     its lattice points are enumerated and classified as boundary or interior.
-    Polytopes of dimension > 2 are out of scope.
+    The rays must span R^m, so the polytope has dimension m - 1; polytopes of
+    dimension > 2 are out of scope.
     """
     gamma = tuple(int(g) for g in gamma)
     for u in cone.rays:
         if sum(g * x for g, x in zip(gamma, u)) != 1:
             raise PreconditionError(f"<gamma, {u}> != 1")
-    kernel = _kernel_basis([list(gamma)])
-    origin = cone.rays[0]
+    # gamma V = (+-1, 0, ..., 0) for the unimodular V, so the columns of V
+    # after the first are a lattice basis of ker(gamma) and V^-1 gives
+    # integral coordinates in it
+    V = _smith_normal_form([list(gamma)])[2]
     m = cone.dim
+    kernel = tuple(tuple(V[i][k] for i in range(m)) for k in range(1, m))
+    origin = cone.rays[0]
 
     def to2d(x):
-        diff = [x[i] - origin[i] for i in range(m)]
-        B = [[kernel[k][i] for k in range(len(kernel))] for i in range(m)]
-        # solve B q = diff over the rationals; the kernel basis makes the
-        # solution integral for lattice points on the level set
-        sol = _lstsq_exact(B, diff)
-        return tuple(int(c) for c in sol)
+        q = _solve(V, [x[i] - origin[i] for i in range(m)])
+        return tuple(int(c) for c in q[1:])
 
     verts2d = [to2d(u) for u in cone.rays]
     rank = _point_rank(verts2d)
+    if rank != m - 1:
+        raise UnsupportedError(
+            f"the rays do not span R^{m} (cross-section of dimension {rank}, "
+            f"not {m - 1}); only full-dimensional cones are supported")
     if rank > 2:
         raise UnsupportedError("cross-sections of dimension > 2 are out of scope")
-    if rank == 0:
-        pts = [verts2d[0]]
-        boundary, interior = pts, []
-    elif rank == 1:
+    if rank == 1:
         pts, boundary, interior = _segment_points(verts2d)
     else:
         pts, boundary, interior = _polygon_points(verts2d)
-    return CrossSection(gamma, origin, tuple(kernel), cone.rays, rank,
+    return CrossSection(gamma, origin, kernel, cone.rays, rank,
                         tuple(pts), tuple(boundary), tuple(interior))
 
 
-def _lstsq_exact(B, diff):
-    """Solve the overdetermined consistent system B q = diff exactly."""
-    m = len(B)
-    k = len(B[0]) if B else 0
-    if k == 0:
-        return ()
-    # the pivot columns of B^T are the first k independent rows of B
-    rows = _row_reduce(zip(*B))[1]
-    A = [[B[r][c] for c in range(k)] for r in rows]
-    b = [diff[r] for r in rows]
-    sol = _frac_solve(A, b)
-    if sol is None:
-        raise InternalFault("kernel basis is degenerate")
-    # consistency check on the remaining rows
-    for r in range(m):
-        lhs = sum(Fraction(B[r][c]) * sol[c] for c in range(k))
-        if lhs != diff[r]:
-            raise PreconditionError("point does not lie on the level set")
-    return sol
-
-
 def _point_rank(pts):
-    if len(pts) <= 1:
-        return 0
     base = pts[0]
     M = [[p[i] - base[i] for i in range(len(base))] for p in pts[1:]]
-    return len(_row_reduce(M)[1])
+    return len(M[0]) - len(_kernel_basis(M))
 
 
 def _segment_points(verts2d):
@@ -402,15 +363,11 @@ def maximal_triangulation(section: CrossSection,
     if section.dim > 2:
         raise UnsupportedError("triangulation beyond dimension 2 is out of scope")
     pts = list(section.points2d)
-    if section.dim == 0:
-        raise DomainError("cross-section is a single point")
     if section.dim == 1:
         ordered = sorted(pts)
         simpl2d = [(ordered[k], ordered[k + 1]) for k in range(len(ordered) - 1)]
     else:
         hull = _hull2d(pts)
-        if _orient(hull[0], hull[1], hull[2]) < 0:
-            hull = hull[::-1]
         stack = [(hull[0], hull[k], hull[k + 1])
                  for k in range(1, len(hull) - 1)]
         simpl2d = []
@@ -437,12 +394,10 @@ def maximal_triangulation(section: CrossSection,
     index = {p: k for k, p in enumerate(coords)}
     rays = tuple(section.to_ambient(p) for p in coords)
     simplices = tuple(tuple(index[p] for p in s) for s in simpl2d)
-    maximal = all(not _tri_extra_points(s, pts) for s in simpl2d) \
-        if section.dim == 2 else True
-    basic = all(abs(_row_reduce([rays[i] for i in s])[2]) == 1
-                for s in simplices)
+    # every 2D triangle was split until it held no further lattice point
+    basic = all(abs(_det([rays[i] for i in s])) == 1 for s in simplices)
     return FanTriangulation(cone, section, rays, len(boundary), simplices,
-                            bool(maximal), bool(basic))
+                            True, basic)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +448,7 @@ def support_function_check(tri: FanTriangulation, values) -> SupportCheck:
     witnesses = []
     strict = True
     for si, s in enumerate(tri.simplices):
-        A = [list(tri.rays[i]) for i in s]
-        b = [vals[i] for i in s]
-        l = _frac_solve(A, b)
+        l = _solve([tri.rays[i] for i in s], [vals[i] for i in s])
         if l is None:
             raise DomainError(f"simplex {s} is degenerate")
         forms.append(l)
@@ -555,9 +508,7 @@ def _poly_vertices(ineqs, dim):
     """Exact vertices of {y : <u, y> >= rhs for (u, rhs) in ineqs}."""
     verts = set()
     for combo in itertools.combinations(range(len(ineqs)), dim):
-        A = [list(ineqs[k][0]) for k in combo]
-        b = [ineqs[k][1] for k in combo]
-        y = _frac_solve(A, b)
+        y = _solve([ineqs[k][0] for k in combo], [ineqs[k][1] for k in combo])
         if y is None:
             continue
         if all(sum(Fraction(u[i]) * y[i] for i in range(dim)) >= rhs
@@ -609,6 +560,7 @@ class InvariantA:
     polytope_volume: Optional[float]
     excised_volume: Optional[float]   # vol(C \ C_h), lattice normalization
     m: int
+    is_kahler: bool                   # nonzero; strict convexity is checked
 
 
 #: relative accuracy to which the two routes of ``invariant_A`` must agree
@@ -640,9 +592,12 @@ def invariant_A(tri: FanTriangulation, values, omega_link: float,
     Negative for every nonzero class.
     """
     m = tri.cone.dim
-    if not (omega_link > 0 and math.isfinite((m - 1) * m * omega_link)):
+    if not (omega_link > 0 and math.isfinite((m - 1) * m * omega_link)
+            and math.isfinite((2 * math.pi) ** m
+                              / ((m - 1) * m * omega_link))):
         raise DomainError(f"omega_link must be positive with (m-1) m "
-                          f"omega_link finite (m = {m}), got {omega_link!r}")
+                          f"omega_link and (2 pi)^m / ((m-1) m omega_link) "
+                          f"finite (m = {m}), got {omega_link!r}")
     if method not in ("both", "divisor_sum", "polytope_volume"):
         raise DomainError(f"unknown method {method!r}")
     vals, chk, nonzero = _checked_class(tri, values)
@@ -695,4 +650,5 @@ def invariant_A(tri: FanTriangulation, values, omega_link: float,
         value = result_div
     else:
         value = result_div if result_div is not None else result_vol
-    return InvariantA(float(value), result_div, result_vol, float(vol), m)
+    return InvariantA(float(value), result_div, result_vol, float(vol), m,
+                      nonzero)

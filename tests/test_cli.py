@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import conelab.graphs
+import conelab.toric
 from conelab import GoodCovering, WeightedGraph, bp_table_csv
 from conelab.cli import main
 from conelab.covering import covering_to_json
@@ -256,7 +260,7 @@ class TestToricCommand:
         assert "error: malformed toric JSON: " in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("omega", ["1e308", "Infinity"])
+    @pytest.mark.parametrize("omega", ["1e308", "Infinity", "1e-320"])
     def test_bad_omega_link(self, tmp_path, capsys, omega):
         inp = write(tmp_path, "fan.json", '{"dim": 2, "rays": [[1, 0], '
                     '[1, 2]], "omega_link": ' + omega + '}')
@@ -264,6 +268,82 @@ class TestToricCommand:
         err = capsys.readouterr().err
         assert "error: omega_link must be positive" in err
         assert "Traceback" not in err
+
+    def test_omega_link_checked_before_the_class(self, tmp_path, capsys):
+        doc = {"dim": 2, "rays": [[1, 0], [1, 2]], "omega_link": 0.0,
+               "interior_value": -1}
+        inp = write(tmp_path, "fan.json", json.dumps(doc))
+        assert main(["toric", "--in", inp]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: omega_link must be positive")
+
+    @pytest.mark.parametrize("rays", [
+        [[1, 0, 0], [1, 1, 0], [1, 2, 0]],
+        [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 0]],
+    ])
+    def test_rays_not_spanning(self, tmp_path, capsys, rays):
+        doc = {"dim": len(rays[0]), "rays": rays, "omega_link": 1.0}
+        inp = write(tmp_path, "fan.json", json.dumps(doc))
+        assert main(["toric", "--in", inp]) == 2
+        err = capsys.readouterr().err
+        assert f"error: the rays do not span R^{len(rays[0])}" in err
+        assert "Traceback" not in err
+
+    def test_one_class_check_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        check = conelab.toric.support_function_check
+
+        def counted(tri, values):
+            calls.append(len(tri.rays))
+            return check(tri, values)
+
+        monkeypatch.setattr(conelab.toric, "support_function_check", counted)
+        doc = {"dim": 3, "rays": [[0, 0, 1], [2, 1, 1], [1, 3, 1]],
+               "omega_link": 1.0}
+        inp = write(tmp_path, "fan.json", json.dumps(doc))
+        assert main(["toric", "--in", inp, "--out",
+                     str(tmp_path / "r.json")]) == 0
+        assert calls == [5]
+
+
+@st.composite
+def toric_documents(draw):
+    """dim 2 or 3 fans: distinct small integer rays, mostly on the level
+    x_m = 1 so that a Gorenstein covector exists, with an edge-case
+    omega_link and an optional interior value."""
+    dim = draw(st.sampled_from([2, 3]))
+    level = draw(st.sampled_from([1, 1, 1, 0, 2, -1]))
+    rays = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=dim - 1, max_size=dim - 1)
+        .map(lambda r: r + [level]), min_size=dim, max_size=6,
+        unique_by=tuple))
+    doc = {"dim": dim, "rays": rays, "omega_link": draw(st.sampled_from(
+        [1.0, 1e-300, 1e308, 1e-320, 0.0, -1.0]))}
+    interior = draw(st.one_of(st.none(), st.integers(-2, 20),
+                              st.sampled_from([0.5, "3/2"])))
+    if interior is not None:
+        doc["interior_value"] = interior
+    return doc
+
+
+class TestToricFuzz:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(doc=toric_documents())
+    def test_exit_code_and_strict_json(self, tmp_path_factory, doc):
+        inp = write(tmp_path_factory.mktemp("fuzz"), "fan.json",
+                    json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["toric", "--in", inp])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 0:
+            def reject(token):
+                raise ValueError(f"non-strict JSON token {token}")
+            json.loads(out, parse_constant=reject)
+        else:
+            assert out == "" and err.startswith("error: ")
 
 
 class TestBpCommand:

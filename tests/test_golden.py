@@ -34,6 +34,7 @@ CASES = {
     "green": ("green.json", ["--csv", "green.csv"], ["green.csv"]),
     "toric": ("toric.json", [], []),
     "toric_a9": ("a9.json", [], []),
+    "toric_z5": ("z5.json", [], []),
     "bp": (None, ["--m", "3", "--k-range", "3..8", "--format", "json"], []),
 }
 

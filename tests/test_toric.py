@@ -10,8 +10,9 @@ from conelab import (DomainError, InternalFault, PreconditionError,
                      gorenstein_covector, invariant_A, kahler_class,
                      maximal_triangulation, support_function_check)
 from conelab.toric import (_divisor_facet, _face_relative_volume, _hull2d,
-                           _hull_volume, _poly_vertices, _polygon_points,
-                           _primitive, _smith_normal_form, integer_solve)
+                           _hull_volume, _kernel_basis, _poly_vertices,
+                           _polygon_points, _primitive, _smith_normal_form,
+                           _solve, integer_solve)
 
 
 def a1_cone():
@@ -129,6 +130,19 @@ class TestIntegerLinearAlgebra:
     def test_integer_solve_infeasible(self):
         x, reason = integer_solve([[2, 0], [0, 2]], [1, 1])
         assert x is None and reason
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.lists(st.fractions(max_denominator=50), min_size=n,
+                 max_size=n))))
+    def test_cramer_solve_is_exact(self, system):
+        A, b = system
+        x = _solve(A, b)
+        assert (x is None) == bool(_kernel_basis(A))
+        if x is not None:
+            assert [sum(a * c for a, c in zip(row, x)) for row in A] == b
 
 
 class TestGorenstein:
@@ -311,10 +325,11 @@ class TestFacetsFromTheFan:
 
 
 class TestOmegaLink:
-    @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan, 1e308])
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan, 1e308,
+                                       1e-320])
     def test_rejected_by_name(self, omega):
         tri = triangulate(a1_cone())
-        with pytest.raises(DomainError, match="omega_link"):
+        with pytest.raises(DomainError, match="omega_link must be positive"):
             invariant_A(tri, default_values(tri), omega_link=omega)
 
 
