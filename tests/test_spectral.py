@@ -266,6 +266,18 @@ class TestGreen:
         rel = np.abs(quad[keep] - direct[keep]) / direct[keep]
         assert rel.max() < 0.05
 
+    def test_heap_trimmed_once_before_the_solve(self, monkeypatch):
+        """The trim only hands freed memory back: the values are bit for bit
+        those of a run without it (as on a C library with no malloc_trim)."""
+        cone = build_cone(sphere_link(6, 12), 0.05, 4.0, 32)
+        o = cone.base_point()
+        monkeypatch.setattr(conelab.spectral, "_malloc_trim", None)
+        plain = greens_function(cone, o).values
+        calls = []
+        monkeypatch.setattr(conelab.spectral, "_malloc_trim", calls.append)
+        assert np.array_equal(greens_function(cone, o).values, plain)
+        assert calls == [0]
+
 
 def vertex_robin_laplacian(cone):
     """The vertex-basis Laplacian plus the outflow term (n-2)/r_max *
