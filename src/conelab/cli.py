@@ -269,7 +269,9 @@ def run_report(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process."""
     p = argparse.ArgumentParser(prog="conelab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

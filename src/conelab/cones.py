@@ -371,10 +371,18 @@ class DiscretizedCone:
     def ball_volume(self, v: int, r: float) -> BallVolume:
         if r <= 0:
             raise DomainError("ball radius must be positive")
-        d = self.distances_from(v)
-        vol = float(self.measures[d <= r * (1 + 1e-12)].sum())
-        clipped = r > self.boundary_distance(v) * (1 + 1e-12)
-        return BallVolume(vol, bool(clipped))
+        return BallVolume(self._ball_measure(self.distances_from(v), r),
+                          self._clipped(v, r))
+
+    def _ball_measure(self, d, r) -> float:
+        """Measure of the ball of radius r whose distances from the centre
+        are ``d``."""
+        return float(self.measures[d <= r * (1 + 1e-12)].sum())
+
+    def _clipped(self, v, r) -> bool:
+        """Whether the ball of radius r at v reaches the truncation
+        boundary."""
+        return bool(r > self.boundary_distance(v) * (1 + 1e-12))
 
 
 def build_cone(link, r_min, r_max, radial_steps, angular_steps=None,
@@ -448,14 +456,13 @@ def doubling_scan(cone: DiscretizedCone, n_samples: int = 100,
             v = cone.base_point()
         else:
             v = int(rng.integers(0, cone.n_vertices))
-        b2 = cone.ball_volume(v, 2 * r)
-        if b2.clipped:
+        if cone._clipped(v, 2 * r):
             n_clipped += 1
             continue
-        b1 = cone.ball_volume(v, r)
+        d = cone.distances_from(v)
+        ratio = cone._ball_measure(d, 2 * r) / cone._ball_measure(d, r)
         case = classify_ball(cone, v, r, epsilon=epsilon)
-        records.append(DoublingRecord(v, r, b2.volume / b1.volume, case,
-                                      False))
+        records.append(DoublingRecord(v, r, ratio, case, False))
     worst = max(records, key=lambda rec: rec.ratio) if records else None
     return DoublingScan(records, worst.ratio if worst else math.nan, worst,
                         n_clipped)

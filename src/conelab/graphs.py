@@ -59,22 +59,34 @@ class WeightedGraph:
         ids = []
         measures = []
         for vid, m in vertices:
-            m = float(m)
+            try:
+                m = float(m)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"vertex {vid!r} has a non-numeric "
+                                  f"measure {m!r}") from exc
             if not m > 0.0 or not math.isfinite(m):
                 raise DomainError(f"vertex {vid!r} has non-positive measure {m}")
             ids.append(vid)
             measures.append(m)
         if not ids:
             raise DomainError("graph must have at least one vertex")
-        if len(set(ids)) != len(ids):
+        try:
+            self._index = {vid: k for k, vid in enumerate(ids)}
+        except TypeError as exc:
+            raise DomainError(f"vertex ids must be hashable: {exc}") from exc
+        if len(self._index) != len(ids):
             raise DomainError("duplicate vertex ids")
         self.ids = tuple(ids)
         self.measures = np.asarray(measures, dtype=float)
-        self._index = {vid: k for k, vid in enumerate(ids)}
         seen = set()
         norm_edges = []
         for i, j in edges:
-            if i not in self._index or j not in self._index:
+            try:
+                known = i in self._index and j in self._index
+            except TypeError as exc:
+                raise DomainError(f"edge ({i!r}, {j!r}): vertex ids must be "
+                                  f"hashable") from exc
+            if not known:
                 raise DomainError(f"edge ({i!r}, {j!r}) references unknown vertex")
             if i == j:
                 raise DomainError(f"self loop at vertex {i!r}")
@@ -88,6 +100,12 @@ class WeightedGraph:
         # positions into self.ids, shape (E, 2)
         self.edge_pos = np.asarray(norm_edges, dtype=int).reshape(-1, 2)
         self.edges = tuple((self.ids[a], self.ids[b]) for a, b in norm_edges)
+        # bounds every subset and boundary measure and every Laplacian entry
+        with np.errstate(over="ignore"):
+            totals = (self.total_measure, float(self.edge_measures.sum()))
+        if not all(map(math.isfinite, totals)):
+            raise DomainError(f"total vertex measure {totals[0]} and total "
+                              f"edge measure {totals[1]} must be finite")
 
     def __len__(self):
         return len(self.ids)
@@ -128,21 +146,27 @@ class WeightedGraph:
 
 
 def _enum_tables(g: WeightedGraph, cap: int):
-    """Per-subset measures and boundary measures, indexed by bitmask - 1."""
+    """Per-subset measures and boundary measures, indexed by bitmask - 1.
+
+    A subset's measure is its top vertex's measure added to the measure of
+    the rest, so every table entry is the sum of its vertices' measures in
+    increasing bit order.  Boundary measures are summed edge by edge.
+    """
     n = len(g)
     if n > cap:
         raise CapacityError(f"{n} vertices exceeds enumeration cap {cap}")
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    m_sub = np.zeros(len(masks))
+    m_sub = np.zeros(1 << n)
+    # bits[pos][mask] is bit pos of mask
+    bits = np.zeros((n, 1 << n), dtype=bool)
     for pos in range(n):
-        m_sub += np.where((masks >> pos) & 1 == 1, g.measures[pos], 0.0)
-    bnd = np.zeros(len(masks))
+        h = 1 << pos
+        m_sub[h:2 * h] = m_sub[:h] + g.measures[pos]
+        bits[pos].reshape(-1, 2, h)[:, 1, :] = True
+    bnd = np.zeros(1 << n)
     w = g.edge_measures
-    for k in range(len(g.edge_pos)):
-        a, b = g.edge_pos[k]
-        cut = ((masks >> int(a)) ^ (masks >> int(b))) & 1
-        bnd += np.where(cut == 1, w[k], 0.0)
-    return masks, m_sub, bnd
+    for k, (a, b) in enumerate(g.edge_pos):
+        np.add(bnd, w[k], out=bnd, where=bits[a] ^ bits[b])
+    return m_sub[1:], bnd[1:]
 
 
 def cheeger_constant(g: WeightedGraph, cap: int = DEFAULT_ENUM_CAP) -> float:
@@ -153,7 +177,7 @@ def cheeger_constant(g: WeightedGraph, cap: int = DEFAULT_ENUM_CAP) -> float:
     """
     if len(g) == 1:
         return math.inf  # no admissible subset: m(U) <= m/2 forces U empty
-    _, m_sub, bnd = _enum_tables(g, cap)
+    m_sub, bnd = _enum_tables(g, cap)
     half = g.total_measure / 2.0
     ok = m_sub <= half * (1 + 1e-12)
     if not ok.any():
@@ -191,7 +215,7 @@ def isoperimetric_constant(g: WeightedGraph, nu: float = math.inf,
                 msub ** expo if mode == "dirichlet" else msub) / mbnd
             best = max(best, ratio)
         return best
-    _, m_sub, bnd = _enum_tables(g, cap)
+    m_sub, bnd = _enum_tables(g, cap)
     if mode == "neumann":
         keep = m_sub <= g.total_measure / 2.0 * (1 + 1e-12)
         m_sub, bnd = m_sub[keep], bnd[keep]

@@ -410,6 +410,8 @@ def _as_fraction(x):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise DomainError(f"support value {x!r} is not finite")
         return Fraction(x).limit_denominator(10 ** 12)
     if isinstance(x, str):
         return Fraction(x)
@@ -505,15 +507,29 @@ def kahler_class(tri: FanTriangulation, values) -> KahlerClass:
 
 
 def _poly_vertices(ineqs, dim):
-    """Exact vertices of {y : <u, y> >= rhs for (u, rhs) in ineqs}."""
+    """Exact vertices of {y : <u, y> >= rhs for (u, rhs) in ineqs}.
+
+    Each inequality is scaled by the common denominator of its row to
+    integers (u, p).  A solved vertex is y = x / det with x = adj(A) b, and
+    det > 0 after a sign flip, so <u, y> >= p reads <u, x> >= p det.
+    """
+    rows = []
+    for u, rhs in ineqs:
+        q = math.lcm(*(Fraction(c).denominator for c in (*u, rhs)))
+        rows.append((tuple(int(c * q) for c in u), int(rhs * q)))
     verts = set()
-    for combo in itertools.combinations(range(len(ineqs)), dim):
-        y = _solve([ineqs[k][0] for k in combo], [ineqs[k][1] for k in combo])
-        if y is None:
+    for combo in itertools.combinations(rows, dim):
+        A = [u for u, _ in combo]
+        det = _det(A)
+        if det == 0:
             continue
-        if all(sum(Fraction(u[i]) * y[i] for i in range(dim)) >= rhs
-               for u, rhs in ineqs):
-            verts.add(tuple(y))
+        x = [_det([[*row[:i], p, *row[i + 1:]] for row, (_, p) in
+                   zip(A, combo)]) for i in range(dim)]
+        if det < 0:
+            det, x = -det, [-c for c in x]
+        if all(sum(c * xi for c, xi in zip(u, x)) >= p * det
+               for u, p in rows):
+            verts.add(tuple(Fraction(xi, det) for xi in x))
     return sorted(verts)
 
 
@@ -573,6 +589,58 @@ def _divisor_facet(tri: FanTriangulation, forms, j):
     return sorted({forms[k] for k, s in enumerate(tri.simplices) if j in s})
 
 
+def _check_finite(**fields):
+    """DomainError naming every field that is not a finite float (None
+    fields are skipped)."""
+    bad = [f"{k} = {x}" for k, x in fields.items()
+           if x is not None and not math.isfinite(x)]
+    if bad:
+        raise DomainError("invariant A overflows a float: " + ", ".join(bad)
+                          + "; the support values or omega_link are out of "
+                          "range")
+
+
+def _excised_volume(tri: FanTriangulation, vals, forms):
+    """vol(C \\ C_h) from the vertices of C and C_h under a cap
+    <w, y> <= T, doubling T until the volume is stable."""
+    m = tri.cone.dim
+    cone_ineqs = [(u, Fraction(0)) for u in tri.cone.rays]
+    h_ineqs = [(u, vals[j]) for j, u in enumerate(tri.rays)]
+    # cap direction: interior of the span of the rays
+    w = tuple(sum(u[i] for u in tri.rays) for i in range(m))
+    # the bounded vertices of C_h are the forms l_sigma
+    wmax = max(sum(Fraction(w[i]) * v[i] for i in range(m)) for v in forms)
+    T = 2 * wmax + 1
+
+    def excised(Tcap):
+        cap = (tuple(-x for x in w), -Tcap)
+        v0 = _poly_vertices(cone_ineqs + [cap], m)
+        v1 = _poly_vertices(h_ineqs + [cap], m)
+        vol = _hull_volume(v0, m) - _hull_volume(v1, m)
+        _check_finite(excised_volume=vol)
+        return vol
+
+    vol = excised(T)
+    vol2 = excised(2 * T)
+    for _ in range(8):
+        if abs(vol - vol2) <= 1e-12 * max(abs(vol), 1.0):
+            return vol
+        T, vol = 2 * T, vol2
+        vol2 = excised(2 * T)
+    raise InternalFault("excised volume did not stabilize under capping")
+
+
+def _facet_sum(tri: FanTriangulation, vals, forms):
+    """sum_j lambda_j vol(F_j) over the interior rays with lambda_j != 0."""
+    total = 0.0
+    for j in range(tri.n_boundary, len(tri.rays)):
+        if vals[j] != 0:
+            face = _divisor_facet(tri, forms, j)
+            total += float(vals[j]) * _face_relative_volume(face, tri.rays[j],
+                                                            tri.cone.dim)
+    return total
+
+
 def invariant_A(tri: FanTriangulation, values, omega_link: float,
                 method: str = "both") -> InvariantA:
     """Volume invariant of a compactly supported Kahler class on the
@@ -601,44 +669,21 @@ def invariant_A(tri: FanTriangulation, values, omega_link: float,
     if method not in ("both", "divisor_sum", "polytope_volume"):
         raise DomainError(f"unknown method {method!r}")
     vals, chk, nonzero = _checked_class(tri, values)
-    rays = tri.rays
-    cone_ineqs = [(u, Fraction(0)) for u in tri.cone.rays]
-    h_ineqs = [(u, vals[j]) for j, u in enumerate(rays)]
-    # cap direction: interior of the span of the rays
-    w = tuple(sum(u[i] for u in rays) for i in range(m))
-    # the bounded vertices of C_h are the forms l_sigma
-    wmax = max(sum(Fraction(w[i]) * v[i] for i in range(m))
-               for v in chk.linear_forms)
-    T = 2 * wmax + 1
-
-    def excised(Tcap):
-        cap = (tuple(-x for x in w), -Tcap)
-        v0 = _poly_vertices(cone_ineqs + [cap], m)
-        v1 = _poly_vertices(h_ineqs + [cap], m)
-        return _hull_volume(v0, m) - _hull_volume(v1, m)
-
-    vol = excised(T)
-    vol2 = excised(2 * T)
-    for _ in range(8):
-        if abs(vol - vol2) <= 1e-12 * max(abs(vol), 1.0):
-            break
-        T, vol = 2 * T, vol2
-        vol2 = excised(2 * T)
-    else:
-        raise InternalFault("excised volume did not stabilize under capping")
+    try:
+        vol = _excised_volume(tri, vals, chk.linear_forms)
+        total = None
+        if method in ("both", "divisor_sum"):
+            total = _facet_sum(tri, vals, chk.linear_forms)
+    except OverflowError as exc:
+        raise DomainError(f"invariant A overflows a float: {exc}") from exc
 
     result_div = result_vol = None
     if method in ("both", "polytope_volume"):
         result_vol = (-(2 * math.pi) ** m * vol / ((m - 1) * omega_link))
-    if method in ("both", "divisor_sum"):
-        total = 0.0
-        for j in range(tri.n_boundary, len(rays)):
-            if vals[j] != 0:
-                face = _divisor_facet(tri, chk.linear_forms, j)
-                total += float(vals[j]) * _face_relative_volume(face, rays[j],
-                                                                m)
+    if total is not None:
         result_div = (-(2 * math.pi) ** m * total
                       / ((m - 1) * m * omega_link))
+    _check_finite(divisor_sum=result_div, polytope_volume=result_vol)
     if method == "both":
         # compared before the Omega scaling, which may underflow either one
         facets = total / m

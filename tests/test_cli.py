@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import conelab.graphs
 import conelab.toric
 from conelab import GoodCovering, WeightedGraph, bp_table_csv
-from conelab.cli import main
+from conelab.cli import build_parser, main
 from conelab.covering import covering_to_json
 from conelab.graphs import graph_to_json
 
@@ -60,6 +61,35 @@ class TestGraphCommand:
                           [(i, i + 1) for i in range(5)])
         inp = write(tmp_path, "g.json", graph_to_json(g))
         assert main(["graph", "--in", inp, "--enum-cap", "4"]) == 2
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"vertices": [{"id": [0], "measure": 1}], "edges": []},
+         "hashable"),
+        ({"vertices": [{"id": 0, "measure": 1e308},
+                       {"id": 1, "measure": 1e308}], "edges": [[0, 1]]},
+         "must be finite"),
+    ])
+    def test_bad_graph_exits_2(self, tmp_path, capsys, doc, message):
+        inp = write(tmp_path, "g.json", json.dumps(doc))
+        assert main(["graph", "--in", inp]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
+
+    def test_failed_parse_leaves_the_parser_as_built(self, tmp_path, capsys):
+        g = WeightedGraph([(0, 1.0), (1, 2.0), (2, 1.0)], [(0, 1), (1, 2)])
+        inp = write(tmp_path, "g.json", graph_to_json(g))
+        good = ["graph", "--in", inp, "--seed", "3"]
+        build_parser.cache_clear()
+        assert main(good) == 0
+        alone = capsys.readouterr().out
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", "--in", inp, "--enum-cap", "4", "--seed", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(good) == 0
+        assert capsys.readouterr().out == alone
+        assert build_parser() is build_parser()
 
 
 class TestCoverCommand:
@@ -289,6 +319,15 @@ class TestToricCommand:
         assert f"error: the rays do not span R^{len(rays[0])}" in err
         assert "Traceback" not in err
 
+    def test_overflowing_invariant_exits_2(self, tmp_path, capsys):
+        doc = {"dim": 2, "rays": [[1, 0], [1, 2]], "omega_link": 1e-300,
+               "interior_value": 1000000000000}
+        inp = write(tmp_path, "fan.json", json.dumps(doc))
+        assert main(["toric", "--in", inp]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invariant A overflows a float: ")
+
     def test_one_class_check_per_run(self, tmp_path, monkeypatch):
         calls = []
         check = conelab.toric.support_function_check
@@ -335,6 +374,51 @@ class TestToricFuzz:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["toric", "--in", inp])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 0:
+            def reject(token):
+                raise ValueError(f"non-strict JSON token {token}")
+            json.loads(out, parse_constant=reject)
+        else:
+            assert out == "" and err.startswith("error: ")
+
+
+@st.composite
+def graph_documents(draw):
+    """One to six vertices, mostly with distinct integer ids and positive
+    measures, some with edge-case ids and measures; edges mostly between
+    them, some malformed; and a few documents of the wrong shape."""
+    ids = st.one_of(*[st.integers(0, 9)] * 4,
+                    st.sampled_from(["a", "", None, 1.5, [0]]))
+    measures = st.one_of(
+        *[st.floats(0.1, 10.0)] * 4,
+        st.sampled_from([0.0, -1.0, 1e308, 1e307, 1e-320, math.nan, math.inf,
+                         "2", "x", None, [1.0]]))
+    vertices = draw(st.lists(
+        st.fixed_dictionaries({"id": ids, "measure": measures}),
+        min_size=1, max_size=6, unique_by=lambda v: json.dumps(v["id"])))
+    ends = st.sampled_from([v["id"] for v in vertices])
+    pair = st.lists(ends, min_size=2, max_size=2)
+    edges = draw(st.lists(st.one_of(
+        pair, pair, pair, st.lists(ends, max_size=3),
+        st.sampled_from(["ab", 3, [[0], 1]])), max_size=8))
+    doc = {"vertices": vertices, "edges": edges}
+    return draw(st.sampled_from([doc] * 12 + [
+        {"vertices": vertices}, {"edges": edges}, [doc], 5,
+        {"vertices": {"x": 1}}, {"vertices": [1, 2]}]))
+
+
+class TestGraphFuzz:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(doc=graph_documents())
+    def test_exit_code_and_strict_json(self, tmp_path_factory, doc):
+        inp = write(tmp_path_factory.mktemp("fuzz"), "g.json",
+                    json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["graph", "--in", inp])
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 2), err
         assert "Traceback" not in err

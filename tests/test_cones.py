@@ -9,7 +9,7 @@ from conelab import (CircleLink, DomainError, GraphLink, annular_covering,
                      combine_parameter, doubling_scan, net_covering,
                      radius_field, separated_net, sphere_link,
                      validate_covering)
-from conelab.cones import _link_mesh, cone_from_json
+from conelab.cones import DoublingRecord, _link_mesh, cone_from_json
 from conelab.graphs import dirichlet_laplacian
 
 TWO_PI = 2.0 * math.pi
@@ -266,6 +266,55 @@ class TestDoublingScan:
         scan = doubling_scan(cone, n_samples=20, r_bounds=(0.5, 1.2),
                              seed=1, anchored=True)
         assert abs(scan.ratio_max - 4.0) < 0.6
+
+
+def doubling_by_ball_volumes(cone, n_samples, r_bounds, seed, anchored):
+    """``doubling_scan``'s records and clipped count, with both balls of a
+    sample measured by ``ball_volume``."""
+    rng = np.random.default_rng(seed)
+    records, n_clipped, tries = [], 0, 0
+    while len(records) < n_samples and tries < 50 * n_samples:
+        tries += 1
+        r = float(rng.uniform(*r_bounds))
+        v = (cone.base_point() if anchored
+             else int(rng.integers(0, cone.n_vertices)))
+        b2 = cone.ball_volume(v, 2 * r)
+        if b2.clipped:
+            n_clipped += 1
+            continue
+        b1 = cone.ball_volume(v, r)
+        records.append(DoublingRecord(v, r, b2.volume / b1.volume,
+                                      classify_ball(cone, v, r), False))
+    return records, n_clipped
+
+
+class TestDoublingMatchesBallVolumes:
+    @pytest.mark.parametrize("r_min, anchored", [(0.0, False), (0.0, True),
+                                                 (0.4, False)])
+    def test_records_equal_and_one_distance_array_per_ball(
+            self, r_min, anchored, monkeypatch):
+        cone = build_cone(CircleLink(TWO_PI), r_min, 4.0, 48,
+                          angular_steps=24)
+        args = dict(n_samples=30, r_bounds=(0.3, 2.5), seed=3,
+                    anchored=anchored)
+        records, n_clipped = doubling_by_ball_volumes(cone, **args)
+        calls = []
+        distances = conelab.cones.DiscretizedCone.distances_from
+
+        def counted(self, v):
+            calls.append(v)
+            return distances(self, v)
+
+        monkeypatch.setattr(conelab.cones.DiscretizedCone, "distances_from",
+                            counted)
+        scan = doubling_scan(cone, **args)
+        assert scan.records == records
+        assert scan.n_clipped == n_clipped > 0
+        # one array per kept sample, plus classify_ball's distance from the
+        # base point off it; clipped samples compute none
+        o = cone.base_point()
+        assert calls == [x for r in records
+                         for x in ([o] if r.vertex == o else [r.vertex, o])]
 
 
 class TestNetsAndCoverings:

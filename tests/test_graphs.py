@@ -8,8 +8,9 @@ import conelab.graphs
 from conelab import (CapacityError, DomainError, WeightedGraph,
                      cheeger_constant, cheeger_gap_report, degree_bound_m0,
                      isoperimetric_constant, spectral_gap)
-from conelab.graphs import (dirichlet_laplacian, graph_from_json,
-                            graph_to_json, random_connected_graph, subset_cut)
+from conelab.graphs import (_enum_tables, dirichlet_laplacian,
+                            graph_from_json, graph_to_json,
+                            random_connected_graph, subset_cut)
 
 
 def k2():
@@ -195,6 +196,28 @@ class TestValidationAndIO:
         with pytest.raises(DomainError):
             WeightedGraph([(0, 1.0)], [(0, 1)])
 
+    @pytest.mark.parametrize("vertices, edges", [
+        ([([0], 1.0)], []),
+        ([(0, 1.0), (1, 1.0)], [([0], 1)]),
+    ])
+    def test_rejects_unhashable_ids(self, vertices, edges):
+        with pytest.raises(DomainError, match="hashable"):
+            WeightedGraph(vertices, edges)
+
+    @pytest.mark.parametrize("measure", [None, [1.0], "x"])
+    def test_rejects_non_numeric_measure(self, measure):
+        with pytest.raises(DomainError, match="measure"):
+            WeightedGraph([(0, measure)], [])
+
+    def test_rejects_overflowing_totals(self):
+        # connected, each measure finite, but m(V) overflows
+        with pytest.raises(DomainError, match="must be finite"):
+            WeightedGraph([(0, 1e308), (1, 1e308)], [(0, 1)])
+        # m(V) finite, but the edges at the heavy center sum to inf
+        with pytest.raises(DomainError, match="must be finite"):
+            WeightedGraph([(0, 1e308)] + [(i, 1e307) for i in range(1, 6)],
+                          [(0, i) for i in range(1, 6)])
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(3)
         g = random_connected_graph(rng)
@@ -207,3 +230,41 @@ class TestValidationAndIO:
     def test_malformed_json(self):
         with pytest.raises(DomainError):
             graph_from_json("{not json")
+
+
+def enum_tables_by_bits(g):
+    """Subset and boundary measures by one pass over the masks per vertex
+    and per edge, indexed by bitmask - 1."""
+    n = len(g)
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    m_sub = np.zeros(len(masks))
+    for pos in range(n):
+        m_sub += np.where((masks >> pos) & 1 == 1, g.measures[pos], 0.0)
+    bnd = np.zeros(len(masks))
+    w = g.edge_measures
+    for k in range(len(g.edge_pos)):
+        a, b = g.edge_pos[k]
+        cut = ((masks >> int(a)) ^ (masks >> int(b))) & 1
+        bnd += np.where(cut == 1, w[k], 0.0)
+    return m_sub, bnd
+
+
+class TestEnumTables:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bitwise_equal_to_per_bit_sums(self, seed):
+        g = random_connected_graph(np.random.default_rng(seed),
+                                   max_vertices=16)
+        got, want = _enum_tables(g, 22), enum_tables_by_bits(g)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_fixed_shapes(self):
+        m = np.random.default_rng(7).uniform(0.1, 10.0, size=16)
+        for g in (WeightedGraph([(0, 0.3)]),
+                  WeightedGraph([(i, 0.1 * (i + 1)) for i in range(5)]),
+                  WeightedGraph(enumerate(m),
+                                [(i, (i + 1) % 16) for i in range(16)]
+                                + [(i, (i + 5) % 16) for i in range(16)])):
+            got, want = _enum_tables(g, 22), enum_tables_by_bits(g)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -331,6 +332,72 @@ class TestOmegaLink:
         tri = triangulate(a1_cone())
         with pytest.raises(DomainError, match="omega_link must be positive"):
             invariant_A(tri, default_values(tri), omega_link=omega)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("method",
+                             ["both", "divisor_sum", "polytope_volume"])
+    def test_infinite_values_rejected(self, method):
+        # A1 with Omega = 1e-300: the scale (2 pi)^2 / Omega is finite, but
+        # times the volume of a class 10^12 times the unit one it is not
+        tri = triangulate(a1_cone())
+        with pytest.raises(DomainError, match="invariant A overflows"):
+            invariant_A(tri, default_values(tri, interior=10 ** 12),
+                        omega_link=1e-300, method=method)
+
+    def test_exact_value_beyond_float_range(self):
+        tri = triangulate(a1_cone())
+        with pytest.raises(DomainError, match="invariant A overflows"):
+            invariant_A(tri, default_values(tri, interior="1e400"),
+                        omega_link=1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_support_value(self, value):
+        tri = triangulate(a1_cone())
+        with pytest.raises(DomainError, match="not finite"):
+            invariant_A(tri, default_values(tri, interior=value),
+                        omega_link=1.0)
+
+
+def poly_vertices_by_fractions(ineqs, dim):
+    """Vertices of {y : <u, y> >= rhs}, every solve and test in Fractions."""
+    verts = set()
+    for combo in itertools.combinations(ineqs, dim):
+        y = _solve([u for u, _ in combo], [rhs for _, rhs in combo])
+        if y is not None and all(dot(u, y) >= rhs for u, rhs in ineqs):
+            verts.add(y)
+    return sorted(verts)
+
+
+@st.composite
+def inequality_systems(draw):
+    """dim 2 or 3, dim to dim + 4 rows with small integer normals and
+    integer or fractional right-hand sides."""
+    dim = draw(st.sampled_from([2, 3]))
+    rhs = st.one_of(st.integers(-5, 5),
+                    st.fractions(min_value=-5, max_value=5,
+                                 max_denominator=12))
+    rows = draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(-3, 3)] * dim), rhs),
+        min_size=dim, max_size=dim + 4))
+    return rows, dim
+
+
+class TestPolyVertices:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(system=inequality_systems())
+    def test_matches_fraction_enumeration(self, system):
+        ineqs, dim = system
+        assert _poly_vertices(ineqs, dim) == \
+            poly_vertices_by_fractions(ineqs, dim)
+
+    def test_capped_cone(self):
+        # the capped C of the C^3 / Z_3 cone: the simplex of the rays' dual
+        ineqs = [(u, 0) for u in z3_cone().rays] + [((-1, -1, -1), -3)]
+        verts = _poly_vertices(ineqs, 3)
+        assert verts == poly_vertices_by_fractions(ineqs, 3)
+        assert all(isinstance(x, Fraction) for v in verts for x in v)
+        assert len(verts) == 4
 
 
 class TestPolygonPoints:
