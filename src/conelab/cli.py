@@ -16,6 +16,7 @@ import math
 import sys
 
 import jsonschema
+import numpy as np
 
 from . import __version__
 from .errors import (CapacityError, DomainError, InternalFault,
@@ -65,6 +66,20 @@ def _num(x):
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return x
+
+
+#: Rows converted to Python scalars at a time by :func:`_write_rows`.
+_CSV_CHUNK = 1024
+
+
+def _write_rows(fh, fmt, *columns):
+    """Write ``fmt.format(*row)`` for each row of the equal-length arrays
+    ``columns``.  Python scalars format faster than numpy ones, and
+    converting _CSV_CHUNK rows at a time keeps the text of a large table
+    out of memory."""
+    for lo in range(0, len(columns[0]), _CSV_CHUNK):
+        rows = (c[lo:lo + _CSV_CHUNK].tolist() for c in columns)
+        fh.write("".join(map(fmt.format, *rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +177,12 @@ def run_heat(args):
     }
     if args.csv:
         d = cone.distances_from(source)
+        vertex = np.arange(cone.n_vertices)
         with open(args.csv, "w") as fh:
             fh.write("t,vertex,distance,value\n")
             for s in samples:
-                for v in range(cone.n_vertices):
-                    fh.write(f"{s.t:.12g},{v},{d[v]:.12g},"
-                             f"{s.values[v]:.12g}\n")
+                _write_rows(fh, f"{s.t:.12g}," + "{},{:.12g},{:.12g}\n",
+                            vertex, d, s.values)
     write_report("heat", {"in": args.infile, "times": times,
                           "source": args.source}, results, args)
     return 0
@@ -188,8 +203,8 @@ def run_green(args):
         d = cone.distances_from(source)
         with open(args.csv, "w") as fh:
             fh.write("vertex,distance,value\n")
-            for v in range(cone.n_vertices):
-                fh.write(f"{v},{d[v]:.12g},{res.values[v]:.12g}\n")
+            _write_rows(fh, "{},{:.12g},{:.12g}\n",
+                        np.arange(cone.n_vertices), d, res.values)
     write_report("green", {"in": args.infile, "source": args.source},
                  results, args)
     return 0

@@ -26,6 +26,9 @@ from scipy.sparse.csgraph import dijkstra
 from .covering import Cell, GoodCovering
 from .errors import DomainError, UnsupportedError
 
+#: Longest accepted circle link (see :class:`CircleLink`).
+MAX_CIRCLE_LENGTH = 1e100
+
 
 # ---------------------------------------------------------------------------
 # links
@@ -39,8 +42,11 @@ class CircleLink:
     dim: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0):
-            raise DomainError("circle length must be positive and finite")
+        # the link spectrum scales as length^-2, and past ~1e150 it
+        # underflows: the constant mode is then lost among the others
+        if not 0 < self.length <= MAX_CIRCLE_LENGTH:
+            raise DomainError(f"circle length must lie in "
+                              f"(0, {MAX_CIRCLE_LENGTH:g}]")
 
 
 @dataclass(frozen=True)
@@ -239,8 +245,9 @@ class DiscretizedCone:
 
     def __init__(self, link, r_min, r_max, radial_steps, angular_steps=None,
                  spacing="uniform"):
-        if not (math.isfinite(r_min) and math.isfinite(r_max)):
-            raise DomainError("r_min and r_max must be finite")
+        if not (math.isfinite(r_min) and math.isfinite(2.0 * r_max * r_max)):
+            raise DomainError("r_min and r_max must be finite, and so must "
+                              "2 r_max^2, the largest squared distance")
         if r_min < 0 or r_min >= r_max:
             raise DomainError("need 0 <= r_min < r_max")
         if radial_steps < 2:
@@ -256,6 +263,16 @@ class DiscretizedCone:
         self.r_min, self.r_max = float(r_min), float(r_max)
         self.radial_steps = int(radial_steps)
         self.spacing = spacing
+        try:
+            self._assemble(link, angular_steps)
+        except (FloatingPointError, OverflowError) as exc:
+            raise DomainError(f"cone measures or conductances leave the "
+                              f"floating-point range: {exc}") from exc
+
+    @np.errstate(over="raise", divide="raise", invalid="raise")
+    def _assemble(self, link, angular_steps):
+        """Link mesh, rings, measures and conductances; FloatingPointError
+        or OverflowError where one of them overflows."""
         lm, ledges, lcond, ldist = _link_mesh(link, angular_steps)
         self._link_dist = ldist
         self.link_automorphism = _link_rotation(link, lm, ledges, lcond)
@@ -266,7 +283,7 @@ class DiscretizedCone:
         K = self.radial_steps
 
         apex_hi = None
-        if r_min == 0:
+        if self.r_min == 0:
             ring_r = (np.arange(1, K + 1)) * (self.r_max / K)
             cell_lo = np.r_[0.5 * self.r_max / K,
                             (np.arange(2, K + 1) - 0.5) * (self.r_max / K)]
@@ -275,7 +292,7 @@ class DiscretizedCone:
             self.apex = 0
             apex_hi = 0.5 * self.r_max / K
         else:
-            if spacing == "uniform":
+            if self.spacing == "uniform":
                 faces = np.linspace(self.r_min, self.r_max, K + 1)
             else:
                 faces = self.r_min * (self.r_max / self.r_min) ** (

@@ -5,9 +5,10 @@ Poincare constants act on the conductance data of any network exposing
 sum c_e |f(i)-f(j)|^2 against the vertex measure matrix.  Heat kernels and
 Green's functions need a :class:`~conelab.cones.DiscretizedCone`: they use
 its product structure (separation of variables in the link eigenmodes, see
-:func:`_modal`), in which the heat flow and its time integral are exact
-functions of the operator (:func:`_modal_apply`), with no time stepping.
-Each result is checked against the vertex-basis network.
+:func:`_modal`), in which the operator is one symmetric tridiagonal matrix.
+The heat flow is an exact function of it (:func:`_modal_apply`), and the
+backward-Euler time integral is one tridiagonal recursion.  Each result is
+checked against the vertex-basis network.
 """
 from __future__ import annotations
 
@@ -19,11 +20,13 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                   splu)
 
-from .errors import CapacityError, DomainError, InternalFault
+from .errors import (CapacityError, DomainError, InternalFault,
+                     PreconditionError)
 from .graphs import dirichlet_laplacian
 
 __all__ = [
@@ -125,17 +128,19 @@ def _modal(cone, robin):
     return L, mass, to_modes, from_modes
 
 
-def _modal_apply(cone, robin, source, f):
+def _modal_apply(cone, source, f):
     """The columns of V M^-1/2 Q f(Lambda) Q^T M^-1/2 V^T e_source, for
     Q Lambda Q^T the eigen-decomposition of the mass-scaled operator
-    M^-1/2 L M^-1/2 of :func:`_modal`.
+    M^-1/2 L M^-1/2 of :func:`_modal` (natural boundary, no Robin term).
 
     The operator is block diagonal: the apex (when present) with mode 0,
     then K rings for each further link mode.  Each block takes one
     symmetric tridiagonal eigen-solve, and f maps its eigenvalues to a
     (block size, columns) array, so any function of the operator is exact
-    up to rounding at O(A K^2) cost."""
-    L, mass, to_modes, from_modes = _modal(cone, robin)
+    up to rounding at O(A K^2) cost.  A block where V^T e_source is zero
+    contributes exactly zero and is skipped: a source at the apex reaches
+    only mode 0, so it takes one eigen-solve instead of A."""
+    L, mass, to_modes, from_modes = _modal(cone, robin=False)
     A, K = cone.link_nodes, cone.radial_steps
     off = 0 if cone.apex is None else 1
     scale = 1.0 / np.sqrt(mass)
@@ -145,12 +150,16 @@ def _modal_apply(cone, robin, source, f):
     e[source] = 1.0
     b = to_modes(e) * scale
     bounds = np.r_[0, off + K * np.arange(1, A + 1)]
-    blocks = []
+    y = None
     for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if not b[lo:hi].any():
+            continue
         lam, Q = scipy.linalg.eigh_tridiagonal(diag[lo:hi],
                                                coupling[lo:hi - 1])
-        blocks.append(Q @ (f(lam) * (Q.T @ b[lo:hi])[:, None]))
-    y = np.concatenate(blocks) * scale[:, None]
+        block = Q @ (f(lam) * (Q.T @ b[lo:hi])[:, None])
+        if y is None:
+            y = np.zeros((len(b), block.shape[1]))
+        y[lo:hi] = block * scale[lo:hi, None]
     return [from_modes(col) for col in y.T]
 
 
@@ -185,14 +194,17 @@ def heat_kernel(cone, source: int, times: Sequence[float]):
 
     Natural (Neumann) boundary on the truncation rings; total mass is
     conserved, and InternalFault is raised if a sample's mass is off 1 by
-    more than HEAT_MASS_TOL.
+    more than HEAT_MASS_TOL.  Times must lie in (0, r_max^2]: later the
+    flow is flat up to rounding, and e^(-t lam_0) of the rounded null
+    eigenvalue lam_0 leaves 1 (mass 0, or overflow).
     """
     times = sorted(float(t) for t in times)
-    if not times or times[0] <= 0:
-        raise DomainError("times must be positive")
+    if not times or not all(0 < t <= cone.r_max ** 2 for t in times):
+        raise DomainError(f"times must lie in (0, r_max^2 = "
+                          f"{cone.r_max ** 2:g}]")
     if not 0 <= source < cone.n_vertices:
         raise DomainError("source vertex out of range")
-    values = _modal_apply(cone, False, source,
+    values = _modal_apply(cone, source,
                           lambda lam: np.exp(-np.outer(lam, times)))
     samples = [HeatKernelSample(t, source, v) for t, v in zip(times, values)]
     for s in samples:
@@ -250,8 +262,9 @@ def gaussian_fit(samples, cone, slack: float = 3.0, band=(1.0, 4.0),
         ts.append(np.full(len(keep), s.t))
         vs.append(keep)
     xs, ys, ts, vs = (np.concatenate(a) for a in (xs, ys, ts, vs))
-    if len(xs) < 4:
-        raise DomainError("too few admissible samples for a Gaussian fit")
+    if len(xs) < 4 or xs.min() == xs.max():
+        raise DomainError("too few admissible samples for a Gaussian fit "
+                          "(at least 4, at two or more values of d^2/t)")
     slope, intercept = np.polyfit(xs, ys, 1)
     c2 = -float(slope)
     amp = math.exp(float(intercept))
@@ -316,15 +329,17 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
     """int_0^infty h(t, source, .) dt by backward-Euler quadrature.
 
     Uses the same Robin boundary as :func:`greens_function` (so the integral
-    converges) but a different computation.  The N = ``n_steps`` steps
-    h_k = (M + dt L)^-1 M h_(k-1) from h_0 = delta_source / m_source sum in
-    closed form per eigenvalue of the modal operator (:func:`_modal_apply`):
-    T_N = dt (h_1 + ... + h_N) is (1 - (1 + dt lam)^-N) / lam.  A tail
-    estimate h_N / lam_N, with lam_N the decay rate of the mass from h_(N-1)
-    to h_N, stands for the rest of the integral.  The vertex-basis network
-    checks T_N through the identity L T_N = M (h_0 - h_N) that the steps sum
-    to; InternalFault is raised if its residual exceeds GREEN_RESIDUAL_TOL
-    * || |L| |T_N| ||_inf.
+    converges) but a different computation: the N = ``n_steps`` steps
+    h_k = (M + dt L)^-1 M h_(k-1) from h_0 = delta_source / m_source, summed
+    to T_N = dt (h_1 + ... + h_N).  The steps run in the link-eigenmode
+    basis of :func:`_modal`, where M + dt L is one symmetric positive-
+    definite tridiagonal matrix: it is factored once (LAPACK ``dpttrf``,
+    InternalFault if that fails), and each step is one ``dpttrs`` solve.  A
+    tail estimate h_N / lam_N, with lam_N the decay rate of the mass from
+    h_(N-1) to h_N, stands for the rest of the integral.  The vertex-basis
+    network checks T_N through the identity L T_N = M (h_0 - h_N) that the
+    steps sum to; InternalFault is raised if its residual exceeds
+    GREEN_RESIDUAL_TOL * || |L| |T_N| ||_inf.
     """
     if cone.dimension <= 2:
         raise DomainError("requires dimension n > 2")
@@ -334,15 +349,23 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
         raise DomainError("n_steps must be at least 2")
     if dt is None:
         dt = 0.02 * cone.r_max ** 2 / n_steps * 4
-
-    def quadrature(lam):
-        g = 1.0 / (1.0 + dt * lam)
-        return np.c_[(1.0 - g ** n_steps) / lam, g ** n_steps,
-                     g ** (n_steps - 1)]
-
-    total, h, h_prev = _modal_apply(cone, True, source, quadrature)
-    rhs = -cone.measures * h   # M (h_0 - h_N), where M h_0 = e_source
-    rhs[source] += 1.0
+    L, mass, to_modes, from_modes = _modal(cone, robin=True)
+    d, e, info = dpttrf(mass + dt * L.diagonal(), dt * L.diagonal(1))
+    if info != 0:
+        raise InternalFault(f"M + dt L is not positive definite "
+                            f"(dpttrf info {info})")
+    e_source = np.zeros(cone.n_vertices)
+    e_source[source] = 1.0
+    b = to_modes(e_source)   # V^T M h_0
+    total = np.zeros_like(b)
+    c = None
+    for _ in range(n_steps):
+        c_prev = c
+        c = dpttrs(d, e, b)[0]
+        total += c
+        b = mass * c
+    total, h, h_prev = (from_modes(x) for x in (dt * total, c, c_prev))
+    rhs = e_source - cone.measures * h   # M (h_0 - h_N)
     _check_residual(_robin_laplacian(cone), total, rhs, "time integration")
     norm = float(np.dot(h, cone.measures))
     prev_norm = float(np.dot(h_prev, cone.measures))
@@ -367,8 +390,10 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     vertices in U' the pencil is solved densely; above, by ARPACK's
     generalized Lanczos (mode 2) to machine precision, with one sparse
     factorization of L' (symmetric ordering) for the L'^-1 solves.  Raises
-    CapacityError if Lanczos does not converge.  If U meets several
-    components of U' the constant is +inf.
+    CapacityError if Lanczos does not converge.  Edges of zero conductance
+    link nothing: if U meets several components of U' without them, the
+    constant is +inf.  Raises PreconditionError if the grounded energy form
+    is singular (on the dense route, if it is not positive definite).
     """
     def ids(vs):
         return np.unique(np.fromiter(vs, dtype=int))
@@ -385,9 +410,9 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     loc = np.full(len(net.measures), -1, dtype=int)
     loc[Up] = np.arange(nloc)
     e = loc[np.asarray(net.edges, dtype=int).reshape(-1, 2)]
-    keep = (e >= 0).all(axis=1)
-    L = dirichlet_laplacian(nloc, e[keep],
-                            np.asarray(net.conductances, dtype=float)[keep])
+    c = np.asarray(net.conductances, dtype=float)
+    keep = (e >= 0).all(axis=1) & (c != 0)
+    L = dirichlet_laplacian(nloc, e[keep], c[keep])
     ncomp, labels = connected_components(L, directed=False)
     u_loc = loc[U]
     if ncomp > 1:
@@ -429,12 +454,20 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
               - (np.outer(mU_full, mm_full) + np.outer(mm_full, mU_full))
               / mu_mean
               + np.outer(mm_full, mm_full) * (mu_U / mu_mean ** 2))
-        w = scipy.linalg.eigh(Qd[np.ix_(keep, keep)], Lg.toarray(),
-                              eigvals_only=True,
-                              subset_by_index=[nloc - 2, nloc - 2])
+        try:
+            w = scipy.linalg.eigh(Qd[np.ix_(keep, keep)], Lg.toarray(),
+                                  eigvals_only=True,
+                                  subset_by_index=[nloc - 2, nloc - 2])
+        except scipy.linalg.LinAlgError as exc:
+            raise PreconditionError(f"energy form on {nloc} vertices is not "
+                                    f"positive definite") from exc
         return float(max(w[0], 0.0))
-    lu = splu(Lg, permc_spec="MMD_AT_PLUS_A",
-              options={"SymmetricMode": True})
+    try:
+        lu = splu(Lg, permc_spec="MMD_AT_PLUS_A",
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
+        raise PreconditionError(f"energy form on {nloc} vertices is "
+                                f"singular") from exc
 
     def q_grounded(vg):
         v = np.zeros(nloc)

@@ -3,16 +3,20 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import conelab.cli
 import conelab.graphs
 import conelab.toric
 from conelab import GoodCovering, WeightedGraph, bp_table_csv
 from conelab.cli import build_parser, main
 from conelab.covering import covering_to_json
 from conelab.graphs import graph_to_json
+
+TWO_PI = 2.0 * math.pi
 
 CONE_DOC = {"link": {"kind": "circle", "length": 6.283185307179586},
             "r_min": 0.0, "r_max": 3.0, "radial_steps": 24,
@@ -225,6 +229,25 @@ class TestHeatCommand:
         assert "c2" in doc["results"]["fit"]
 
 
+class TestCsvRows:
+    def test_chunks_match_per_row_formatting(self, tmp_path):
+        """Rows written in chunks, across two chunk boundaries, equal the
+        per-row f-string formatting kept here as the reference."""
+        n = 2 * conelab.cli._CSV_CHUNK + 7
+        rng = np.random.default_rng(0)
+        d = rng.random(n) * 10.0
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        values[:6] = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]
+        t = 0.25
+        path = tmp_path / "rows.csv"
+        with open(path, "w") as fh:
+            conelab.cli._write_rows(fh, f"{t:.12g}," + "{},{:.12g},{:.12g}\n",
+                                    np.arange(n), d, values)
+        want = [f"{t:.12g},{v},{d[v]:.12g},{values[v]:.12g}\n"
+                for v in range(n)]
+        assert path.read_text().splitlines(keepends=True) == want
+
+
 class TestRemovedOptions:
     @pytest.mark.parametrize("argv", [
         ["cone", "--in", "cone.json", "--workers", "2"],
@@ -419,6 +442,74 @@ class TestGraphFuzz:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["graph", "--in", inp])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 0:
+            def reject(token):
+                raise ValueError(f"non-strict JSON token {token}")
+            json.loads(out, parse_constant=reject)
+        else:
+            assert out == "" and err.startswith("error: ")
+
+
+def mostly(valid, bad):
+    """Draw from ``valid`` seven times in eight, else one of ``bad``."""
+    return st.sampled_from([valid] * 7 + [st.sampled_from(bad)]).flatmap(
+        lambda strategy: strategy)
+
+
+@st.composite
+def cone_runs(draw):
+    """A tiny cone document, mostly well formed, with edge-case links,
+    radii and step counts, and ``heat`` or ``green`` arguments with valid
+    and malformed sources and times."""
+    circle = draw(st.booleans())
+    if circle:
+        link = {"kind": "circle", "length": draw(mostly(
+            st.floats(0.5, 7.0), [0.0, -1.0, 1e101, 1e308, math.inf, "x"]))}
+    else:
+        link = {"kind": "sphere",
+                "n_theta": draw(mostly(st.integers(2, 4), [1, 0, "3"])),
+                "n_phi": draw(mostly(st.integers(3, 6), [2, -1, 4.5]))}
+    link = draw(mostly(st.just(link),
+                       [{"kind": "torus"}, {"kind": "sphere"}, {}, "circle"]))
+    doc = {"link": link,
+           "r_min": draw(mostly(st.just(0.0 if circle else 0.05),
+                                [0.5, -1.0, 2.0, 1e308, math.nan, "0"])),
+           "r_max": draw(mostly(st.floats(1.0, 3.0),
+                                [0.5, 0.0, 1e120, 1e200, math.inf])),
+           "radial_steps": draw(mostly(st.integers(2, 6),
+                                       [1, -1, 1.5, "4", None]))}
+    if circle or draw(st.booleans()):
+        doc["angular_steps"] = draw(mostly(st.integers(3, 8),
+                                           [2, -1, 2.5, "6", None]))
+    if draw(st.booleans()):
+        doc["spacing"] = draw(mostly(st.just("uniform"),
+                                     ["geometric", "log", 1]))
+    doc = draw(mostly(st.just(doc), [{"link": link}, [doc], 5]))
+    command = draw(st.sampled_from(["heat", "green"]))
+    argv = [command, "--source", draw(mostly(
+        st.sampled_from(["apex", "0", "1"]),
+        ["-1", "999", "x", "1.5", ""]))]
+    if command == "heat":
+        argv += ["--times", draw(mostly(
+            st.sampled_from(["0.1", "0.1,0.25", "0.3,0.1"]),
+            ["0", "-1", "nan", "inf", "1e308", "1e-308", "x", "",
+             "0.1,,0.2"]))]
+    return doc, argv
+
+
+class TestConeFuzz:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(run=cone_runs())
+    def test_exit_code_and_strict_json(self, tmp_path_factory, run):
+        doc, argv = run
+        tmp = tmp_path_factory.mktemp("fuzz")
+        inp = write(tmp, "cone.json", json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--in", inp, "--csv", str(tmp / "t.csv")])
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 2), err
         assert "Traceback" not in err

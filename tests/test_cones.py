@@ -456,6 +456,19 @@ class TestConstructionAndIO:
         with pytest.raises(DomainError):
             GraphLink(**good, directions=((1.0, 0.0), (bad, 1.0)))
 
+    def test_rejects_geometry_out_of_float_range(self):
+        # the link spectrum ~ length^-2 underflowed: heat lost its mass
+        with pytest.raises(DomainError, match="circle length"):
+            CircleLink(1e101)
+        # squared distances up to 4 r_max^2 overflowed
+        with pytest.raises(DomainError, match="2 r_max"):
+            build_cone(CircleLink(TWO_PI), 0.0, 1e200, 4, angular_steps=4)
+        # shell measures ~ r^3 overflowed with a RuntimeWarning
+        with pytest.raises(DomainError, match="floating-point range"):
+            build_cone(sphere_link(3, 4), 1.0, 1e120, 4)
+        with pytest.raises(DomainError, match="floating-point range"):
+            build_cone(sphere_link(3, 4), 1.0, 1e120, 4, spacing="geometric")
+
     def test_rejects_negative_link_conductance(self):
         # an indefinite link Laplacian made the heat kernel lose mass
         with pytest.raises(DomainError):

@@ -11,8 +11,8 @@ from scipy.sparse.linalg import splu
 
 import conelab.spectral
 from conelab import (CapacityError, Cell, CircleLink, DomainError,
-                     InternalFault, annular_covering, build_cone,
-                     covering_cell_constant, gaussian_fit,
+                     InternalFault, PreconditionError, annular_covering,
+                     build_cone, covering_cell_constant, gaussian_fit,
                      green_by_time_integration, greens_function, heat_kernel,
                      indicial_spectrum, net_covering, poincare_constant,
                      scale_invariant_poincare_scan, sphere_link)
@@ -68,6 +68,28 @@ class TestPoincare:
         net.edges = [(0, 1), (3, 4)]
         net.conductances = [1.0, 1.0]
         assert poincare_constant(net, [0, 1, 3, 4], [0, 1, 3, 4]) == math.inf
+
+    @pytest.mark.parametrize("n", [300, 500])   # dense and Lanczos routes
+    def test_zero_conductance_splits(self, n):
+        # the zero edge splits the path into n - 49 and 49 vertices
+        net = path_net(n, 1.0 / n)
+        net.conductances[n - 50] = 0.0
+        assert poincare_constant(net, range(n), range(n)) == math.inf
+        part = path_net(n - 49, 1.0 / n)
+        assert (poincare_constant(net, range(10), range(n))
+                == pytest.approx(poincare_constant(part, range(10),
+                                                   range(n - 49)),
+                                 rel=1e-10))
+
+    @pytest.mark.parametrize("n", [300, 500])
+    def test_singular_energy_form_is_a_precondition(self, n):
+        # a triangle whose spanning-tree weights 1 - 1/2 - 1/2 cancel makes
+        # the grounded energy form exactly singular
+        net = path_net(n, 1.0)
+        net.edges = [(0, 2)] + net.edges
+        net.conductances = [-0.5, 1.0, 1.0] + net.conductances[2:]
+        with pytest.raises(PreconditionError):
+            poincare_constant(net, range(n), range(n))
 
     def test_singleton_zero(self):
         net = path_net(5, 1.0)
@@ -222,6 +244,19 @@ class TestHeatKernel:
         assert fit.c2 == pytest.approx(0.25, rel=0.1)
         assert fit.c1 <= fit.C2 and fit.c1 > 0
         assert_fit_matches_loop(samples, self.cone)
+
+    @pytest.mark.parametrize("t", [0.0, math.nan, math.inf, 36.5, 1e30])
+    def test_times_outside_the_range_rejected(self, t):
+        # t = 1e30 lost the mass (or overflowed) through e^(-t lam_0)
+        with pytest.raises(DomainError, match="r_max"):
+            heat_kernel(self.cone, self.cone.base_point(), [0.2, t])
+
+    def test_fit_needs_two_distances(self):
+        # every admissible vertex lies on ring 1: polyfit was rank deficient
+        cone = build_cone(CircleLink(1.0), 0.0, 1.0, 3, angular_steps=4)
+        samples = heat_kernel(cone, cone.base_point(), [0.1])
+        with pytest.raises(DomainError, match="two or more"):
+            gaussian_fit(samples, cone)
 
     def test_fit_rejects_corrupted_sample(self):
         o = self.cone.base_point()
@@ -418,6 +453,34 @@ class TestSeparatedVariables:
         disc = build_cone(CircleLink(TWO_PI), 0.0, 3.0, 24, angular_steps=12)
         with pytest.raises(InternalFault):
             heat_kernel(disc, 0, [0.2])
+
+    def test_indefinite_step_matrix_trips_internal_fault(self, monkeypatch):
+        modal = conelab.spectral._modal
+
+        def indefinite(cone, robin):
+            L, mass, to_modes, from_modes = modal(cone, robin)
+            return -L, np.zeros_like(mass), to_modes, from_modes
+
+        monkeypatch.setattr(conelab.spectral, "_modal", indefinite)
+        sphere = build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
+        with pytest.raises(InternalFault, match="dpttrf"):
+            green_by_time_integration(sphere, 0, dt=0.05, n_steps=60)
+
+    @pytest.mark.parametrize("apex", [True, False])
+    def test_heat_solves_only_the_modes_the_source_reaches(self, apex,
+                                                          monkeypatch):
+        calls = []
+        eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+        cone = build_cone(CircleLink(TWO_PI), 0.0, 3.0, 24, angular_steps=12)
+        source = 0 if apex else ring_sources(cone)[1]
+        heat_kernel(cone, source, [0.1, 0.3])
+        assert len(calls) == (1 if apex else cone.link_nodes)
 
     def test_source_out_of_range(self):
         cone = build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
