@@ -57,6 +57,11 @@ class GoodCovering:
             [float(atom_measures[a]) for a in self.atom_ids])
         if not np.all(self.atom_measures > 0):
             raise DomainError("atom measures must be positive")
+        # bounds the measure of every cell
+        with np.errstate(over="ignore"):
+            total = float(self.atom_measures.sum())
+        if not math.isfinite(total):
+            raise DomainError(f"total atom measure {total} must be finite")
         self.cells = tuple(
             c if isinstance(c, Cell) else Cell(frozenset(c[0]),
                                                frozenset(c[1]),
@@ -171,8 +176,11 @@ def validate_covering(cov: GoodCovering) -> CoveringReport:
                     f"(iv) no cell U*_k contains U_{i} union U_{j}")
                 continue
             witnesses[(i, j)] = k_found
-            q2 = max(q2, muUs[k_found] / min(muU[i], muU[j]))
-    return CoveringReport(q1, float(q2), witnesses, violations)
+            # Python floats: an overflow gives inf, without a numpy warning
+            q2 = max(q2, float(muUs[k_found]) / float(min(muU[i], muU[j])))
+    if math.isinf(q2):
+        raise DomainError("the measure ratio Q2 overflows a float")
+    return CoveringReport(q1, q2, witnesses, violations)
 
 
 def associated_graph(cov: GoodCovering,

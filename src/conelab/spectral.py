@@ -577,28 +577,35 @@ def covering_cell_constant(cov, net) -> float:
     vertices: the largest of Lambda(U_i, U*_i) and of the variant on U*_i
     with the mean taken over U_i, tested against the energy on U#_i.
 
-    Congruent cells have equal constants, so the two pencils are solved
-    once per congruence class (cells with equal :func:`_cell_key`): on a
-    cone over a circle, once per cell shape up to the link rotation.  As a
-    spot check, the second member of each class is solved again, and
-    InternalFault is raised if either constant differs from the first
-    member's by more than _CONGRUENT_TOL relative.
+    When U* = U#, as in every covering that :mod:`conelab.cones` builds,
+    only the second pencil is solved, because it bounds the first: U lies
+    in U*, so sum_U m (f - a_U)^2 <= sum_U* m (f - a_U)^2 for every f, and
+    both pencils divide by the same energy on U* = U#.  The order holds for
+    infinite values too: if U meets two components of U*, so does U*.
+
+    Congruent cells have equal constants, so the pencils are solved once
+    per congruence class (cells with equal :func:`_cell_key`): on a cone
+    over a circle, once per cell shape up to the link rotation.  As a spot
+    check, the second member of each class is solved again, and
+    InternalFault is raised if a constant differs from the first member's
+    by more than _CONGRUENT_TOL relative.
     """
     first, checked = {}, set()
     for c in cov.cells:
         key = _cell_key(net, c)
         if key in checked:
             continue
-        pair = (poincare_constant(net, c.U, c.Ustar),
-                poincare_constant(net, c.Ustar, c.Usharp, mean_set=c.U))
+        values = (poincare_constant(net, c.Ustar, c.Usharp, mean_set=c.U),)
+        if c.Ustar != c.Usharp:
+            values += (poincare_constant(net, c.U, c.Ustar),)
         if key not in first:
-            first[key] = pair
+            first[key] = values
             continue
-        if not all(map(_agree, first[key], pair)):
+        if not all(map(_agree, first[key], values)):
             raise InternalFault(f"congruent cells give Poincare constants "
-                                f"{first[key]} and {pair}")
+                                f"{first[key]} and {values}")
         checked.add(key)
-    return max([0.0] + [v for pair in first.values() for v in pair])
+    return max([0.0] + [v for values in first.values() for v in values])
 
 
 # ---------------------------------------------------------------------------

@@ -356,12 +356,10 @@ def maximal_triangulation(section: CrossSection,
                           cone: ToricConeData) -> FanTriangulation:
     """Triangulate the cross-section using every lattice point as a vertex.
 
-    In dimension <= 2 such a maximal triangulation is automatically basic
-    (each simplex spans the lattice, determinant +-1), which is verified.
-    Higher dimensions are out of scope.
+    :func:`cross_section` admits dimension <= 2 only, where such a maximal
+    triangulation is automatically basic (each simplex spans the lattice,
+    determinant +-1), which is verified.
     """
-    if section.dim > 2:
-        raise UnsupportedError("triangulation beyond dimension 2 is out of scope")
     pts = list(section.points2d)
     if section.dim == 1:
         ordered = sorted(pts)

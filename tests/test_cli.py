@@ -167,6 +167,19 @@ class TestCoverCommand:
         assert "malformed covering JSON" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("measures, message", [
+        ([math.inf, 1.0], "total atom measure inf must be finite"),
+        ([1e308, 1e308], "total atom measure inf must be finite"),
+        ([1e-320, 1.0], "the measure ratio Q2 overflows a float")])
+    def test_measures_out_of_float_range_exit_2(self, tmp_path, capsys,
+                                                measures, message):
+        doc = self.chain(list(range(5)))
+        for atom, m in zip(doc["atoms"][1:], measures):
+            atom["measure"] = m
+        assert self.run_chain(tmp_path, doc) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestConeCommand:
     def test_scan_with_csv(self, tmp_path):
         inp = write(tmp_path, "cone.json", json.dumps(CONE_DOC))
@@ -457,6 +470,66 @@ def mostly(valid, bad):
     """Draw from ``valid`` seven times in eight, else one of ``bad``."""
     return st.sampled_from([valid] * 7 + [st.sampled_from(bad)]).flatmap(
         lambda strategy: strategy)
+
+
+@st.composite
+def cover_documents(draw):
+    """One to six atoms, mostly with distinct integer ids and positive
+    measures, and one to four cells of nested atom sets, some out of order,
+    missing or naming an unknown or malformed atom; with regions, adjacency
+    pairs and a few documents of the wrong shape."""
+    ids = draw(st.lists(mostly(st.integers(0, 9),
+                               ["a", None, 1.5, [0], True]),
+                        min_size=1, max_size=6, unique_by=json.dumps))
+    measures = mostly(st.floats(0.1, 10.0),
+                      [0.0, -1.0, 1e308, 1e-320, math.nan, math.inf, "2",
+                       None, [1.0]])
+    atoms = [{"id": a, "measure": draw(measures)} for a in ids]
+    known = st.sampled_from(ids)
+    more = st.lists(mostly(known, [99, "z", [1], None]), max_size=3)
+
+    def cell():
+        U = draw(st.lists(known, min_size=1, max_size=3))
+        Ustar = U + draw(more)
+        Usharp = Ustar + draw(more)
+        return draw(mostly(st.just({"U": U, "Ustar": Ustar,
+                                    "Usharp": Usharp}), [
+            {"U": U, "Ustar": U, "Usharp": U}, {"U": U},
+            {"U": 3, "Ustar": Ustar, "Usharp": Usharp},
+            {"U": Usharp, "Ustar": U, "Usharp": Ustar},
+            {"U": [], "Ustar": Ustar, "Usharp": Usharp}]))
+    doc = {"atoms": atoms,
+           "cells": [cell() for _ in range(draw(st.integers(1, 4)))],
+           "A": draw(mostly(st.lists(known, max_size=4),
+                            [[99], "A", None])),
+           "Asharp": draw(mostly(st.just(ids), [[], [99], 5])),
+           "adjacency": draw(st.lists(mostly(
+               st.lists(known, min_size=2, max_size=2),
+               [[0], [0, 1, 2], "ab", 3, [[0], 1], [0, 99]]), max_size=6))}
+    return draw(mostly(st.just(doc), [
+        {"atoms": atoms}, [doc], 5, {**doc, "atoms": []},
+        {**doc, "cells": []}, {**doc, "atoms": {"x": 1}},
+        {**doc, "cells": [[1, 2, 3]]}]))
+
+
+class TestCoverFuzz:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(doc=cover_documents())
+    def test_exit_code_and_strict_json(self, tmp_path_factory, doc):
+        inp = write(tmp_path_factory.mktemp("fuzz"), "cover.json",
+                    json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["cover", "--in", inp])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 0:
+            def reject(token):
+                raise ValueError(f"non-strict JSON token {token}")
+            json.loads(out, parse_constant=reject)
+        else:
+            assert out == "" and err.startswith("error: ")
 
 
 @st.composite

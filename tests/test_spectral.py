@@ -11,11 +11,12 @@ from scipy.sparse.linalg import splu
 
 import conelab.spectral
 from conelab import (CapacityError, Cell, CircleLink, DomainError,
-                     InternalFault, PreconditionError, annular_covering,
-                     build_cone, covering_cell_constant, gaussian_fit,
-                     green_by_time_integration, greens_function, heat_kernel,
-                     indicial_spectrum, net_covering, poincare_constant,
-                     scale_invariant_poincare_scan, sphere_link)
+                     GoodCovering, InternalFault, PreconditionError,
+                     annular_covering, build_cone, covering_cell_constant,
+                     gaussian_fit, green_by_time_integration, greens_function,
+                     heat_kernel, indicial_spectrum, net_covering,
+                     poincare_constant, scale_invariant_poincare_scan,
+                     sphere_link)
 from conelab.graphs import dirichlet_laplacian
 from conelab.spectral import HeatKernelSample
 
@@ -572,6 +573,22 @@ def band_covering(cone, lo, hi, s):
     return net_covering(cone, region.tolist(), s)
 
 
+def dilated(cone, vertices, steps):
+    """The vertex set grown by ``steps`` grid edges."""
+    inside = np.zeros(cone.n_vertices, dtype=bool)
+    inside[list(vertices)] = True
+    a, b = cone.edges.T
+    for _ in range(steps):
+        grown = inside.copy()
+        grown[b[inside[a]]] = grown[a[inside[b]]] = True
+        inside = grown
+    return frozenset(np.flatnonzero(inside).tolist())
+
+
+#: coverings built by conelab.cones, all with U* = U#
+BUILT = ["annulus", "apex", "sphere", "annular"]
+
+
 def rotated(cone, vertices, shift, reflect=False):
     """Image of a vertex set under (k, a) -> (k, +-a + shift mod A)."""
     A = cone.link_nodes
@@ -592,42 +609,71 @@ def rotated_cell(cone, cell, shift, reflect=False):
 
 
 class TestCongruenceClasses:
-    """covering_cell_constant solves one pencil pair per congruence class
-    (plus a spot check of one duplicate) and equals the per-cell loop."""
+    """covering_cell_constant solves the pencils once per congruence class
+    (plus a spot check of one duplicate), only the one on U* when U* = U#,
+    and equals the per-cell loop."""
 
     def annulus(self):
         return build_cone(CircleLink(TWO_PI), 0.3, 3.0, 16, angular_steps=24,
                           spacing="geometric")
 
-    @pytest.mark.parametrize("case", ["annulus", "apex", "sphere",
-                                      "annular"])
-    def test_matches_cell_loop(self, case, monkeypatch):
-        if case == "annulus":
+    def covering(self, case):
+        if case in ("annulus", "middle"):
             cone = self.annulus()
             cov = band_covering(cone, 1.0, 2.0, 0.35)
-        elif case == "apex":
+            if case == "annulus":
+                return cone, cov
+            # hand-built: U* shrunk to U dilated by two grid edges
+            cells = [Cell(c.U, dilated(cone, c.U, 2) & c.Usharp, c.Usharp)
+                     for c in cov.cells]
+            assert all(c.U < c.Ustar < c.Usharp for c in cells)
+            return cone, GoodCovering(
+                dict(zip(cov.atom_ids, cov.atom_measures)), cells, cov.A,
+                cov.Asharp, cov.adjacency)
+        if case == "apex":
             cone = build_cone(CircleLink(1.5 * math.pi), 0.0, 2.5, 12,
                               angular_steps=18)
-            cov = band_covering(cone, 0.0, 1.2, 0.4)
-        elif case == "sphere":
+            return cone, band_covering(cone, 0.0, 1.2, 0.4)
+        if case == "sphere":
             cone = build_cone(sphere_link(3, 6), 0.5, 2.5, 8)
-            cov = band_covering(cone, 1.5, 2.0, 0.5)
-        else:
-            cone = build_cone(CircleLink(TWO_PI), 0.05, 8.0, 30,
-                              angular_steps=12, spacing="geometric")
-            cov = annular_covering(cone, R=1.0, kappa=2.0, levels=2)
+            return cone, band_covering(cone, 1.5, 2.0, 0.5)
+        cone = build_cone(CircleLink(TWO_PI), 0.05, 8.0, 30,
+                          angular_steps=12, spacing="geometric")
+        return cone, annular_covering(cone, R=1.0, kappa=2.0, levels=2)
+
+    @pytest.mark.parametrize("case", BUILT + ["middle"])
+    def test_matches_cell_loop(self, case, monkeypatch):
+        cone, cov = self.covering(case)
+        assert all(c.Ustar == c.Usharp for c in cov.cells) == (case in BUILT)
         want = loop_cell_constant(cov, cone)
         calls = count_pencils(monkeypatch)
         got = covering_cell_constant(cov, cone)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
-        sizes = Counter(conelab.spectral._cell_key(cone, c)
-                        for c in cov.cells).values()
-        # each class once, and its second member (if any) as the spot check
-        assert len(calls) == 2 * sum(min(n, 2) for n in sizes)
-        if case in ("annulus", "apex"):
+        key = conelab.spectral._cell_key
+        sizes = Counter(key(cone, c) for c in cov.cells)
+        pencils = {key(cone, c): 1 if c.Ustar == c.Usharp else 2
+                   for c in cov.cells}
+        # each class once, and its second member (if any) as the spot
+        # check: one pencil per solved member when U* = U#, else two
+        assert len(calls) == sum(min(n, 2) * pencils[k]
+                                 for k, n in sizes.items())
+        assert {u for u, _ in calls} <= (
+            {c.Ustar for c in cov.cells}
+            | {c.U for c in cov.cells if c.Ustar != c.Usharp})
+        if case in ("annulus", "apex", "middle"):
             assert len(sizes) < len(cov.cells)
         else:
             assert len(sizes) == len(cov.cells)
+
+    @pytest.mark.parametrize("case", BUILT)
+    def test_pencil_on_ustar_bounds_the_pencil_on_u(self, case):
+        """The inequality the skip rests on: with U* = U#, the pencil on U*
+        (mean over U) is at least the pencil on U, cell by cell."""
+        cone, cov = self.covering(case)
+        for c in cov.cells:
+            assert (poincare_constant(cone, c.U, c.Ustar)
+                    <= poincare_constant(cone, c.Ustar, c.Usharp,
+                                         mean_set=c.U))
 
     def test_key_invariant_under_rotations(self):
         for cone in (self.annulus(),
@@ -666,11 +712,12 @@ class TestCongruenceClasses:
 
     def test_criterion_2_pencil_count(self, monkeypatch):
         """Structural guard: the criterion-2 covering at R = 1 has 6 classes
-        of its 66 cells, 5 of them with a duplicate: 2 * (6 + 5) pencils."""
+        of its 66 cells, 5 of them with a duplicate, and U* = U#: 6 + 5
+        pencils."""
         cone = build_cone(CircleLink(TWO_PI), 0.15, 16.0, 168,
                           angular_steps=48, spacing="geometric")
         cov = band_covering(cone, 1.0, 2.0, 0.3)
         assert len(cov.cells) == 66
         calls = count_pencils(monkeypatch)
         covering_cell_constant(cov, cone)
-        assert len(calls) == 22
+        assert len(calls) == 11
