@@ -374,7 +374,22 @@ class DiscretizedCone:
         return d
 
     def distance(self, u: int, v: int) -> float:
-        return float(self.distances_from(u)[v])
+        """``distances_from(u)[v]``, bit for bit: the same expression on
+        one-element slices, so that the same ufunc loops run."""
+        if u == self.apex:
+            return float(self.radii[v])
+        if v == u:
+            return 0.0
+        r1 = self.radii[u]
+        if v == self.apex:
+            return float(r1)
+        r = self.radii[v:v + 1]
+        ang = np.minimum(
+            self._link_dist[self.link_index[u], self.link_index[v:v + 1]],
+            math.pi)
+        d = np.sqrt(np.maximum(
+            r1 * r1 + r * r - 2.0 * r1 * r * np.cos(ang), 0.0))
+        return float(d[0])
 
     def boundary_distance(self, v=slice(None)):
         """Distance from vertex v (by default every vertex, as an array) to
@@ -460,8 +475,8 @@ def doubling_scan(cone: DiscretizedCone, n_samples: int = 100,
     """
     rng = np.random.default_rng(seed)
     lo, hi = r_bounds
-    if not 0 < lo < hi:
-        raise DomainError("need 0 < r_lo < r_hi")
+    if not 0 < lo < hi < math.inf:
+        raise DomainError("need 0 < r_lo < r_hi < inf")
     if n_samples < 1:
         raise DomainError("need at least one sample")
     records, n_clipped = [], 0

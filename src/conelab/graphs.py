@@ -15,7 +15,6 @@ from typing import Iterable
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import CapacityError, DomainError
@@ -44,6 +43,20 @@ def dirichlet_laplacian(n, edges, weights) -> sp.csr_matrix:
     return sp.csr_matrix((np.r_[-w, -w, w, w],
                           (np.r_[a, b, a, b], np.r_[b, a, a, b])),
                          shape=(n, n))
+
+
+def _dense_laplacian(n, edges, weights) -> np.ndarray:
+    """:func:`dirichlet_laplacian` as a dense array, bit for bit where
+    scipy sums a row's duplicate entries in input order.  Each off-diagonal
+    entry is one edge's; ``np.bincount`` adds the diagonal in the same
+    order as that matrix, all edges by their first end, then all by their
+    second."""
+    a, b = np.asarray(edges, dtype=int).reshape(-1, 2).T
+    w = np.asarray(weights, dtype=float)
+    L = np.diag(np.bincount(np.concatenate((a, b)),
+                            np.concatenate((w, w)), n))
+    L[a, b] = L[b, a] = -w
+    return L
 
 
 class WeightedGraph:
@@ -126,8 +139,22 @@ class WeightedGraph:
         return float(self.measures.sum())
 
     def is_connected(self):
-        L = dirichlet_laplacian(len(self), self.edge_pos, self.edge_measures)
-        return connected_components(L, directed=False)[0] == 1
+        """Whether the edges join every vertex: union-find over
+        ``edge_pos``, with path halving."""
+        parent = list(range(len(self)))
+
+        def root(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        components = len(self)
+        for a, b in self.edge_pos.tolist():
+            ra, rb = root(a), root(b)
+            if ra != rb:
+                parent[ra] = rb
+                components -= 1
+        return components == 1
 
     def with_edges(self, extra_edges):
         """New graph with additional edges (same vertices)."""
@@ -150,22 +177,32 @@ def _enum_tables(g: WeightedGraph, cap: int):
 
     A subset's measure is its top vertex's measure added to the measure of
     the rest, so every table entry is the sum of its vertices' measures in
-    increasing bit order.  Boundary measures are summed edge by edge.
+    increasing bit order.  Boundary measures are summed edge by edge: edge
+    (a, b), a < b, adds its measure to the two strided views of the table
+    where bits a and b differ.  Only the half without the top vertex n-1 is
+    filled that way; a set and its complement cross the same edges, so the
+    other half is the first one reversed.  Besides the two float tables of
+    2^n entries nothing of size 2^n is allocated.
     """
     n = len(g)
     if n > cap:
         raise CapacityError(f"{n} vertices exceeds enumeration cap {cap}")
     m_sub = np.zeros(1 << n)
-    # bits[pos][mask] is bit pos of mask
-    bits = np.zeros((n, 1 << n), dtype=bool)
     for pos in range(n):
         h = 1 << pos
-        m_sub[h:2 * h] = m_sub[:h] + g.measures[pos]
-        bits[pos].reshape(-1, 2, h)[:, 1, :] = True
+        np.add(m_sub[:h], g.measures[pos], out=m_sub[h:2 * h])
     bnd = np.zeros(1 << n)
+    half = bnd[:len(bnd) // 2]
     w = g.edge_measures
-    for k, (a, b) in enumerate(g.edge_pos):
-        np.add(bnd, w[k], out=bnd, where=bits[a] ^ bits[b])
+    for k, (a, b) in enumerate(g.edge_pos.tolist()):
+        if b == n - 1:
+            # bit b is clear in this half: the edge is cut iff bit a is set
+            half.reshape(-1, 2, 1 << a)[:, 1, :] += w[k]
+        else:
+            v = half.reshape(-1, 2, 1 << (b - a - 1), 2, 1 << a)
+            v[:, 1, :, 0, :] += w[k]
+            v[:, 0, :, 1, :] += w[k]
+    bnd[len(half):] = half[::-1]
     return m_sub[1:], bnd[1:]
 
 
@@ -258,21 +295,23 @@ def spectral_gap(g: WeightedGraph) -> float:
 
     Equals the infimum of sum m(i,j)|f(i)-f(j)|^2 / sum m(i)|f(i)-mean|^2
     over nonconstant f.  Returns 0 for disconnected graphs and +inf for a
-    single vertex (no nonconstant test functions).  Above
-    ``DENSE_EIG_LIMIT`` vertices it is found by shift-invert Lanczos
-    (ARPACK) just below 0, and a residual check raises CapacityError
-    instead of returning an unconverged value.
+    single vertex (no nonconstant test functions).  Up to
+    ``DENSE_EIG_LIMIT`` vertices L is assembled as a dense array
+    (:func:`_dense_laplacian`) and the pencil is solved by LAPACK; no
+    sparse matrix is built.  Above it the gap is found by shift-invert
+    Lanczos (ARPACK) just below 0, and a residual check raises
+    CapacityError instead of returning an unconverged value.
     """
     n = len(g)
     if n == 1:
         return math.inf
     if not g.is_connected():
         return 0.0
-    L = dirichlet_laplacian(n, g.edge_pos, g.edge_measures)
     if n <= DENSE_EIG_LIMIT:
-        w = scipy.linalg.eigh(L.toarray(), np.diag(g.measures),
-                              eigvals_only=True)
+        L = _dense_laplacian(n, g.edge_pos, g.edge_measures)
+        w = scipy.linalg.eigh(L, np.diag(g.measures), eigvals_only=True)
         return float(max(w[1], 0.0))
+    L = dirichlet_laplacian(n, g.edge_pos, g.edge_measures)
     # large graphs: shift-invert Lanczos just below 0 finds the two
     # smallest eigenvalues (0 and the gap)
     M = sp.diags(g.measures)

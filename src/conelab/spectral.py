@@ -139,13 +139,19 @@ def _modal_apply(cone, source, f):
     (block size, columns) array, so any function of the operator is exact
     up to rounding at O(A K^2) cost.  A block where V^T e_source is zero
     contributes exactly zero and is skipped: a source at the apex reaches
-    only mode 0, so it takes one eigen-solve instead of A."""
+    only mode 0, so it takes one eigen-solve instead of A.
+
+    Also returns the Gershgorin bound of the first block's largest
+    eigenvalue, found in O(K).  The mass lives in that block, and the
+    eigen-solver finds its null eigenvalue to about eps times the bound."""
     L, mass, to_modes, from_modes = _modal(cone, robin=False)
     A, K = cone.link_nodes, cone.radial_steps
     off = 0 if cone.apex is None else 1
     scale = 1.0 / np.sqrt(mass)
     diag = L.diagonal() * scale ** 2
     coupling = L.diagonal(1) * scale[:-1] * scale[1:]
+    c0 = np.abs(coupling[:off + K - 1])
+    bound = float(np.max(diag[:off + K] + np.r_[c0, 0.0] + np.r_[0.0, c0]))
     e = np.zeros(cone.n_vertices)
     e[source] = 1.0
     b = to_modes(e) * scale
@@ -160,7 +166,7 @@ def _modal_apply(cone, source, f):
         if y is None:
             y = np.zeros((len(b), block.shape[1]))
         y[lo:hi] = block * scale[lo:hi, None]
-    return [from_modes(col) for col in y.T]
+    return [from_modes(col) for col in y.T], bound
 
 
 def _check_residual(Lv, x, rhs, what):
@@ -196,7 +202,11 @@ def heat_kernel(cone, source: int, times: Sequence[float]):
     conserved, and InternalFault is raised if a sample's mass is off 1 by
     more than HEAT_MASS_TOL.  Times must lie in (0, r_max^2]: later the
     flow is flat up to rounding, and e^(-t lam_0) of the rounded null
-    eigenvalue lam_0 leaves 1 (mass 0, or overflow).
+    eigenvalue lam_0 leaves 1 (mass 0, or overflow).  A mass off 1 is a
+    PreconditionError instead when rounding explains it: the eigen-solver
+    finds lam_0 to about eps * lambda_max, which moves the mass by t times
+    that, and t * eps * (the Gershgorin bound of lambda_max) exceeds
+    HEAT_MASS_TOL (a thin shell, where the radial gaps are tiny).
     """
     times = sorted(float(t) for t in times)
     if not times or not all(0 < t <= cone.r_max ** 2 for t in times):
@@ -204,13 +214,22 @@ def heat_kernel(cone, source: int, times: Sequence[float]):
                           f"{cone.r_max ** 2:g}]")
     if not 0 <= source < cone.n_vertices:
         raise DomainError("source vertex out of range")
-    values = _modal_apply(cone, source,
-                          lambda lam: np.exp(-np.outer(lam, times)))
+    values, lam_bound = _modal_apply(
+        cone, source, lambda lam: np.exp(-np.outer(lam, times)))
     samples = [HeatKernelSample(t, source, v) for t, v in zip(times, values)]
     for s in samples:
-        if not abs(s.mass(cone) - 1.0) <= HEAT_MASS_TOL:
-            raise InternalFault(f"heat kernel mass {s.mass(cone)!r} at "
-                                f"t = {s.t:g} is not 1")
+        mass = s.mass(cone)
+        if abs(mass - 1.0) <= HEAT_MASS_TOL:
+            continue
+        drift = s.t * np.finfo(float).eps * lam_bound
+        if drift > HEAT_MASS_TOL:
+            raise PreconditionError(
+                f"heat kernel mass {mass!r} at t = {s.t:g} is not 1: the "
+                f"eigen-solver's rounding, t * eps * lambda_max = "
+                f"{drift:.2g}, exceeds the mass tolerance {HEAT_MASS_TOL:g} "
+                f"(lambda_max <= {lam_bound:.3g})")
+        raise InternalFault(f"heat kernel mass {mass!r} at t = {s.t:g} "
+                            f"is not 1")
     return samples
 
 

@@ -193,6 +193,14 @@ class TestConeCommand:
         assert lines[0] == "vertex,radius,ratio,case"
         assert len(lines) == 11
 
+    @pytest.mark.parametrize("r_hi", ["inf", "nan"])
+    def test_radius_bound_not_finite_exits_2(self, tmp_path, capsys, r_hi):
+        # numpy's uniform(0.5, inf) raised OverflowError: exit 1
+        inp = write(tmp_path, "cone.json", json.dumps(CONE_DOC))
+        assert main(["cone", "--in", inp, "--r-hi", r_hi]) == 2
+        assert capsys.readouterr().err == \
+            "error: need 0 < r_lo < r_hi < inf\n"
+
     def test_seeded_runs_identical(self, tmp_path):
         inp = write(tmp_path, "cone.json", json.dumps(CONE_DOC))
         o1, o2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -240,6 +248,20 @@ class TestHeatCommand:
         doc = json.load(open(out))
         assert doc["results"]["mass"][0] == pytest.approx(1.0, abs=1e-9)
         assert "c2" in doc["results"]["fit"]
+
+    def test_thin_shell_exits_2(self, tmp_path, capsys):
+        # lambda_max is ~5e11 here, and the eigen-solver's rounding
+        # eps * lambda_max moves the mass by more than its tolerance
+        inp = write(tmp_path, "shell.json", json.dumps(
+            {"link": {"kind": "sphere", "n_theta": 4, "n_phi": 6},
+             "r_min": 2.0, "r_max": 2.00001, "radial_steps": 5}))
+        out = tmp_path / "r.json"
+        assert main(["heat", "--in", inp, "--source", "0", "--times",
+                     "0.1,0.25", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "eigen-solver's rounding" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestCsvRows:
@@ -533,10 +555,9 @@ class TestCoverFuzz:
 
 
 @st.composite
-def cone_runs(draw):
+def cone_documents(draw):
     """A tiny cone document, mostly well formed, with edge-case links,
-    radii and step counts, and ``heat`` or ``green`` arguments with valid
-    and malformed sources and times."""
+    radii and step counts."""
     circle = draw(st.booleans())
     if circle:
         link = {"kind": "circle", "length": draw(mostly(
@@ -560,7 +581,14 @@ def cone_runs(draw):
     if draw(st.booleans()):
         doc["spacing"] = draw(mostly(st.just("uniform"),
                                      ["geometric", "log", 1]))
-    doc = draw(mostly(st.just(doc), [{"link": link}, [doc], 5]))
+    return draw(mostly(st.just(doc), [{"link": link}, [doc], 5]))
+
+
+@st.composite
+def cone_runs(draw):
+    """A document of :func:`cone_documents` and ``heat`` or ``green``
+    arguments with valid and malformed sources and times."""
+    doc = draw(cone_documents())
     command = draw(st.sampled_from(["heat", "green"]))
     argv = [command, "--source", draw(mostly(
         st.sampled_from(["apex", "0", "1"]),
@@ -583,6 +611,42 @@ class TestConeFuzz:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv + ["--in", inp, "--csv", str(tmp / "t.csv")])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 0:
+            def reject(token):
+                raise ValueError(f"non-strict JSON token {token}")
+            json.loads(out, parse_constant=reject)
+        else:
+            assert out == "" and err.startswith("error: ")
+
+
+@st.composite
+def doubling_runs(draw):
+    """A document of :func:`cone_documents` and ``cone`` arguments with
+    valid and malformed sample counts, radius bounds and seeds."""
+    doc = draw(cone_documents())
+    bad = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-308", "5e-324"]
+    r_lo = draw(mostly(st.floats(0.02, 0.5).map(repr), bad))
+    r_hi = draw(mostly(st.floats(0.5, 1.0).map(repr), bad))
+    samples = draw(mostly(st.integers(1, 20), [0, -1, 400]))
+    seed = draw(mostly(st.integers(0, 2 ** 31), [-1, 2 ** 64, 2 ** 200]))
+    # "--opt=value", so that argparse reads "-inf" as a value
+    return doc, ["cone", f"--samples={samples}", f"--r-lo={r_lo}",
+                 f"--r-hi={r_hi}", f"--seed={seed}"]
+
+
+class TestDoublingFuzz:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(run=doubling_runs())
+    def test_exit_code_and_strict_json(self, tmp_path_factory, run):
+        doc, argv = run
+        tmp = tmp_path_factory.mktemp("fuzz")
+        inp = write(tmp, "cone.json", json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--in", inp, "--csv", str(tmp / "s.csv")])
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 2), err
         assert "Traceback" not in err

@@ -216,6 +216,23 @@ class TestDistances:
         r = cone.radii[a]
         assert cone.distances_from(a)[b] == pytest.approx(r * math.sqrt(2.0))
 
+    @pytest.mark.parametrize("cone", [
+        flat_disc(r_max=3.0, radial=24, angular=16),
+        build_cone(CircleLink(math.pi / 2), 0.0, 3.0, 20, angular_steps=6),
+        build_cone(CircleLink(3 * math.pi), 0.0, 3.0, 20, angular_steps=24),
+        build_cone(CircleLink(TWO_PI), 0.7, 3.0, 20, angular_steps=16),
+        build_cone(sphere_link(4, 8), 0.2, 2.0, 12),
+    ], ids=["apex", "wedge", "3pi", "r_min", "sphere"])
+    def test_one_distance_is_the_array_entry(self, cone):
+        rng = np.random.default_rng(11)
+        sources = {cone.base_point(), 0, cone.n_vertices - 1,
+                   *rng.integers(0, cone.n_vertices, size=30).tolist()}
+        for u in sorted(sources):
+            d = cone.distances_from(u)
+            got = np.array([cone.distance(u, v)
+                            for v in range(cone.n_vertices)])
+            assert got.tobytes() == d.tobytes()
+
 
 class TestBalls:
     def test_anchored_volume_quadratic(self):
@@ -310,11 +327,9 @@ class TestDoublingMatchesBallVolumes:
         scan = doubling_scan(cone, **args)
         assert scan.records == records
         assert scan.n_clipped == n_clipped > 0
-        # one array per kept sample, plus classify_ball's distance from the
-        # base point off it; clipped samples compute none
-        o = cone.base_point()
-        assert calls == [x for r in records
-                         for x in ([o] if r.vertex == o else [r.vertex, o])]
+        # one array per kept sample (classify_ball computes its one
+        # distance without an array); clipped samples compute none
+        assert calls == [r.vertex for r in records]
 
 
 class TestNetsAndCoverings:

@@ -1,16 +1,19 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 import conelab.graphs
 from conelab import (CapacityError, DomainError, WeightedGraph,
                      cheeger_constant, cheeger_gap_report, degree_bound_m0,
                      isoperimetric_constant, spectral_gap)
-from conelab.graphs import (_enum_tables, dirichlet_laplacian,
-                            graph_from_json, graph_to_json,
-                            random_connected_graph, subset_cut)
+from conelab.graphs import (_dense_laplacian, _enum_tables,
+                            dirichlet_laplacian, graph_from_json,
+                            graph_to_json, random_connected_graph,
+                            subset_cut)
 
 
 def k2():
@@ -24,6 +27,22 @@ def p3():
 def cycle(n, m=1.0):
     return WeightedGraph([(i, m) for i in range(n)],
                          [(i, (i + 1) % n) for i in range(n)])
+
+
+def random_graphs(seed, count, max_vertices=14):
+    """Seeded graphs on 1..max_vertices vertices, connected or not: edge
+    densities from none to nearly complete, and every other graph with an
+    edge at its top vertex."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, max_vertices + 1))
+        p = (0.0, 0.15, 0.5, 0.9)[k % 4]
+        edges = {(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p}
+        if n > 1 and k % 2:
+            edges.add((int(rng.integers(0, n - 1)), n - 1))
+        yield WeightedGraph(enumerate(rng.uniform(0.1, 10.0, size=n)),
+                            sorted(edges))
 
 
 class TestFrozenExamples:
@@ -164,6 +183,31 @@ class TestDirichletLaplacian:
         assert not g.is_connected()
         assert g.with_edges([(2, 3)]).is_connected()
 
+    def test_is_connected_agrees_with_connected_components(self):
+        seen = set()
+        for g in random_graphs(3, 400, max_vertices=20):
+            L = dirichlet_laplacian(len(g), g.edge_pos, g.edge_measures)
+            want = connected_components(L, directed=False)[0] == 1
+            assert g.is_connected() == want
+            seen.add(want)
+        assert seen == {False, True}
+
+    def test_dense_equals_sparse(self):
+        # scipy sums the duplicate entries of a row in input order while
+        # the row has at most 16 stored entries (degree <= 8); above that
+        # its sort is unstable and the diagonal may differ in the last bit
+        checked = 0
+        for g in random_graphs(4, 600, max_vertices=30):
+            args = (len(g), g.edge_pos, g.edge_measures)
+            dense = _dense_laplacian(*args)
+            sparse = dirichlet_laplacian(*args).toarray()
+            if np.bincount(g.edge_pos.ravel(), minlength=len(g)).max() <= 8:
+                assert dense.tobytes() == sparse.tobytes()
+                checked += 1
+            else:
+                assert np.allclose(dense, sparse, rtol=1e-14, atol=0.0)
+        assert checked >= 300
+
 
 class TestIsoperimetric:
     def test_neumann_is_reciprocal_cheeger(self):
@@ -257,6 +301,26 @@ class TestEnumTables:
         got, want = _enum_tables(g, 22), enum_tables_by_bits(g)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+
+    def test_bitwise_equal_on_any_graph(self):
+        for g in random_graphs(2, 520):
+            got, want = _enum_tables(g, 22), enum_tables_by_bits(g)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_peak_memory_is_two_tables(self):
+        n = 18
+        g = WeightedGraph(enumerate(np.linspace(0.5, 2.0, n)),
+                          [(i, (i + 1) % n) for i in range(n)]
+                          + [(i, (i + 7) % n) for i in range(n)])
+        tracemalloc.start()
+        try:
+            tables = _enum_tables(g, 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tables[0]) == (1 << n) - 1
+        assert peak < 2.5 * 8 * (1 << n)
 
     def test_fixed_shapes(self):
         m = np.random.default_rng(7).uniform(0.1, 10.0, size=16)

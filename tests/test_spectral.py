@@ -252,6 +252,18 @@ class TestHeatKernel:
         with pytest.raises(DomainError, match="r_max"):
             heat_kernel(self.cone, self.cone.base_point(), [0.2, t])
 
+    def test_mass_lost_to_rounding_is_a_precondition(self):
+        # t * eps * lambda_max is 2.8e-9 here, yet the mass is off 1 by
+        # 3.6e-11 only: the bound explains a failed check, it refuses nothing
+        cone = build_cone(CircleLink(TWO_PI), 0.0, 6.0, 1536,
+                          angular_steps=32)
+        (s,) = heat_kernel(cone, cone.base_point(), [36.0])
+        assert s.mass(cone) == pytest.approx(1.0, abs=1e-9)
+        # a thin shell: lambda_max ~5e11, and the mass is off by 7e-6
+        shell = build_cone(sphere_link(4, 6), 2.0, 2.00001, 5)
+        with pytest.raises(PreconditionError, match="eigen-solver's rounding"):
+            heat_kernel(shell, 0, [0.1])
+
     def test_fit_needs_two_distances(self):
         # every admissible vertex lies on ring 1: polyfit was rank deficient
         cone = build_cone(CircleLink(1.0), 0.0, 1.0, 3, angular_steps=4)
