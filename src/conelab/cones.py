@@ -470,8 +470,8 @@ def doubling_scan(cone: DiscretizedCone, n_samples: int = 100,
                   anchored: bool = False) -> DoublingScan:
     """Sample balls and record V(x, 2r)/V(x, r); clipped doubles excluded.
 
-    With ``anchored=True`` all samples are centered at the base point.
-    Deterministic for a fixed seed.
+    With ``anchored=True`` all samples are centered at the base point, and
+    its distance array is computed once.  Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     lo, hi = r_bounds
@@ -481,17 +481,16 @@ def doubling_scan(cone: DiscretizedCone, n_samples: int = 100,
         raise DomainError("need at least one sample")
     records, n_clipped = [], 0
     tries = 0
+    base = cone.base_point()
+    d_base = cone.distances_from(base) if anchored else None
     while len(records) < n_samples and tries < 50 * n_samples:
         tries += 1
         r = float(rng.uniform(lo, hi))
-        if anchored:
-            v = cone.base_point()
-        else:
-            v = int(rng.integers(0, cone.n_vertices))
+        v = base if anchored else int(rng.integers(0, cone.n_vertices))
         if cone._clipped(v, 2 * r):
             n_clipped += 1
             continue
-        d = cone.distances_from(v)
+        d = d_base if anchored else cone.distances_from(v)
         ratio = cone._ball_measure(d, 2 * r) / cone._ball_measure(d, r)
         case = classify_ball(cone, v, r, epsilon=epsilon)
         records.append(DoublingRecord(v, r, ratio, case, False))

@@ -6,20 +6,19 @@ sum c_e |f(i)-f(j)|^2 against the vertex measure matrix.  Heat kernels and
 Green's functions need a :class:`~conelab.cones.DiscretizedCone`: they use
 its product structure (separation of variables in the link eigenmodes, see
 :func:`_modal`), in which the operator is one symmetric tridiagonal matrix.
-The heat flow is an exact function of it (:func:`_modal_apply`), and the
-backward-Euler time integral is one tridiagonal recursion.  Each result is
-checked against the vertex-basis network.
+The heat flow is an exact function of it (:func:`_modal_apply`), the Green's
+function one ``dpttrf``/``dpttrs`` solve, the backward-Euler time integral one
+tridiagonal recursion.  Each result is checked against the vertex-basis
+network, summed edge by edge (:func:`_robin_products`).
 """
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
@@ -27,7 +26,7 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
 
 from .errors import (CapacityError, DomainError, InternalFault,
                      PreconditionError)
-from .graphs import dirichlet_laplacian
+from .graphs import _dense_laplacian, dirichlet_laplacian
 
 __all__ = [
     "heat_kernel", "HeatKernelSample",
@@ -40,12 +39,6 @@ __all__ = [
 #: Largest accepted residual of the Green's function, relative to the scale
 #: of the products summed in it (see :func:`greens_function`).
 GREEN_RESIDUAL_TOL = 1e-10
-
-#: glibc's ``malloc_trim``, or None on other C libraries.
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
 
 #: Largest accepted deviation of a heat-kernel sample's total mass from 1.
 HEAT_MASS_TOL = 1e-9
@@ -66,16 +59,6 @@ def _outflow(cone) -> float:
     return (n - 2) / cone.r_max * cone.r_max ** (n - 1)
 
 
-def _robin_laplacian(cone) -> sp.csr_matrix:
-    """Laplacian with the outflow (Robin) term of :func:`_outflow` on the
-    outer truncation ring.  This removes the constant nullspace and mimics
-    the infinite cone."""
-    lm = cone.factors.link_measures
-    robin = np.where(cone.is_outer, _outflow(cone) * lm[cone.link_index], 0.0)
-    L = dirichlet_laplacian(cone.n_vertices, cone.edges, cone.conductances)
-    return L + sp.diags(robin)
-
-
 def _modal(cone, robin):
     """The cone's Laplacian and measure in the basis of link eigenmodes.
 
@@ -90,18 +73,18 @@ def _modal(cone, robin):
     c_apex to ring 0 of every mode and couple the apex only to mode 0,
     with weight -c_apex Phi_0^T M_S 1, since the other modes are
     M_S-orthogonal to the constants.  With ``robin`` the outflow term of
-    :func:`_robin_laplacian`, a multiple of M_S, adds the same constant to
-    the outer ring of every mode.
+    :func:`_outflow` on the outer ring, a multiple of M_S, adds the same
+    constant to the outer ring of every mode.
 
-    Returns the operator (CSC), the diagonal of the modal mass, and the
-    maps x -> V^T x and c -> V c.
+    Returns the operator's diagonal and off-diagonal, the modal mass (a
+    diagonal), and the maps x -> V^T x and c -> V c.
     """
     f = cone.factors
     lm = f.link_measures
     A, K = len(lm), cone.radial_steps
     off = 0 if cone.apex is None else 1
-    L_S = dirichlet_laplacian(A, f.link_edges, f.link_conductances)
-    mu, Phi = scipy.linalg.eigh(L_S.toarray(), np.diag(lm))
+    L_S = _dense_laplacian(A, f.link_edges, f.link_conductances)
+    mu, Phi = scipy.linalg.eigh(L_S, np.diag(lm))
     w = f.radial_weights
     diag = np.r_[w, 0.0] + np.r_[0.0, w] + np.outer(mu, f.ring_factors)
     coupling = np.zeros((A, K))
@@ -116,8 +99,6 @@ def _modal(cone, robin):
         diag = np.r_[c_apex * lm.sum(), diag.ravel()]
         coupling = np.r_[-c_apex * np.dot(Phi[:, 0], lm), coupling]
         mass = np.r_[cone.measures[0], mass]
-    L = sp.diags([coupling, diag.ravel(), coupling], [-1, 0, 1],
-                 format="csc")
 
     def to_modes(x):
         return np.r_[x[:off], (x[off:].reshape(K, A) @ Phi).T.ravel()]
@@ -125,7 +106,7 @@ def _modal(cone, robin):
     def from_modes(c):
         return np.r_[c[:off], (c[off:].reshape(A, K).T @ Phi.T).ravel()]
 
-    return L, mass, to_modes, from_modes
+    return diag.ravel(), coupling, mass, to_modes, from_modes
 
 
 def _modal_apply(cone, source, f):
@@ -144,12 +125,12 @@ def _modal_apply(cone, source, f):
     Also returns the Gershgorin bound of the first block's largest
     eigenvalue, found in O(K).  The mass lives in that block, and the
     eigen-solver finds its null eigenvalue to about eps times the bound."""
-    L, mass, to_modes, from_modes = _modal(cone, robin=False)
+    diag, coupling, mass, to_modes, from_modes = _modal(cone, robin=False)
     A, K = cone.link_nodes, cone.radial_steps
     off = 0 if cone.apex is None else 1
     scale = 1.0 / np.sqrt(mass)
-    diag = L.diagonal() * scale ** 2
-    coupling = L.diagonal(1) * scale[:-1] * scale[1:]
+    diag = diag * scale ** 2
+    coupling = coupling * scale[:-1] * scale[1:]
     c0 = np.abs(coupling[:off + K - 1])
     bound = float(np.max(diag[:off + K] + np.r_[c0, 0.0] + np.r_[0.0, c0]))
     e = np.zeros(cone.n_vertices)
@@ -169,11 +150,30 @@ def _modal_apply(cone, source, f):
     return [from_modes(col) for col in y.T], bound
 
 
-def _check_residual(Lv, x, rhs, what):
-    """InternalFault unless ||Lv x - rhs||_inf <= GREEN_RESIDUAL_TOL *
-    || |Lv| |x| ||_inf, the scale of the products summed in Lv x."""
-    residual = float(np.max(np.abs(Lv @ x - rhs)))
-    scale = float(np.max(abs(Lv) @ np.abs(x)))
+def _robin_products(cone, x):
+    """L x and |L| |x| for L the vertex-basis Laplacian plus r, the outflow of
+    :func:`_outflow` times the link measure, on the outer ring, summed edge
+    by edge: (L x)_i = sum_ij c_ij (x_i - x_j) + r_i x_i and, as c >= 0,
+    (|L| |x|)_i = sum_ij c_ij (|x_i| + |x_j|) + r_i |x_i|."""
+    n = cone.n_vertices
+    a, b = cone.edges.T
+    c = cone.conductances
+    r = np.where(cone.is_outer, _outflow(cone)
+                 * cone.factors.link_measures[cone.link_index], 0.0)
+    flow = c * (x[a] - x[b])
+    Lx = np.bincount(a, flow, n) - np.bincount(b, flow, n) + r * x
+    ax = np.abs(x)
+    size = c * (ax[a] + ax[b])
+    return Lx, np.bincount(a, size, n) + np.bincount(b, size, n) + r * ax
+
+
+def _check_residual(cone, x, rhs, what):
+    """InternalFault unless ||L x - rhs||_inf <= GREEN_RESIDUAL_TOL *
+    || |L| |x| ||_inf, the scale of the products summed in L x (both from
+    :func:`_robin_products`)."""
+    Lx, absLx = _robin_products(cone, x)
+    residual = float(np.max(np.abs(Lx - rhs)))
+    scale = float(np.max(absLx))
     if not residual <= GREEN_RESIDUAL_TOL * scale:
         raise InternalFault(f"{what} residual {residual:.3g} "
                             f"exceeds {GREEN_RESIDUAL_TOL:g} * {scale:.3g}")
@@ -317,26 +317,25 @@ def greens_function(cone, source: int) -> GreensFunction:
 
     The outer truncation ring carries a Robin condition matching the decay
     r^(2-n), so G approximates the Green's function of the infinite cone.
-    The solve runs in the link-eigenmode basis (:func:`_modal`); the residual
-    of G is then checked in the vertex basis, and InternalFault is raised if
-    ||L G - delta||_inf exceeds GREEN_RESIDUAL_TOL * || |L| |G| ||_inf.
+    The solve is one LAPACK ``dpttrf``/``dpttrs`` pass, O(n), in the link-
+    eigenmode basis (:func:`_modal`), with InternalFault if ``dpttrf``
+    fails; the residual of G is then checked in the vertex basis, and
+    InternalFault is raised if ||L G - delta||_inf exceeds
+    GREEN_RESIDUAL_TOL * || |L| |G| ||_inf.
     """
     if cone.dimension <= 2:
         raise DomainError("Green's function requires dimension n > 2")
     if not 0 <= source < cone.n_vertices:
         raise DomainError("source vertex out of range")
-    L, _, to_modes, from_modes = _modal(cone, robin=True)
+    diag, coupling, _, to_modes, from_modes = _modal(cone, robin=True)
+    d, e, info = dpttrf(diag, coupling)
+    if info != 0:
+        raise InternalFault(f"the modal Robin operator is not positive "
+                            f"definite (dpttrf info {info})")
     rhs = np.zeros(cone.n_vertices)
     rhs[source] = 1.0
-    # Freed memory stays resident on glibc's heap until more than the trim
-    # threshold (up to 64 MB) lies free on top of it, and SuperLU sizes its
-    # workspace at a fixed multiple of nnz(L), about 100 MB on a 46,080-
-    # vertex cone.  Without a trim first, the peak resident size of this
-    # solve would depend on what earlier work left on the heap.
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-    G = from_modes(splu(L).solve(to_modes(rhs)))
-    _check_residual(_robin_laplacian(cone), G, rhs, "Green's function")
+    G = from_modes(dpttrs(d, e, to_modes(rhs))[0])
+    _check_residual(cone, G, rhs, "Green's function")
     d = cone.distances_from(source)
     interior = (d > 0) & ~cone.is_outer
     C = float(np.max(G[interior] * d[interior] ** (cone.dimension - 2)))
@@ -368,8 +367,8 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
         raise DomainError("n_steps must be at least 2")
     if dt is None:
         dt = 0.02 * cone.r_max ** 2 / n_steps * 4
-    L, mass, to_modes, from_modes = _modal(cone, robin=True)
-    d, e, info = dpttrf(mass + dt * L.diagonal(), dt * L.diagonal(1))
+    diag, coupling, mass, to_modes, from_modes = _modal(cone, robin=True)
+    d, e, info = dpttrf(mass + dt * diag, dt * coupling)
     if info != 0:
         raise InternalFault(f"M + dt L is not positive definite "
                             f"(dpttrf info {info})")
@@ -385,7 +384,7 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
         b = mass * c
     total, h, h_prev = (from_modes(x) for x in (dt * total, c, c_prev))
     rhs = e_source - cone.measures * h   # M (h_0 - h_N)
-    _check_residual(_robin_laplacian(cone), total, rhs, "time integration")
+    _check_residual(cone, total, rhs, "time integration")
     norm = float(np.dot(h, cone.measures))
     prev_norm = float(np.dot(h_prev, cone.measures))
     if prev_norm > 0 and norm > 0:

@@ -328,8 +328,12 @@ class TestDoublingMatchesBallVolumes:
         assert scan.records == records
         assert scan.n_clipped == n_clipped > 0
         # one array per kept sample (classify_ball computes its one
-        # distance without an array); clipped samples compute none
-        assert calls == [r.vertex for r in records]
+        # distance without an array), clipped samples compute none; an
+        # anchored scan computes the base point's array once
+        if anchored:
+            assert calls == [cone.base_point()]
+        else:
+            assert calls == [r.vertex for r in records]
 
 
 class TestNetsAndCoverings:

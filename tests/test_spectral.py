@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import types
 from collections import Counter
 
@@ -314,18 +315,6 @@ class TestGreen:
         rel = np.abs(quad[keep] - direct[keep]) / direct[keep]
         assert rel.max() < 0.05
 
-    def test_heap_trimmed_once_before_the_solve(self, monkeypatch):
-        """The trim only hands freed memory back: the values are bit for bit
-        those of a run without it (as on a C library with no malloc_trim)."""
-        cone = build_cone(sphere_link(6, 12), 0.05, 4.0, 32)
-        o = cone.base_point()
-        monkeypatch.setattr(conelab.spectral, "_malloc_trim", None)
-        plain = greens_function(cone, o).values
-        calls = []
-        monkeypatch.setattr(conelab.spectral, "_malloc_trim", calls.append)
-        assert np.array_equal(greens_function(cone, o).values, plain)
-        assert calls == [0]
-
 
 def vertex_robin_laplacian(cone):
     """The vertex-basis Laplacian plus the outflow term (n-2)/r_max *
@@ -399,6 +388,14 @@ def assert_green_matches(cone, source):
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
 
 
+#: The cones of TestSeparatedVariables' fixed cases.
+CONES = [build_cone(CircleLink(TWO_PI), 0.0, 3.0, 24, angular_steps=12),
+         build_cone(CircleLink(math.pi), 0.0, 3.0, 24, angular_steps=12),
+         build_cone(sphere_link(4, 8), 0.1, 3.0, 12),
+         build_cone(sphere_link(4, 8), 0.1, 3.0, 12, spacing="geometric")]
+CONE_IDS = ["disc", "half_disc", "sphere", "sphere_geometric"]
+
+
 class TestSeparatedVariables:
     """heat_kernel, greens_function and green_by_time_integration solve in
     the link-eigenmode basis; the vertex-basis computations above are the
@@ -451,11 +448,10 @@ class TestSeparatedVariables:
         modal = conelab.spectral._modal
 
         def corrupted(cone, robin):
-            L, mass, to_modes, from_modes = modal(cone, robin)
-            L = L.tolil()
-            L[1, 2] *= 1.001
-            L[2, 1] *= 1.001
-            return L.tocsc(), mass, to_modes, from_modes
+            diag, coupling, mass, to_modes, from_modes = modal(cone, robin)
+            coupling = coupling.copy()
+            coupling[1] *= 1.001
+            return diag, coupling, mass, to_modes, from_modes
 
         monkeypatch.setattr(conelab.spectral, "_modal", corrupted)
         sphere = build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
@@ -471,13 +467,53 @@ class TestSeparatedVariables:
         modal = conelab.spectral._modal
 
         def indefinite(cone, robin):
-            L, mass, to_modes, from_modes = modal(cone, robin)
-            return -L, np.zeros_like(mass), to_modes, from_modes
+            diag, coupling, mass, to_modes, from_modes = modal(cone, robin)
+            return (-diag, -coupling, np.zeros_like(mass), to_modes,
+                    from_modes)
 
         monkeypatch.setattr(conelab.spectral, "_modal", indefinite)
         sphere = build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
         with pytest.raises(InternalFault, match="dpttrf"):
             green_by_time_integration(sphere, 0, dt=0.05, n_steps=60)
+        with pytest.raises(InternalFault, match="dpttrf"):
+            greens_function(sphere, 0)
+
+    @pytest.mark.parametrize("cone", CONES, ids=CONE_IDS)
+    def test_edge_sums_match_the_vertex_matrix(self, cone):
+        L = vertex_robin_laplacian(cone)
+        rng = np.random.default_rng(7)
+        for x in (rng.standard_normal(cone.n_vertices),
+                  rng.uniform(0.5, 2.0, cone.n_vertices)):
+            Lx, absLx = conelab.spectral._robin_products(cone, x)
+            want = abs(L) @ np.abs(x)
+            assert np.all(np.abs(absLx - want) <= 1e-13 * want)
+            assert np.max(np.abs(Lx - L @ x)) <= 1e-13 * np.max(want)
+
+    def test_green_path_needs_no_superlu(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("splu called")
+
+        monkeypatch.setattr(conelab.spectral, "splu", refused)
+        cone = build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
+        for source in ring_sources(cone):
+            assert_green_matches(cone, source)
+            got = green_by_time_integration(cone, source, dt=0.05,
+                                            n_steps=60)
+            want = vertex_time_integration(cone, source, 0.05, 60)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+    def test_green_memory_is_linear(self):
+        """The traced heap peak of one solve on a 46,080-vertex cone stays
+        below 40 arrays of n floats: O(n), with no fill-in."""
+        cone = build_cone(sphere_link(12, 24), 0.05, 8.0, 160)
+        greens_function(cone, cone.base_point())   # warm the import caches
+        tracemalloc.start()
+        try:
+            greens_function(cone, cone.base_point())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 8 * cone.n_vertices
 
     @pytest.mark.parametrize("apex", [True, False])
     def test_heat_solves_only_the_modes_the_source_reaches(self, apex,
