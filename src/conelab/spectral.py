@@ -2,8 +2,15 @@
 
 Poincare constants act on the conductance data of any network exposing
 ``measures``, ``edges`` and ``conductances``: the quadratic form
-sum c_e |f(i)-f(j)|^2 against the vertex measure matrix.  Heat kernels and
-Green's functions need a :class:`~conelab.cones.DiscretizedCone`: they use
+sum c_e |f(i)-f(j)|^2 against the vertex measure matrix.  Above 400
+vertices the energy form is put in reverse Cuthill-McKee order and factored
+once as a band (LAPACK ``dpbtrf``, with a pivot guard against forms that are
+singular to working precision); Lanczos then runs on a standard symmetric
+operator, one ``dpbtrs`` solve per step, and the eigenpair it returns is
+checked by its residual on the pencil (:func:`poincare_constant`).
+
+Heat kernels and Green's functions need a
+:class:`~conelab.cones.DiscretizedCone`: they use
 its product structure (separation of variables in the link eigenmodes, see
 :func:`_modal`), in which the operator is one symmetric tridiagonal matrix.
 The heat flow is an exact function of it (:func:`_modal_apply`), the Green's
@@ -19,10 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
-                                  splu)
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import (CapacityError, DomainError, InternalFault,
                      PreconditionError)
@@ -39,6 +45,11 @@ __all__ = [
 #: Largest accepted residual of the Green's function, relative to the scale
 #: of the products summed in it (see :func:`greens_function`).
 GREEN_RESIDUAL_TOL = 1e-10
+
+#: Largest accepted residual of the eigenpair behind a Poincare constant,
+#: relative to the scale of the products summed in it (see
+#: :func:`poincare_constant`).
+POINCARE_RESIDUAL_TOL = 1e-10
 
 #: Largest accepted deviation of a heat-kernel sample's total mass from 1.
 HEAT_MASS_TOL = 1e-9
@@ -150,21 +161,27 @@ def _modal_apply(cone, source, f):
     return [from_modes(col) for col in y.T], bound
 
 
+def _edge_products(n, edges, c, x):
+    """L x and a bound of |L| |x| for L the energy form of ``edges`` with
+    conductances c, summed edge by edge: (L x)_i = sum_ij c_ij (x_i - x_j),
+    and (|L| |x|)_i <= sum_ij |c_ij| (|x_i| + |x_j|), an equality if c >= 0."""
+    a, b = edges.T
+    flow = c * (x[a] - x[b])
+    ax = np.abs(x)
+    size = np.abs(c) * (ax[a] + ax[b])
+    return (np.bincount(a, flow, n) - np.bincount(b, flow, n),
+            np.bincount(a, size, n) + np.bincount(b, size, n))
+
+
 def _robin_products(cone, x):
     """L x and |L| |x| for L the vertex-basis Laplacian plus r, the outflow of
     :func:`_outflow` times the link measure, on the outer ring, summed edge
-    by edge: (L x)_i = sum_ij c_ij (x_i - x_j) + r_i x_i and, as c >= 0,
-    (|L| |x|)_i = sum_ij c_ij (|x_i| + |x_j|) + r_i |x_i|."""
-    n = cone.n_vertices
-    a, b = cone.edges.T
-    c = cone.conductances
+    by edge (:func:`_edge_products`) and r_i x_i, r_i |x_i| added."""
     r = np.where(cone.is_outer, _outflow(cone)
                  * cone.factors.link_measures[cone.link_index], 0.0)
-    flow = c * (x[a] - x[b])
-    Lx = np.bincount(a, flow, n) - np.bincount(b, flow, n) + r * x
-    ax = np.abs(x)
-    size = c * (ax[a] + ax[b])
-    return Lx, np.bincount(a, size, n) + np.bincount(b, size, n) + r * ax
+    Lx, absLx = _edge_products(cone.n_vertices, cone.edges,
+                               cone.conductances, x)
+    return Lx + r * x, absLx + r * np.abs(x)
 
 
 def _check_residual(cone, x, rhs, what):
@@ -398,20 +415,61 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
 # Poincare constants
 
 
+def _band_factor(pos, edges, c, n):
+    """Lower band Cholesky factor (LAPACK ``dpbtrf``) of the energy form of
+    ``edges`` with conductances ``c``, its vertices renumbered by ``pos``,
+    grounded at position n: that row and column are dropped, and an edge to
+    it adds to its other end's diagonal only.  The diagonal is one
+    ``np.bincount``; each other entry lies at its band offset |i - j|.
+
+    Raises PreconditionError if ``dpbtrf`` fails (the form is not positive
+    definite), or if it succeeds with a pivot c_ii^2 <= n eps a_ii: then
+    the form is singular to working precision, whatever the numbering."""
+    p = pos[edges]
+    lo, hi = p.min(axis=1), p.max(axis=1)
+    diag = np.bincount(p.ravel(), np.repeat(c, 2), n + 1)[:n]
+    inner = hi < n
+    k = hi[inner] - lo[inner]
+    kd = int(k.max(initial=0))
+    ab = np.bincount(k * n + lo[inner], -c[inner], (kd + 1) * n)
+    ab = ab.reshape(kd + 1, n)
+    ab[0] = diag
+    factor, info = dpbtrf(ab, lower=1)
+    if info != 0:
+        raise PreconditionError(f"energy form on {n + 1} vertices is not "
+                                f"positive definite (dpbtrf info {info})")
+    pivot = float(np.min(factor[0] ** 2 / diag))
+    if pivot <= n * np.finfo(float).eps:
+        raise PreconditionError(f"energy form on {n + 1} vertices is "
+                                f"singular (pivot ratio {pivot:.3g})")
+    return factor
+
+
 def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     """Best constant in  int_U |f - a|^2 dm <= C int_U' |grad f|^2
     where a is the mean of f over ``mean_set`` (default U, must lie in U).
 
-    This is the largest eigenvalue of the pencil (Q, L') where Q is the
-    centered mass form supported on U and L' the energy form on U'.  Both
-    forms are shift invariant, so one vertex is grounded.  Up to 400
-    vertices in U' the pencil is solved densely; above, by ARPACK's
-    generalized Lanczos (mode 2) to machine precision, with one sparse
-    factorization of L' (symmetric ordering) for the L'^-1 solves.  Raises
-    CapacityError if Lanczos does not converge.  Edges of zero conductance
-    link nothing: if U meets several components of U' without them, the
-    constant is +inf.  Raises PreconditionError if the grounded energy form
-    is singular (on the dense route, if it is not positive definite).
+    This is the largest eigenvalue of the pencil (Q, L) where Q is the
+    centered mass form supported on U and L the energy form on U'.  Both
+    forms are shift invariant, so one U vertex is grounded.  Up to 400
+    vertices in U' the pencil is solved densely.  Above, the vertices are
+    put in reverse Cuthill-McKee order, and the grounded L is factored once
+    as a band (LAPACK ``dpbtrf``, see :func:`_band_factor`).  With
+    Q = P^T D P, D = diag(m on U) and P f = f - a(f), the nonzero spectrum
+    of the pencil is that of the symmetric operator B = D^1/2 P L^+ P^T D^1/2
+    on U: P^T maps into the sum-zero vectors, where L^+ is one ``dpbtrs``
+    solve of the grounded system, and P removes the constant.  ARPACK's
+    Lanczos (mode 1, to machine precision) finds B's largest eigenpair
+    (lambda, y), one band solve per step; CapacityError if it does not
+    converge.  The pair is then checked on the pencil itself: with
+    f = L^+ P^T D^1/2 y, InternalFault is raised unless
+    ||Q f - lambda L f||_inf <= POINCARE_RESIDUAL_TOL * (||D f||_inf +
+    lambda || |L| |f| ||_inf), L f and |L| |f| summed edge by edge.
+
+    Edges of zero conductance and loops link nothing: if U meets several
+    components of U' without them, the constant is +inf.  Raises
+    PreconditionError if the grounded energy form is not positive definite
+    or is singular to working precision.
     """
     def ids(vs):
         return np.unique(np.fromiter(vs, dtype=int))
@@ -429,8 +487,9 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     loc[Up] = np.arange(nloc)
     e = loc[np.asarray(net.edges, dtype=int).reshape(-1, 2)]
     c = np.asarray(net.conductances, dtype=float)
-    keep = (e >= 0).all(axis=1) & (c != 0)
-    L = dirichlet_laplacian(nloc, e[keep], c[keep])
+    keep = (e >= 0).all(axis=1) & (c != 0) & (e[:, 0] != e[:, 1])
+    e, c = e[keep], c[keep]
+    L = dirichlet_laplacian(nloc, e, c)
     ncomp, labels = connected_components(L, directed=False)
     u_loc = loc[U]
     if ncomp > 1:
@@ -442,6 +501,8 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
         remap = -np.ones(nloc, dtype=int)
         remap[keep_v] = np.arange(len(keep_v))
         L = L[keep_v][:, keep_v]
+        inside = labels[e[:, 0]] == comp
+        e, c = remap[e[inside]], c[inside]
         u_loc = remap[u_loc]
         nloc = len(keep_v)
     # mass form on U with the mean over mean_set removed:
@@ -455,54 +516,68 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     mu_mean = mm_full.sum()
     mu_U = mU_full.sum()
 
-    def qmul(v):
-        a = np.dot(mm_full, v) / mu_mean
-        b = np.dot(mU_full, v)
-        return (mU_full * v - a * mU_full - (b / mu_mean) * mm_full
-                + (mu_U * a / mu_mean) * mm_full)
-
     # ground the first U vertex (both forms are shift invariant)
     g = int(u_loc[0])
-    keep = np.r_[np.arange(g), np.arange(g + 1, nloc)]
-    Lg = L[keep][:, keep].tocsc()
-    if nloc - 1 == 0:
-        return 0.0
+    n = nloc - 1
     if nloc <= 400:
+        keep = np.r_[np.arange(g), np.arange(g + 1, nloc)]
         Qd = (np.diag(mU_full)
               - (np.outer(mU_full, mm_full) + np.outer(mm_full, mU_full))
               / mu_mean
               + np.outer(mm_full, mm_full) * (mu_U / mu_mean ** 2))
         try:
-            w = scipy.linalg.eigh(Qd[np.ix_(keep, keep)], Lg.toarray(),
+            w = scipy.linalg.eigh(Qd[np.ix_(keep, keep)],
+                                  L[keep][:, keep].toarray(),
                                   eigvals_only=True,
-                                  subset_by_index=[nloc - 2, nloc - 2])
+                                  subset_by_index=[n - 1, n - 1])
         except scipy.linalg.LinAlgError as exc:
             raise PreconditionError(f"energy form on {nloc} vertices is not "
                                     f"positive definite") from exc
         return float(max(w[0], 0.0))
-    try:
-        lu = splu(Lg, permc_spec="MMD_AT_PLUS_A",
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
-        raise PreconditionError(f"energy form on {nloc} vertices is "
-                                f"singular") from exc
+    # band positions: reverse Cuthill-McKee order, the grounded vertex last
+    order = reverse_cuthill_mckee(L, symmetric_mode=True)
+    pos = np.empty(nloc, dtype=int)
+    pos[order[order != g]] = np.arange(n)
+    pos[g] = n
+    factor = _band_factor(pos, e, c, n)
+    sq = np.sqrt(mU_full[u_loc])
+    mm = mm_full[u_loc]
+    pos_U = pos[u_loc]
 
-    def q_grounded(vg):
-        v = np.zeros(nloc)
-        v[keep] = vg
-        return qmul(v)[keep]
+    def solve(y):
+        """L^+ P^T D^1/2 y in band positions, 0 at the grounded vertex."""
+        z = sq * y
+        r = np.zeros(n + 1)
+        r[pos_U] = z - mm * (z.sum() / mu_mean)
+        r[:n] = dpbtrs(factor, r[:n], lower=1)[0]
+        r[n] = 0.0
+        return r
 
-    n = nloc - 1
+    def bmul(y):
+        x = solve(y)[pos_U]
+        return sq * (x - np.dot(mm, x) / mu_mean)
+
+    nU = len(u_loc)
     # a fixed start vector keeps repeated runs bit-identical
-    v0 = np.random.default_rng(12345).standard_normal(n)
+    v0 = np.random.default_rng(12345).standard_normal(nU)
     try:
-        w = eigsh(LinearOperator((n, n), matvec=q_grounded), k=1, M=Lg,
-                  Minv=LinearOperator((n, n), matvec=lu.solve), which="LA",
-                  v0=v0, return_eigenvectors=False)
+        w, y = eigsh(LinearOperator((nU, nU), matvec=bmul, dtype=float),
+                     k=1, which="LA", v0=v0)
     except ArpackNoConvergence as exc:
         raise CapacityError(f"Lanczos solve for the Poincare constant on "
-                            f"{n + 1} vertices did not converge") from exc
-    return float(max(w[0], 0.0))
+                            f"{nloc} vertices did not converge") from exc
+    lam = float(w[0])
+    f = solve(y[:, 0])[pos]
+    a = np.dot(mm_full, f) / mu_mean
+    Qf = mU_full * (f - a) - mm_full * (np.dot(mU_full, f - a) / mu_mean)
+    Lf, absLf = _edge_products(nloc, e, c, f)
+    residual = float(np.max(np.abs(Qf - lam * Lf)))
+    scale = float(np.max(np.abs(mU_full * f)) + lam * np.max(absLf))
+    if not residual <= POINCARE_RESIDUAL_TOL * scale:
+        raise InternalFault(f"Poincare eigenpair residual {residual:.3g} "
+                            f"exceeds {POINCARE_RESIDUAL_TOL:g} * "
+                            f"{scale:.3g}")
+    return max(lam, 0.0)
 
 
 @dataclass

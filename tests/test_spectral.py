@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, splu
 
 import conelab.spectral
 from conelab import (CapacityError, Cell, CircleLink, DomainError,
@@ -93,6 +93,18 @@ class TestPoincare:
         with pytest.raises(PreconditionError):
             poincare_constant(net, range(n), range(n))
 
+    def test_singular_energy_form_in_any_numbering(self):
+        # the same net under a random renumbering: the band order then
+        # meets the cancellation as a tiny pivot, not a failed dpbtrf
+        n = 500
+        net = path_net(n, 1.0)
+        net.edges = [(0, 2)] + net.edges
+        net.conductances = [-0.5, 1.0, 1.0] + net.conductances[2:]
+        perm = np.random.default_rng(3).permutation(n)
+        net.edges = [(int(perm[a]), int(perm[b])) for a, b in net.edges]
+        with pytest.raises(PreconditionError):
+            poincare_constant(net, range(n), range(n))
+
     def test_singleton_zero(self):
         net = path_net(5, 1.0)
         assert poincare_constant(net, [2], [1, 2, 3]) == 0.0
@@ -149,7 +161,9 @@ class TestPoincareLanczos:
         assert lam == pytest.approx(exact, rel=1e-10)
         assert lam == pytest.approx(1.0 / math.pi ** 2, rel=1e-5)
 
-    def test_criterion_2_region_matches_schur_reference(self):
+    @pytest.fixture(scope="class")
+    def criterion_2_pencil(self):
+        """The global pencil of the criterion-2 annulus at R = 2."""
         cone = build_cone(CircleLink(TWO_PI), 0.15, 16.0, 168,
                           angular_steps=48, spacing="geometric")
         R = 2.0
@@ -157,9 +171,80 @@ class TestPoincareLanczos:
                                 & (cone.radii <= 2 * R)).tolist()
         Up = sorted(net_covering(cone, region, 0.3 * R).Asharp)
         assert len(Up) > 400
-        lam = poincare_constant(cone, region, Up)
+        return cone, region, Up, poincare_constant(cone, region, Up)
+
+    def test_criterion_2_region_matches_schur_reference(self,
+                                                        criterion_2_pencil):
+        cone, region, Up, lam = criterion_2_pencil
         assert lam == pytest.approx(schur_reference(cone, region, Up),
                                     rel=1e-9)
+
+    def test_vertex_numbering_does_not_matter(self, criterion_2_pencil):
+        cone, region, Up, lam = criterion_2_pencil
+        perm = np.random.default_rng(5).permutation(cone.n_vertices)
+        net = types.SimpleNamespace(
+            measures=np.empty(cone.n_vertices), edges=perm[cone.edges],
+            conductances=cone.conductances)
+        net.measures[perm] = cone.measures
+        U, Up = perm[region], perm[Up]
+        got = poincare_constant(net, U, Up)
+        assert got == pytest.approx(lam, rel=1e-12)
+        assert got == pytest.approx(schur_reference(net, U, Up), rel=1e-9)
+
+    def test_two_vertex_region(self):
+        # U = {i, i + 1}: the energy is least with f flat off their edge,
+        # so the constant is (h / 2) / (1 / h) = h^2 / 2
+        n = 1000
+        lam = poincare_constant(path_net(n, 1.0 / n), [10, 11], range(n))
+        assert lam == pytest.approx(0.5 / n ** 2, rel=1e-12)
+
+    def test_loops_link_nothing(self):
+        n = 1000
+        net = path_net(n, 1.0 / n)
+        lam = poincare_constant(net, range(n), range(n))
+        net.edges = net.edges + [(3, 3)]
+        net.conductances = net.conductances + [5.0]
+        assert poincare_constant(net, range(n), range(n)) == lam
+
+    def test_one_band_solve_per_lanczos_step(self, monkeypatch):
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("dpbtrf", "dpbtrs"):
+            monkeypatch.setattr(conelab.spectral, name,
+                                counted(name, getattr(conelab.spectral,
+                                                      name)))
+        eigsh = conelab.spectral.eigsh
+
+        def standard(A, **kwargs):
+            assert not {"M", "Minv", "sigma"} & set(kwargs)
+            return eigsh(LinearOperator(A.shape, dtype=float,
+                                        matvec=counted("step", A.matvec)),
+                         **kwargs)
+        monkeypatch.setattr(conelab.spectral, "eigsh", standard)
+        n = 1000
+        poincare_constant(path_net(n, 1.0 / n), range(n), range(n))
+        # one factorization; one solve per step and one for the eigenvector
+        assert counts["dpbtrf"] == 1
+        assert counts["dpbtrs"] == counts["step"] + 1
+
+    def test_corrupted_solve_is_an_internal_fault(self, monkeypatch):
+        dpbtrs = conelab.spectral.dpbtrs
+
+        def corrupted(*args, **kwargs):
+            # a rough error: a smooth one hides in L f's cancellation
+            x, info = dpbtrs(*args, **kwargs)
+            x[::2] *= 1 + 1e-6
+            return x, info
+        monkeypatch.setattr(conelab.spectral, "dpbtrs", corrupted)
+        n = 1000
+        with pytest.raises(InternalFault, match="residual"):
+            poincare_constant(path_net(n, 1.0 / n), range(n), range(n))
 
     def test_no_convergence_raises(self, monkeypatch):
         eigsh = conelab.spectral.eigsh
@@ -493,7 +578,8 @@ class TestSeparatedVariables:
         def refused(*args, **kwargs):
             raise AssertionError("splu called")
 
-        monkeypatch.setattr(conelab.spectral, "splu", refused)
+        assert not hasattr(conelab.spectral, "splu")
+        monkeypatch.setattr("scipy.sparse.linalg.splu", refused)
         cone = build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
         for source in ring_sources(cone):
             assert_green_matches(cone, source)
