@@ -513,7 +513,8 @@ def separated_net(cone: DiscretizedCone, region, s: float) -> list:
 
 
 def _net_with_distances(cone: DiscretizedCone, region, s: float):
-    """``separated_net`` and the distance array of each of its points."""
+    """``separated_net``, the distance array of each of its points, their
+    minimum, and the sorted region."""
     if s <= 0:
         raise DomainError("separation must be positive")
     region = sorted(int(v) for v in region)
@@ -526,15 +527,7 @@ def _net_with_distances(cone: DiscretizedCone, region, s: float):
             net.append(v)
             dists.append(cone.distances_from(v))
             mindist = np.minimum(mindist, dists[-1])
-    return net, dists
-
-
-def _edges_within(cone: DiscretizedCone, atoms) -> list:
-    """The cone's edges with both ends in ``atoms``, as pairs of ints."""
-    inside = np.zeros(cone.n_vertices, dtype=bool)
-    inside[list(atoms)] = True
-    a, b = cone.edges[inside[cone.edges].all(axis=1)].T
-    return list(zip(a.tolist(), b.tolist()))
+    return net, dists, mindist, region
 
 
 def net_covering(cone: DiscretizedCone, region, s: float,
@@ -543,27 +536,30 @@ def net_covering(cone: DiscretizedCone, region, s: float,
 
     U_i = B(x_i, s) and U*_i = U#_i = B(x_i, buffer_factor*s + h) where h is
     the longest grid edge; the slack h makes the witness k(i,j) = i valid on
-    a discrete grid (cells that touch have centers within 2s + h).
+    a discrete grid (cells that touch have centers within 2s + h).  Cells
+    and regions are vertex-index arrays (U* and U# one array), the atoms the
+    vertices of A# and the region, and the adjacency the cone's edges
+    between them.
     """
-    dists = _net_with_distances(cone, region, s)[1]
-    in_U = np.zeros(cone.n_vertices, dtype=bool)
-    for d in dists:
-        in_U |= d <= s * (1 + 1e-12)
+    _, dists, mindist, region = _net_with_distances(cone, region, s)
+    small = s * (1 + 1e-12)
+    in_U = mindist <= small
     # grid slack: touching cells have centers within 2s + (longest edge
     # incident to a small ball), so that much is added to the buffer radius
     touch_edge = in_U[cone.edges[:, 0]] | in_U[cone.edges[:, 1]]
     h = float(cone.edge_lengths[touch_edge].max()) if touch_edge.any() else 0.0
-    big = buffer_factor * s + h
+    big = (buffer_factor * s + h) * (1 + 1e-12)
     cells = []
     for d in dists:
-        U = frozenset(np.flatnonzero(d <= s * (1 + 1e-12)).tolist())
-        Us = frozenset(np.flatnonzero(d <= big * (1 + 1e-12)).tolist())
-        cells.append(Cell(U, Us, Us))
-    Asharp = frozenset().union(*(c.Usharp for c in cells))
-    atoms_needed = Asharp.union(int(v) for v in region)
-    atom_measures = {int(a): float(cone.measures[a]) for a in atoms_needed}
-    return GoodCovering(atom_measures, cells, frozenset(int(v) for v in region),
-                        Asharp, _edges_within(cone, atoms_needed))
+        Us = np.flatnonzero(d <= big)
+        cells.append(Cell(np.flatnonzero(d <= small), Us, Us))
+    inside = mindist <= big
+    Asharp = np.flatnonzero(inside)
+    inside[region] = True
+    atoms = np.flatnonzero(inside)
+    return GoodCovering.from_arrays(
+        atoms, cone.measures[atoms], cells, region, Asharp,
+        cone.edges[inside[cone.edges].all(axis=1)])
 
 
 def annular_covering(cone: DiscretizedCone, R: float, kappa: float,
@@ -582,25 +578,22 @@ def annular_covering(cone: DiscretizedCone, R: float, kappa: float,
         raise DomainError(
             f"annuli reach radius {outer:g} beyond the grid r_max {cone.r_max:g}")
     r = cone.radii
-    bands = []
-    bands.append(np.flatnonzero(r <= R))          # A_0 = D_R
+    # level of each vertex: 0 in D_R, i in A_i, -1 outside
+    level = np.full(cone.n_vertices, -1)
+    level[r <= R] = 0
     for i in range(1, levels + 1):
-        lo, hi = R * kappa ** (i - 1), R * kappa ** i
-        bands.append(np.flatnonzero((r > lo) & (r <= hi)))
-    for i, b in enumerate(bands):
-        if len(b) == 0:
-            raise DomainError(f"annulus {i} contains no grid vertices")
+        level[(r > R * kappa ** (i - 1)) & (r <= R * kappa ** i)] = i
     cells = []
-    for i in range(len(bands)):
-        U = frozenset(bands[i].tolist())
-        nbrs = range(max(0, i - 1), min(len(bands), i + 2))
-        Us = frozenset(np.concatenate([bands[j] for j in nbrs]).tolist())
+    for i in range(levels + 1):
+        U = np.flatnonzero(level == i)
+        if len(U) == 0:
+            raise DomainError(f"annulus {i} contains no grid vertices")
+        Us = np.flatnonzero((level >= max(i - 1, 0)) & (level <= i + 1))
         cells.append(Cell(U, Us, Us))
-    A = frozenset(np.concatenate(bands).tolist())
-    Asharp = frozenset().union(*(c.Usharp for c in cells))
-    atom_measures = {int(a): float(cone.measures[a]) for a in sorted(Asharp)}
-    return GoodCovering(atom_measures, cells, A, Asharp,
-                        _edges_within(cone, Asharp))
+    inside = level >= 0
+    A = np.flatnonzero(inside)
+    return GoodCovering.from_arrays(A, cone.measures[A], cells, A, A,
+                                    cone.edges[inside[cone.edges].all(axis=1)])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,14 @@ cells or vertices).  The conditions checked by :func:`validate_covering`:
 Closures are modelled combinatorially: the closure of a set of atoms is the
 set dilated by the atom adjacency relation, so cells that merely touch count
 as having intersecting closures.
+
+Every set of atoms is kept as a sorted, read-only numpy array of distinct
+atom ids, from the moment the covering is built: the cells' U, U* and U#
+(one array may serve as both U* and U#), the regions A and A#, and the
+adjacency as one (E, 2) array of id pairs.  The arrays hold atom ids, never
+positions in the atom table: on a cone the ids are vertex indices, so
+``cov.Asharp`` can be handed to :func:`~conelab.spectral.poincare_constant`
+as it is.  Atom ids are all integers or all strings.
 """
 from __future__ import annotations
 
@@ -27,34 +35,73 @@ from .errors import DomainError, PreconditionError
 from .graphs import WeightedGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cell:
-    U: frozenset
-    Ustar: frozenset
-    Usharp: frozenset
+    """Sorted, read-only arrays of the atom ids of U, U* and U#.  Arrays
+    have no truth value, so cells compare by identity; compare their fields
+    with ``np.array_equal``."""
+    U: np.ndarray
+    Ustar: np.ndarray
+    Usharp: np.ndarray
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, or a view of it, that cannot be written."""
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
+    return a
 
 
 class GoodCovering:
     """Atoms with positive measures, cells, region A and enlarged region A#.
 
-    ``adjacency`` is a collection of atom-id pairs; two cells are considered
-    to have touching closures when some atom of one is equal or adjacent to
-    an atom of the other.
+    ``atom_measures`` maps each atom id to its measure (see
+    :meth:`from_arrays` for a table already in arrays).  A cell is a
+    :class:`Cell` or a triple (U, U*, U#); it, A, A# and ``adjacency``, a
+    collection of atom-id pairs, may hold arrays or any iterables of ids.
+    Two cells have touching closures when some atom of one is equal or
+    adjacent to an atom of the other.
+
+    The covering keeps ``atom_ids`` (sorted) and ``atom_measures`` as arrays
+    in one order, every set of atoms as a sorted read-only array of ids
+    (:class:`Cell`, ``A``, ``Asharp``) and ``adjacency`` as an (E, 2) id
+    array.  Ids are mapped to positions in the atom table once, here, and
+    DomainError names an id that is not an atom.
     """
 
     def __init__(self, atom_measures: dict, cells, A, Asharp, adjacency=()):
         if not atom_measures:
             raise DomainError("covering needs at least one atom")
         try:
-            self.atom_ids = tuple(sorted(atom_measures))
+            ids = sorted(atom_measures)
         except TypeError:
             kinds = " and ".join(sorted({type(a).__name__
                                          for a in atom_measures}))
             raise DomainError(f"atom ids must be all integers or all "
                               f"strings, not a mix of {kinds}") from None
-        self._index = {a: k for k, a in enumerate(self.atom_ids)}
-        self.atom_measures = np.array(
-            [float(atom_measures[a]) for a in self.atom_ids])
+        measures = np.array([float(atom_measures[a]) for a in ids])
+        self._build(np.array(ids), measures, cells, A, Asharp, adjacency)
+
+    @classmethod
+    def from_arrays(cls, atom_ids, atom_measures, cells, A, Asharp,
+                    adjacency=()) -> "GoodCovering":
+        """The covering of the atoms ``atom_ids`` (sorted and distinct)
+        with ``atom_measures`` in the same order; the rest as for the
+        constructor."""
+        cov = cls.__new__(cls)
+        cov._build(np.asarray(atom_ids), np.asarray(atom_measures, float),
+                   cells, A, Asharp, adjacency)
+        return cov
+
+    def _build(self, atom_ids, atom_measures, cells, A, Asharp, adjacency):
+        if atom_ids.dtype.kind not in "iU" or atom_ids.ndim != 1:
+            raise DomainError("atom ids must be all 64-bit integers or all "
+                              "strings")
+        if not np.all(atom_ids[1:] > atom_ids[:-1]):
+            raise DomainError("atom ids must be sorted and distinct")
+        self.atom_ids = _frozen(atom_ids)
+        self.atom_measures = _frozen(atom_measures)
         if not np.all(self.atom_measures > 0):
             raise DomainError("atom measures must be positive")
         # bounds the measure of every cell
@@ -62,39 +109,88 @@ class GoodCovering:
             total = float(self.atom_measures.sum())
         if not math.isfinite(total):
             raise DomainError(f"total atom measure {total} must be finite")
-        self.cells = tuple(
-            c if isinstance(c, Cell) else Cell(frozenset(c[0]),
-                                               frozenset(c[1]),
-                                               frozenset(c[2]))
-            for c in cells)
-        if not self.cells:
+        cells = tuple(cells)
+        if not cells:
             raise DomainError("covering needs at least one cell")
-        self.A = frozenset(A)
-        self.Asharp = frozenset(Asharp)
-        self.adjacency = tuple(adjacency)
-        masks = np.zeros((3, len(self.cells), len(self.atom_ids)), dtype=bool)
-        for i, c in enumerate(self.cells):
-            for j, s in enumerate((c.U, c.Ustar, c.Usharp)):
-                masks[j, i, self._positions(s, "cell")] = True
+        masks = np.zeros((3, len(cells), len(atom_ids)), dtype=bool)
+        out = []
+        for i, c in enumerate(cells):
+            U, Us, Uh = (c.U, c.Ustar, c.Usharp) if isinstance(c, Cell) else c
+            # U* = U# given as one set is mapped once and kept as one array
+            row = [self._sorted_ids(U, "cell"), self._sorted_ids(Us, "cell")]
+            row.append(row[1] if Uh is Us else self._sorted_ids(Uh, "cell"))
+            for j, (_, index) in enumerate(row):
+                masks[j, i, index] = True
+            out.append(Cell(*(ids for ids, _ in row)))
+        self.cells = tuple(out)
         self._cell_bits = np.packbits(masks, axis=-1)
-        self._positions(self.A | self.Asharp, "region")
-        if any(len(e) != 2 for e in self.adjacency):
+        self.A, self._A_index = self._sorted_ids(A, "region")
+        self.Asharp, self._Asharp_index = self._sorted_ids(Asharp, "region")
+        if isinstance(adjacency, np.ndarray):
+            pairs = adjacency.size == 0 or (adjacency.ndim == 2
+                                            and adjacency.shape[1] == 2)
+            flat = adjacency.ravel()
+        else:
+            adjacency = list(adjacency)
+            pairs = all(len(e) == 2 for e in adjacency)
+            flat = [a for e in adjacency for a in e]
+        if not pairs:
             raise DomainError("adjacency entries must be pairs of atom ids")
-        self._adjacency_index = self._positions(
-            [a for e in self.adjacency for a in e], "adjacency").reshape(-1, 2)
+        flat, index = self._positions(flat, "adjacency")
+        self.adjacency = _frozen(flat.reshape(-1, 2))
+        self._adjacency_index = index.reshape(-1, 2)
 
-    # -- boolean mask helpers -------------------------------------------
-    def _positions(self, atoms, what="set") -> np.ndarray:
-        """Indices of the atom ids; DomainError naming an unknown one."""
-        try:
-            return np.fromiter(map(self._index.__getitem__, atoms), dtype=int)
-        except KeyError as exc:
-            raise DomainError(f"{what} references unknown atom "
-                              f"{exc.args[0]!r}") from None
+    # -- id arrays and boolean masks ------------------------------------
+    def _positions(self, ids, what):
+        """The ids as an array (a list of ids is converted) and their
+        positions in the atom table, by ``np.searchsorted``.  DomainError
+        names the first id that is not an atom, or not of the atom ids'
+        type; TypeError unless the ids form a flat list."""
+        table = self.atom_ids
+        items = None
+        if isinstance(ids, np.ndarray) and ids.dtype != object:
+            arr = ids
+        else:
+            items = list(ids)
+            try:
+                arr = np.asarray(items)
+            except ValueError:
+                arr = None
+        if arr is None or arr.ndim != 1:
+            raise TypeError(f"{what} ids must be a flat list of atom ids")
+        if not len(arr):
+            arr = table[:0]
+        # numpy turns mixed ints and strings into strings
+        same = (arr.dtype.kind in ("iu" if table.dtype.kind == "i" else "U")
+                and (arr.dtype.kind != "U" or items is None
+                     or all(isinstance(v, str) for v in items)))
+        if same:
+            pos = np.minimum(np.searchsorted(table, arr), len(table) - 1)
+            bad = np.flatnonzero(table[pos] != arr)
+            if not len(bad):
+                return arr, pos
+            unknown = arr[bad[0]].item()
+        else:
+            kind, known = type(table[0].item()), set(table.tolist())
+            unknown = next(v for v in (arr.tolist() if items is None
+                                       else items)
+                           if type(v) is not kind or v not in known)
+        raise DomainError(f"{what} references unknown atom {unknown!r}")
 
-    def _mask(self, atoms) -> np.ndarray:
+    def _sorted_ids(self, ids, what):
+        """The ids as a sorted, read-only array of distinct atom ids, and
+        their positions in the atom table."""
+        arr, pos = self._positions(ids, what)
+        if not np.all(pos[1:] > pos[:-1]):
+            pos = np.unique(pos)
+            arr = self.atom_ids[pos]
+        elif arr.dtype != self.atom_ids.dtype:
+            arr = self.atom_ids[pos]
+        return _frozen(arr), pos
+
+    def _mask(self, index) -> np.ndarray:
         m = np.zeros(len(self.atom_ids), dtype=bool)
-        m[self._positions(atoms)] = True
+        m[index] = True
         return m
 
     def _cell_masks(self):
@@ -129,7 +225,7 @@ class CoveringReport:
 def validate_covering(cov: GoodCovering) -> CoveringReport:
     """Check conditions (i)-(v); report Q1, Q2, witnesses and violations."""
     U, Us, Uh = cov._cell_masks()
-    mA, mAh = cov._mask(cov.A), cov._mask(cov.Asharp)
+    mA, mAh = cov._mask(cov._A_index), cov._mask(cov._Asharp_index)
     mu = cov.atom_measures
     violations = []
 
@@ -139,10 +235,12 @@ def validate_covering(cov: GoodCovering) -> CoveringReport:
         violations.append("(i) region A is not covered by the cells U_i")
     if np.any(union_Uh & ~mAh):
         violations.append("(i) union of U#_i leaves the enlarged region A#")
+    unnested = (U & ~Us).any(axis=1) | (Us & ~Uh).any(axis=1)
+    empty = ~U.any(axis=1)
     for i in range(len(cov.cells)):
-        if np.any(U[i] & ~Us[i]) or np.any(Us[i] & ~Uh[i]):
+        if unnested[i]:
             violations.append(f"(ii) cell {i}: U <= U* <= U# fails")
-        if not U[i].any():
+        if empty[i]:
             violations.append(f"(ii) cell {i}: U_i is empty")
 
     # (iii) overlap multiplicity of the U# cells
@@ -156,28 +254,23 @@ def validate_covering(cov: GoodCovering) -> CoveringReport:
     touch = (closU.astype(np.float32) @ Uf.T) > 0
     touch |= touch.T
 
-    muU = U @ mu
-    muUs = Us @ mu
-    witnesses = {}
-    q2 = 0.0
-    nc = len(cov.cells)
-    for i in range(nc):
-        for j in range(i, nc):
-            if not touch[i, j]:
-                continue
-            target = U[i] | U[j]
-            k_found = None
-            for k in [i, j] + list(range(nc)):
-                if not np.any(target & ~Us[k]):
-                    k_found = k
-                    break
-            if k_found is None:
-                violations.append(
-                    f"(iv) no cell U*_k contains U_{i} union U_{j}")
-                continue
-            witnesses[(i, j)] = k_found
-            # Python floats: an overflow gives inf, without a numpy warning
-            q2 = max(q2, float(muUs[k_found]) / float(min(muU[i], muU[j])))
+    # witness of a touching pair i <= j: the first k of i, j, 0, 1, ...
+    # with U_i and U_j in U*_k (counts of float32 ones are exact)
+    inside = (Uf @ (~Us).astype(np.float32).T) == 0   # U_i <= U*_k
+    I, J = np.nonzero(np.triu(touch))
+    fits = inside[I] & inside[J]
+    rows = np.arange(len(I))
+    K = np.where(fits[rows, I], I,
+                 np.where(fits[rows, J], J, fits.argmax(axis=1)))
+    found = fits.any(axis=1)
+    for i, j in zip(I[~found].tolist(), J[~found].tolist()):
+        violations.append(f"(iv) no cell U*_k contains U_{i} union U_{j}")
+    I, J, K = I[found], J[found], K[found]
+    witnesses = dict(zip(zip(I.tolist(), J.tolist()), K.tolist()))
+    muU, muUs = U @ mu, Us @ mu
+    with np.errstate(over="ignore"):
+        q2 = float(np.max(muUs[K] / np.minimum(muU[I], muU[J]),
+                          initial=0.0))
     if math.isinf(q2):
         raise DomainError("the measure ratio Q2 overflows a float")
     return CoveringReport(q1, q2, witnesses, violations)
@@ -258,13 +351,13 @@ def patch_neumann(inp: PatchingInput) -> float:
 
 def covering_to_json(cov: GoodCovering) -> str:
     doc = {
-        "atoms": [{"id": a, "measure": float(m)}
-                  for a, m in zip(cov.atom_ids, cov.atom_measures)],
-        "cells": [{"U": sorted(c.U), "Ustar": sorted(c.Ustar),
-                   "Usharp": sorted(c.Usharp)} for c in cov.cells],
-        "A": sorted(cov.A),
-        "Asharp": sorted(cov.Asharp),
-        "adjacency": [sorted(e) for e in cov.adjacency],
+        "atoms": [{"id": a, "measure": m} for a, m in
+                  zip(cov.atom_ids.tolist(), cov.atom_measures.tolist())],
+        "cells": [{"U": c.U.tolist(), "Ustar": c.Ustar.tolist(),
+                   "Usharp": c.Usharp.tolist()} for c in cov.cells],
+        "A": cov.A.tolist(),
+        "Asharp": cov.Asharp.tolist(),
+        "adjacency": np.sort(cov.adjacency, axis=1).tolist(),
     }
     return json.dumps(doc, sort_keys=True, indent=2)
 

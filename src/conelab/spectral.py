@@ -2,12 +2,13 @@
 
 Poincare constants act on the conductance data of any network exposing
 ``measures``, ``edges`` and ``conductances``: the quadratic form
-sum c_e |f(i)-f(j)|^2 against the vertex measure matrix.  Above 400
-vertices the energy form is put in reverse Cuthill-McKee order and factored
-once as a band (LAPACK ``dpbtrf``, with a pivot guard against forms that are
-singular to working precision); Lanczos then runs on a standard symmetric
-operator, one ``dpbtrs`` solve per step, and the eigenpair it returns is
-checked by its residual on the pencil (:func:`poincare_constant`).
+sum c_e |f(i)-f(j)|^2 against the vertex measure matrix.  The energy form is
+put in reverse Cuthill-McKee order and factored once as a band (LAPACK
+``dpbtrf``, with a pivot guard against forms that are singular to working
+precision); the pencil's largest eigenpair then comes from a standard
+symmetric operator, formed densely up to 400 vertices and applied by
+Lanczos above, one ``dpbtrs`` solve per step, and it is checked by its
+residual on the pencil (:func:`poincare_constant`).
 
 Heat kernels and Green's functions need a
 :class:`~conelab.cones.DiscretizedCone`: they use
@@ -432,7 +433,9 @@ def _band_factor(pos, edges, c, n):
     k = hi[inner] - lo[inner]
     kd = int(k.max(initial=0))
     ab = np.bincount(k * n + lo[inner], -c[inner], (kd + 1) * n)
-    ab = ab.reshape(kd + 1, n)
+    # without inner edges (a star about the grounded vertex) bincount
+    # returns integers, which would truncate the diagonal
+    ab = ab.astype(float, copy=False).reshape(kd + 1, n)
     ab[0] = diag
     factor, info = dpbtrf(ab, lower=1)
     if info != 0:
@@ -451,18 +454,19 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
 
     This is the largest eigenvalue of the pencil (Q, L) where Q is the
     centered mass form supported on U and L the energy form on U'.  Both
-    forms are shift invariant, so one U vertex is grounded.  Up to 400
-    vertices in U' the pencil is solved densely.  Above, the vertices are
-    put in reverse Cuthill-McKee order, and the grounded L is factored once
-    as a band (LAPACK ``dpbtrf``, see :func:`_band_factor`).  With
+    forms are shift invariant, so one U vertex is grounded.  The vertices
+    are put in reverse Cuthill-McKee order, and the grounded L is factored
+    once as a band (LAPACK ``dpbtrf``, see :func:`_band_factor`).  With
     Q = P^T D P, D = diag(m on U) and P f = f - a(f), the nonzero spectrum
     of the pencil is that of the symmetric operator B = D^1/2 P L^+ P^T D^1/2
     on U: P^T maps into the sum-zero vectors, where L^+ is one ``dpbtrs``
-    solve of the grounded system, and P removes the constant.  ARPACK's
-    Lanczos (mode 1, to machine precision) finds B's largest eigenpair
-    (lambda, y), one band solve per step; CapacityError if it does not
-    converge.  The pair is then checked on the pencil itself: with
-    f = L^+ P^T D^1/2 y, InternalFault is raised unless
+    solve of the grounded system, and P removes the constant.  Up to 400
+    vertices in U', B is formed densely, one ``dpbtrs`` call with a
+    right-hand side per U vertex, and its largest eigenpair (lambda, y)
+    taken by ``scipy.linalg.eigh``.  Above, ARPACK's Lanczos (mode 1, to
+    machine precision) finds it, one band solve per step; CapacityError if
+    it does not converge.  On both routes the pair is then checked on the
+    pencil itself: with f = L^+ P^T D^1/2 y, InternalFault is raised unless
     ||Q f - lambda L f||_inf <= POINCARE_RESIDUAL_TOL * (||D f||_inf +
     lambda || |L| |f| ||_inf), L f and |L| |f| summed edge by edge.
 
@@ -472,7 +476,10 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     or is singular to working precision.
     """
     def ids(vs):
-        return np.unique(np.fromiter(vs, dtype=int))
+        """Sorted distinct vertices, from an array or any iterable."""
+        a = np.asarray(vs if isinstance(vs, np.ndarray) else list(vs),
+                       dtype=int)
+        return a if np.all(a[1:] > a[:-1]) else np.unique(a)
 
     U, Up = ids(U), ids(Uprime)
     if not np.isin(U, Up).all():
@@ -514,27 +521,11 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     in_mean = u_loc[np.isin(U, mean_set)]
     mm_full[in_mean] = mU_full[in_mean]
     mu_mean = mm_full.sum()
-    mu_U = mU_full.sum()
 
-    # ground the first U vertex (both forms are shift invariant)
+    # ground the first U vertex (both forms are shift invariant); band
+    # positions: reverse Cuthill-McKee order, the grounded vertex last
     g = int(u_loc[0])
     n = nloc - 1
-    if nloc <= 400:
-        keep = np.r_[np.arange(g), np.arange(g + 1, nloc)]
-        Qd = (np.diag(mU_full)
-              - (np.outer(mU_full, mm_full) + np.outer(mm_full, mU_full))
-              / mu_mean
-              + np.outer(mm_full, mm_full) * (mu_U / mu_mean ** 2))
-        try:
-            w = scipy.linalg.eigh(Qd[np.ix_(keep, keep)],
-                                  L[keep][:, keep].toarray(),
-                                  eigvals_only=True,
-                                  subset_by_index=[n - 1, n - 1])
-        except scipy.linalg.LinAlgError as exc:
-            raise PreconditionError(f"energy form on {nloc} vertices is not "
-                                    f"positive definite") from exc
-        return float(max(w[0], 0.0))
-    # band positions: reverse Cuthill-McKee order, the grounded vertex last
     order = reverse_cuthill_mckee(L, symmetric_mode=True)
     pos = np.empty(nloc, dtype=int)
     pos[order[order != g]] = np.arange(n)
@@ -558,14 +549,25 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
         return sq * (x - np.dot(mm, x) / mu_mean)
 
     nU = len(u_loc)
-    # a fixed start vector keeps repeated runs bit-identical
-    v0 = np.random.default_rng(12345).standard_normal(nU)
-    try:
-        w, y = eigsh(LinearOperator((nU, nU), matvec=bmul, dtype=float),
-                     k=1, which="LA", v0=v0)
-    except ArpackNoConvergence as exc:
-        raise CapacityError(f"Lanczos solve for the Poincare constant on "
-                            f"{nloc} vertices did not converge") from exc
+    if nloc <= 400:
+        # B column by column: one dpbtrs with a right-hand side per U vertex
+        r = np.zeros((n + 1, nU))
+        r[pos_U] = np.diag(sq) - np.outer(mm, sq / mu_mean)
+        r[:n] = dpbtrs(factor, r[:n], lower=1)[0]
+        r[n] = 0.0
+        x = r[pos_U]
+        B = sq[:, None] * (x - mm @ x / mu_mean)
+        w, y = scipy.linalg.eigh(B, subset_by_index=[nU - 1, nU - 1])
+    else:
+        # a fixed start vector keeps repeated runs bit-identical
+        v0 = np.random.default_rng(12345).standard_normal(nU)
+        try:
+            w, y = eigsh(LinearOperator((nU, nU), matvec=bmul, dtype=float),
+                         k=1, which="LA", v0=v0)
+        except ArpackNoConvergence as exc:
+            raise CapacityError(
+                f"Lanczos solve for the Poincare constant on {nloc} "
+                f"vertices did not converge") from exc
     lam = float(w[0])
     f = solve(y[:, 0])[pos]
     a = np.dot(mm_full, f) / mu_mean
@@ -627,11 +629,12 @@ def scale_invariant_poincare_scan(cone, delta: float = 0.5,
 
 
 def _cell_key(net, cell):
-    """Canonical key of a cell (U, U*, U#) of network vertices: equal keys
-    mean congruent cells, whose Poincare constants agree.
+    """Canonical key of a cell (U, U*, U#) of network vertices, sorted index
+    arrays (:class:`~conelab.covering.Cell`): equal keys mean congruent
+    cells, whose Poincare constants agree.
 
-    Without a ``link_automorphism`` on ``net`` the key is the three sorted
-    vertex sets.  On a cone with the link rotation sigma it is the least
+    Without a ``link_automorphism`` on ``net`` the key is the three arrays'
+    bytes.  On a cone with the link rotation sigma it is the least
     image of the three sets, as boolean (ring x link node) masks over the
     cell's rings, under the powers of sigma that move a node of U's lowest
     ring to node 0 (all powers if U holds no ring vertex).  Rotating the
@@ -639,8 +642,7 @@ def _cell_key(net, cell):
     key.  Only set membership enters, so rounding that breaks the symmetry
     can split a class, never merge two.
     """
-    sets = [np.sort(np.fromiter(s, dtype=int, count=len(s)))
-            for s in (cell.U, cell.Ustar, cell.Usharp)]
+    sets = (cell.U, cell.Ustar, cell.Usharp)
     if getattr(net, "link_automorphism", None) is None:
         return tuple(s.tobytes() for s in sets)
     parts = [(net.ring_of[s], net.link_index[s]) for s in sets]
@@ -689,7 +691,7 @@ def covering_cell_constant(cov, net) -> float:
         if key in checked:
             continue
         values = (poincare_constant(net, c.Ustar, c.Usharp, mean_set=c.U),)
-        if c.Ustar != c.Usharp:
+        if not np.array_equal(c.Ustar, c.Usharp):
             values += (poincare_constant(net, c.U, c.Ustar),)
         if key not in first:
             first[key] = values

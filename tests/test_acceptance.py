@@ -2,8 +2,11 @@
 
 Run with ``pytest -v tests/test_acceptance.py``: the verbose listing gives
 one pass/fail line per criterion.  Each test prints its measured numbers,
-visible with ``-s`` or on failure.
+visible with ``-s`` or on failure.  Criterion 2 has a second test that pins
+the numbers of its R = 1 step bit for bit.
 """
+import hashlib
+import json
 import math
 import time
 
@@ -60,6 +63,30 @@ def test_criterion_2_patching_soundness_and_scaling():
     lo, hi = min(normalized.values()), max(normalized.values())
     print(f"criterion 2: Lambda/R^2 spread {(hi - lo) / lo:.3%}")
     assert hi <= lo * 1.10
+
+
+def test_criterion_2_numbers_are_pinned():
+    """Every number of the R = 1 patching step, to the last bit: a change to
+    how coverings are stored or solved must not move any of them."""
+    cone = cl.build_cone(cl.CircleLink(TWO_PI), 0.15, 16.0, 168,
+                         angular_steps=48, spacing="geometric")
+    region = np.flatnonzero((cone.radii >= 1.0)
+                            & (cone.radii <= 2.0)).tolist()
+    cov = cl.net_covering(cone, region, 0.3)
+    rep = cl.validate_covering(cov)
+    assert rep.ok, rep.violations
+    s_graph = 1.0 / spectral_gap(cl.associated_graph(cov, rep))
+    s_cell = covering_cell_constant(cov, cone)
+    lam = poincare_constant(cone, region, sorted(cov.Asharp))
+    assert (rep.q1, repr(rep.q2)) == (55, "15.481140289858345")
+    assert repr(s_graph) == "3.471695418872512"
+    assert repr(s_cell) == "0.7210546181615378"
+    assert repr(lam) == "0.8293670316752491"
+    # the witnesses k(i, j) as a JSON list of sorted [i, j, k] triples
+    triples = sorted([i, j, k] for (i, j), k in rep.witnesses.items())
+    assert len(triples) == 301
+    assert hashlib.sha256(json.dumps(triples).encode()).hexdigest() == (
+        "020e4bb3457db5abaf20d429c5ba713ededd200e12c0418e893b8b6a09245da4")
 
 
 # -- 3. Volume doubling on cones over circles -------------------------------

@@ -156,6 +156,31 @@ class TestCoverCommand:
         assert self.run_chain(tmp_path, doc) == 2
         assert "adjacency references unknown atom 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ids, unknown", [(list(range(5)), 7),
+                                              (list("abcde"), "z")])
+    @pytest.mark.parametrize("field, what", [
+        ("Ustar", "cell"), ("A", "region"), ("Asharp", "region"),
+        ("adjacency", "adjacency")])
+    def test_unknown_atom_is_named(self, tmp_path, capsys, ids, unknown,
+                                   field, what):
+        doc = self.chain(list(ids))
+        if field == "Ustar":
+            doc["cells"][1]["Ustar"].append(unknown)
+        elif field == "adjacency":
+            doc["adjacency"].append([ids[0], unknown])
+        else:
+            doc[field].append(unknown)
+        assert self.run_chain(tmp_path, doc) == 2
+        assert (f"{what} references unknown atom {unknown!r}"
+                in capsys.readouterr().err)
+
+    def test_integer_id_among_string_atoms_exit_2(self, tmp_path, capsys):
+        # numpy would turn [0, "1"] into the strings "0" and "1"
+        doc = self.chain([str(a) for a in range(5)])
+        doc["cells"][0]["U"] = [0, "1"]
+        assert self.run_chain(tmp_path, doc) == 2
+        assert "cell references unknown atom 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["cell atom", "measure"])
     def test_malformed_atom_exit_2(self, tmp_path, capsys, field):
         doc = self.chain(list(range(5)))

@@ -1,5 +1,8 @@
+import json
 import math
+import os
 
+import numpy as np
 import pytest
 
 from conelab import (GoodCovering, PatchingInput, PreconditionError,
@@ -124,12 +127,79 @@ class TestPatching:
             patch_dirichlet(PatchingInput(1.0, 1.0, 1, 1.0, p=2.0, nu=2.0))
 
 
+class TestArrays:
+    def test_sets_are_sorted_id_arrays(self):
+        atoms = {a: 1.0 for a in range(5)}
+        cov = GoodCovering(atoms, [({3, 1}, [3, 1, 1, 2], range(5))],
+                           A=(2, 1), Asharp=range(5), adjacency=[(1, 0)])
+        (c,) = cov.cells
+        for got, want in ((c.U, [1, 3]), (c.Ustar, [1, 2, 3]),
+                          (c.Usharp, range(5)), (cov.A, [1, 2]),
+                          (cov.atom_ids, range(5)), (cov.adjacency, [[1, 0]])):
+            np.testing.assert_array_equal(got, want)
+
+    def test_arrays_are_read_only(self):
+        cov = three_intervals()
+        c = cov.cells[0]
+        for arr in (c.U, c.Ustar, c.Usharp, cov.A, cov.Asharp,
+                    cov.adjacency, cov.atom_ids, cov.atom_measures):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 4
+
+    def test_input_arrays_stay_writable(self):
+        U = np.array([1])
+        GoodCovering({a: 1.0 for a in range(2)}, [(U, U, U)], A=U,
+                     Asharp=U, adjacency=[])
+        U[0] = 0
+
+    def test_shared_set_is_kept_once(self):
+        atoms = {a: 1.0 for a in range(3)}
+        U, Us = np.array([1]), np.array([0, 1, 2])
+        (c,) = GoodCovering(atoms, [(U, Us, Us)], A=U, Asharp=Us).cells
+        assert c.Ustar is c.Usharp
+        assert c.U is not c.Ustar
+
+    def test_from_arrays_matches_the_mapping(self):
+        cov = three_intervals()
+        cov2 = GoodCovering.from_arrays(
+            np.arange(5), np.ones(5), cov.cells, cov.A, cov.Asharp,
+            cov.adjacency)
+        r1, r2 = validate_covering(cov), validate_covering(cov2)
+        assert (r1.q1, r1.q2, r1.witnesses) == (r2.q1, r2.q2, r2.witnesses)
+
+    @pytest.mark.parametrize("ids", [[2, 1], [1, 1], [0.5, 1.5]])
+    def test_from_arrays_needs_sorted_integer_or_string_ids(self, ids):
+        with pytest.raises(DomainError, match="atom ids"):
+            GoodCovering.from_arrays(np.array(ids), np.ones(2),
+                                     [([ids[0]], ids, ids)], ids, ids, [])
+
+
 class TestJson:
     def test_round_trip(self):
         cov = three_intervals()
         cov2 = covering_from_json(covering_to_json(cov))
         r1, r2 = validate_covering(cov), validate_covering(cov2)
         assert (r1.ok, r1.q1, r1.q2) == (r2.ok, r2.q1, r2.q2)
+
+    def test_fixture_round_trip_is_byte_identical(self):
+        path = os.path.join(os.path.dirname(__file__), "fixtures",
+                            "cover.json")
+        with open(path) as fh:
+            text = fh.read()
+        # the file ends with a newline; covering_to_json writes none
+        assert covering_to_json(covering_from_json(text)) == text[:-1]
+
+    def test_string_ids_round_trip_is_byte_identical(self):
+        ids = ["p", "q", "r", "s", "t"]
+        cells = [([ids[i]], ids[i - 1:i + 2], ids[i - 1:i + 2])
+                 for i in (1, 2, 3)]
+        text = covering_to_json(GoodCovering(
+            dict.fromkeys(ids, 0.5), cells, ids[1:4], ids,
+            list(zip(ids[1:], ids))))
+        doc = json.loads(text)
+        assert doc["atoms"][0]["id"] == "p"
+        assert doc["adjacency"][0] == ["p", "q"]   # each pair sorted
+        assert covering_to_json(covering_from_json(text)) == text
 
     def test_malformed(self):
         with pytest.raises(DomainError):

@@ -33,6 +33,19 @@ def path_net(n, h):
     return net
 
 
+def cancelling_triangle_net(n, seed=None):
+    """path_net(n, 1) with a triangle whose spanning-tree weights 1 - 1/2 -
+    1/2 cancel, which makes the grounded energy form exactly singular; with
+    a seed, its vertices renumbered at random."""
+    net = path_net(n, 1.0)
+    net.edges = [(0, 2)] + net.edges
+    net.conductances = [-0.5, 1.0, 1.0] + net.conductances[2:]
+    if seed is not None:
+        perm = np.random.default_rng(seed).permutation(n)
+        net.edges = [(int(perm[a]), int(perm[b])) for a, b in net.edges]
+    return net
+
+
 class TestPoincare:
     def test_unit_interval_oracle(self):
         # best constant for int |f - mean|^2 <= C int |f'|^2 on [0,1] is 1/pi^2
@@ -85,11 +98,7 @@ class TestPoincare:
 
     @pytest.mark.parametrize("n", [300, 500])
     def test_singular_energy_form_is_a_precondition(self, n):
-        # a triangle whose spanning-tree weights 1 - 1/2 - 1/2 cancel makes
-        # the grounded energy form exactly singular
-        net = path_net(n, 1.0)
-        net.edges = [(0, 2)] + net.edges
-        net.conductances = [-0.5, 1.0, 1.0] + net.conductances[2:]
+        net = cancelling_triangle_net(n)
         with pytest.raises(PreconditionError):
             poincare_constant(net, range(n), range(n))
 
@@ -97,13 +106,30 @@ class TestPoincare:
         # the same net under a random renumbering: the band order then
         # meets the cancellation as a tiny pivot, not a failed dpbtrf
         n = 500
-        net = path_net(n, 1.0)
-        net.edges = [(0, 2)] + net.edges
-        net.conductances = [-0.5, 1.0, 1.0] + net.conductances[2:]
-        perm = np.random.default_rng(3).permutation(n)
-        net.edges = [(int(perm[a]), int(perm[b])) for a, b in net.edges]
+        net = cancelling_triangle_net(n, seed=3)
         with pytest.raises(PreconditionError):
             poincare_constant(net, range(n), range(n))
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize("n", [50, 300, 399])
+    def test_singular_dense_form_in_any_numbering(self, n, seed):
+        # the dense route shares the band factor and its pivot guard: a
+        # dense generalized eigen-solve returned about 1.1e16 here
+        net = cancelling_triangle_net(n, seed)
+        with pytest.raises(PreconditionError, match="singular"):
+            poincare_constant(net, range(n), range(n))
+
+    @pytest.mark.parametrize("n", [10, 500])   # dense and Lanczos routes
+    def test_star_about_the_grounded_vertex(self, n):
+        # every edge meets the grounded centre, so the band is its diagonal
+        # alone; the leaves off U follow the centre, and the constant is
+        # that of the edge (0, 1): (h / 2) / c with c = 1 / h
+        h = 0.3
+        net = types.SimpleNamespace(measures=[h] * n,
+                                    edges=[(0, i) for i in range(1, n)],
+                                    conductances=[1.0 / h] * (n - 1))
+        lam = poincare_constant(net, [0, 1], range(n))
+        assert lam == pytest.approx(h * h / 2, rel=1e-12)
 
     def test_singleton_zero(self):
         net = path_net(5, 1.0)
@@ -708,15 +734,20 @@ def band_covering(cone, lo, hi, s):
 
 
 def dilated(cone, vertices, steps):
-    """The vertex set grown by ``steps`` grid edges."""
+    """The sorted vertex array grown by ``steps`` grid edges."""
     inside = np.zeros(cone.n_vertices, dtype=bool)
-    inside[list(vertices)] = True
+    inside[vertices] = True
     a, b = cone.edges.T
     for _ in range(steps):
         grown = inside.copy()
         grown[b[inside[a]]] = grown[a[inside[b]]] = True
         inside = grown
-    return frozenset(np.flatnonzero(inside).tolist())
+    return np.flatnonzero(inside)
+
+
+def proper_subset(a, b):
+    """Whether the sorted vertex array a is a proper subset of b."""
+    return bool(np.isin(a, b).all()) and len(a) < len(b)
 
 
 #: coverings built by conelab.cones, all with U* = U#
@@ -724,17 +755,13 @@ BUILT = ["annulus", "apex", "sphere", "annular"]
 
 
 def rotated(cone, vertices, shift, reflect=False):
-    """Image of a vertex set under (k, a) -> (k, +-a + shift mod A)."""
+    """Image of a sorted vertex array under (k, a) -> (k, +-a + shift mod
+    A), sorted."""
     A = cone.link_nodes
     off = 0 if cone.apex is None else 1
-    out = set()
-    for v in vertices:
-        if v == cone.apex:
-            out.add(v)
-            continue
-        k, a = divmod(v - off, A)
-        out.add(off + k * A + ((-a if reflect else a) + shift) % A)
-    return frozenset(out)
+    k, a = np.divmod(vertices - off, A)
+    image = off + k * A + ((-a if reflect else a) + shift) % A
+    return np.sort(np.where(vertices == cone.apex, vertices, image))
 
 
 def rotated_cell(cone, cell, shift, reflect=False):
@@ -758,12 +785,14 @@ class TestCongruenceClasses:
             if case == "annulus":
                 return cone, cov
             # hand-built: U* shrunk to U dilated by two grid edges
-            cells = [Cell(c.U, dilated(cone, c.U, 2) & c.Usharp, c.Usharp)
+            cells = [Cell(c.U, np.intersect1d(dilated(cone, c.U, 2),
+                                              c.Usharp), c.Usharp)
                      for c in cov.cells]
-            assert all(c.U < c.Ustar < c.Usharp for c in cells)
-            return cone, GoodCovering(
-                dict(zip(cov.atom_ids, cov.atom_measures)), cells, cov.A,
-                cov.Asharp, cov.adjacency)
+            assert all(proper_subset(c.U, c.Ustar)
+                       and proper_subset(c.Ustar, c.Usharp) for c in cells)
+            return cone, GoodCovering.from_arrays(
+                cov.atom_ids, cov.atom_measures, cells, cov.A, cov.Asharp,
+                cov.adjacency)
         if case == "apex":
             cone = build_cone(CircleLink(1.5 * math.pi), 0.0, 2.5, 12,
                               angular_steps=18)
@@ -778,22 +807,24 @@ class TestCongruenceClasses:
     @pytest.mark.parametrize("case", BUILT + ["middle"])
     def test_matches_cell_loop(self, case, monkeypatch):
         cone, cov = self.covering(case)
-        assert all(c.Ustar == c.Usharp for c in cov.cells) == (case in BUILT)
+        assert all(np.array_equal(c.Ustar, c.Usharp)
+                   for c in cov.cells) == (case in BUILT)
         want = loop_cell_constant(cov, cone)
         calls = count_pencils(monkeypatch)
         got = covering_cell_constant(cov, cone)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
         key = conelab.spectral._cell_key
         sizes = Counter(key(cone, c) for c in cov.cells)
-        pencils = {key(cone, c): 1 if c.Ustar == c.Usharp else 2
-                   for c in cov.cells}
+        pencils = {key(cone, c): 1 if np.array_equal(c.Ustar, c.Usharp)
+                   else 2 for c in cov.cells}
         # each class once, and its second member (if any) as the spot
         # check: one pencil per solved member when U* = U#, else two
         assert len(calls) == sum(min(n, 2) * pencils[k]
                                  for k, n in sizes.items())
-        assert {u for u, _ in calls} <= (
-            {c.Ustar for c in cov.cells}
-            | {c.U for c in cov.cells if c.Ustar != c.Usharp})
+        assert {u.tobytes() for u, _ in calls} <= (
+            {c.Ustar.tobytes() for c in cov.cells}
+            | {c.U.tobytes() for c in cov.cells
+               if not np.array_equal(c.Ustar, c.Usharp)})
         if case in ("annulus", "apex", "middle"):
             assert len(sizes) < len(cov.cells)
         else:
@@ -826,14 +857,16 @@ class TestCongruenceClasses:
 
         def v(k, a):
             return k * A + a % A
-        U = frozenset({v(2, 0), v(2, 1), v(3, 0)})
-        Ustar = U | {v(2, 2), v(3, 1)}
-        cell = Cell(U, Ustar, Ustar | {v(4, 0)})
+        def cell_of(*sets):
+            return Cell(*(np.sort(s) for s in sets))
+        U = [v(2, 0), v(2, 1), v(3, 0)]
+        Ustar = U + [v(2, 2), v(3, 1)]
+        cell = cell_of(U, Ustar, Ustar + [v(4, 0)])
         key = conelab.spectral._cell_key
         mirror = rotated_cell(cone, cell, 0, reflect=True)
         assert all(key(cone, rotated_cell(cone, mirror, s)) != key(cone, cell)
                    for s in range(A))
-        wider = Cell(U, Ustar, Ustar | {v(4, 1)})
+        wider = cell_of(U, Ustar, Ustar + [v(4, 1)])
         assert key(cone, wider) != key(cone, cell)
         assert key(cone, rotated_cell(cone, cell, 5)) == key(cone, cell)
 
