@@ -359,16 +359,28 @@ class DiscretizedCone:
         return float(self.measures.sum())
 
     def distances_from(self, v: int) -> np.ndarray:
-        """Exact cone distances from vertex v to every vertex."""
+        """Exact cone distances from vertex v to every vertex.
+
+        The grid is a product, so these come from one (rings x link nodes)
+        broadcast: vertex off + k*A + a lies at
+
+            sqrt(max(r1^2 + rho_k^2 - 2 r1 rho_k cos(theta_a), 0))
+
+        from v, with r1 the radius of v, rho_k = ``ring_radii[k]`` and
+        theta_a = min(d_S(a_v, a), pi) the link distance from v's node.
+        The cosine runs once per link node, not once per vertex.
+        """
         r1 = self.radii[v]
-        r = self.radii
         if v == self.apex:
-            return r.copy()
-        dS = self._link_dist[self.link_index[v], self.link_index].copy()
-        ang = np.minimum(dS, math.pi)
-        d = np.sqrt(np.maximum(
-            r1 * r1 + r * r - 2.0 * r1 * r * np.cos(ang), 0.0))
-        if self.apex is not None:
+            return self.radii.copy()
+        off = 0 if self.apex is None else 1
+        cs = np.cos(np.minimum(self._link_dist[self.link_index[v]], math.pi))
+        rr = self.ring_radii[:, None]
+        d = np.empty(self.n_vertices)
+        sq = r1 * r1 + rr * rr - 2.0 * r1 * rr * cs
+        np.sqrt(np.maximum(sq, 0.0, out=sq),
+                out=d[off:].reshape(self.radial_steps, self.link_nodes))
+        if off:
             d[self.apex] = r1
         d[v] = 0.0
         return d

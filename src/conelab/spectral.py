@@ -22,6 +22,7 @@ network, summed edge by edge (:func:`_robin_products`).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -71,11 +72,32 @@ def _outflow(cone) -> float:
     return (n - 2) / cone.r_max * cone.r_max ** (n - 1)
 
 
+#: (mu, Phi) of :func:`_link_modes` for each live cone.
+_LINK_MODES = weakref.WeakKeyDictionary()
+
+
+def _link_modes(cone):
+    """The link eigenpairs L_S Phi = M_S Phi diag(mu), Phi^T M_S Phi = I,
+    from one dense generalized eigen-solve per cone, kept while the cone
+    lives (read-only): the Green's function and its time-integration
+    cross-check share them."""
+    modes = _LINK_MODES.get(cone)
+    if modes is None:
+        f = cone.factors
+        lm = f.link_measures
+        L_S = _dense_laplacian(len(lm), f.link_edges, f.link_conductances)
+        modes = scipy.linalg.eigh(L_S, np.diag(lm))
+        for x in modes:
+            x.setflags(write=False)
+        _LINK_MODES[cone] = modes
+    return modes
+
+
 def _modal(cone, robin):
     """The cone's Laplacian and measure in the basis of link eigenmodes.
 
-    One dense generalized eigen-solve of the link, L_S Phi = M_S Phi diag(mu)
-    with Phi^T M_S Phi = I, gives V = 1 (+) (I_K (x) Phi) (the apex, when
+    The link eigenpairs of :func:`_link_modes`, L_S Phi = M_S Phi diag(mu)
+    with Phi^T M_S Phi = I, give V = 1 (+) (I_K (x) Phi) (the apex, when
     present, keeps its own coordinate).  Since L = L_r (x) M_S + diag(T) (x)
     L_S, V^T L V is the radial tridiagonal matrix L_r + mu_j diag(T) in each
     mode j, and V^T M V is diag(shell) in each mode (Cheeger's separation of
@@ -95,8 +117,7 @@ def _modal(cone, robin):
     lm = f.link_measures
     A, K = len(lm), cone.radial_steps
     off = 0 if cone.apex is None else 1
-    L_S = _dense_laplacian(A, f.link_edges, f.link_conductances)
-    mu, Phi = scipy.linalg.eigh(L_S, np.diag(lm))
+    mu, Phi = _link_modes(cone)
     w = f.radial_weights
     diag = np.r_[w, 0.0] + np.r_[0.0, w] + np.outer(mu, f.ring_factors)
     coupling = np.zeros((A, K))
@@ -633,25 +654,28 @@ def _cell_key(net, cell):
     arrays (:class:`~conelab.covering.Cell`): equal keys mean congruent
     cells, whose Poincare constants agree.
 
-    Without a ``link_automorphism`` on ``net`` the key is the three arrays'
-    bytes.  On a cone with the link rotation sigma it is the least
-    image of the three sets, as boolean (ring x link node) masks over the
-    cell's rings, under the powers of sigma that move a node of U's lowest
-    ring to node 0 (all powers if U holds no ring vertex).  Rotating the
-    cell rotates these candidates with it, so congruent cells get the same
-    key.  Only set membership enters, so rounding that breaks the symmetry
-    can split a class, never merge two.
+    The key starts with a flag for U* = U# (every cell that
+    :mod:`conelab.cones` builds), and then U# is left out.  Without a
+    ``link_automorphism`` on ``net`` the rest is the sets' bytes.  On a
+    cone with the link rotation sigma it is the least image of the sets,
+    as boolean (ring x link node) masks over the cell's rings, under the
+    powers of sigma that move a node of U's lowest ring to node 0 (all
+    powers if U holds no ring vertex).  Rotating the cell rotates these
+    candidates with it, so congruent cells get the same key.  Only set
+    membership enters, so rounding that breaks the symmetry can split a
+    class, never merge two.
     """
-    sets = (cell.U, cell.Ustar, cell.Usharp)
+    same = np.array_equal(cell.Ustar, cell.Usharp)
+    sets = (cell.U, cell.Ustar) + (() if same else (cell.Usharp,))
     if getattr(net, "link_automorphism", None) is None:
-        return tuple(s.tobytes() for s in sets)
+        return (same, *(s.tobytes() for s in sets))
     parts = [(net.ring_of[s], net.link_index[s]) for s in sets]
     apex = tuple(bool((k < 0).any()) for k, _ in parts)   # ring -1: apex
     parts = [(k[k >= 0], a[k >= 0]) for k, a in parts]
     rings = np.concatenate([k for k, _ in parts])
     lo, hi = (rings.min(), rings.max()) if len(rings) else (0, -1)
     A = net.link_nodes
-    masks = np.zeros((3, hi - lo + 1, A), dtype=bool)
+    masks = np.zeros((len(sets), hi - lo + 1, A), dtype=bool)
     for mask, (k, a) in zip(masks, parts):
         mask[k - lo, a] = True
     k_U, a_U = parts[0]
@@ -660,7 +684,7 @@ def _cell_key(net, cell):
     cols = (start[:, None] + np.arange(A)) % A
     images = np.packbits(masks[:, :, cols].transpose(2, 0, 1, 3)
                          .reshape(len(start), -1), axis=1)
-    return apex, lo, hi, min(row.tobytes() for row in images)
+    return same, apex, lo, hi, min(row.tobytes() for row in images)
 
 
 def _agree(a, b):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -120,12 +121,19 @@ def _kernel_basis(A):
 
 
 def _det(M):
-    """Exact determinant by cofactor expansion along the first row; the
-    systems of a fan in dimension <= 3 are at most 3 x 3."""
-    if len(M) == 1:
+    """Exact determinant of a 1 x 1, 2 x 2 or 3 x 3 matrix of integers or
+    Fractions, in closed form.  The systems of a fan are m x m, and
+    :func:`cross_section` admits m <= 3 only."""
+    n = len(M)
+    if n == 1:
         return M[0][0]
-    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in M[1:]])
-               for j, a in enumerate(M[0]) if a != 0)
+    if n == 2:
+        (a, b), (c, d) = M
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = M
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    raise InternalFault(f"{n} x {n} determinant; only m <= 3 is supported")
 
 
 def _solve(A, b):
@@ -254,11 +262,20 @@ def cross_section(cone: ToricConeData, gamma) -> CrossSection:
     for u in cone.rays:
         if sum(g * x for g, x in zip(gamma, u)) != 1:
             raise PreconditionError(f"<gamma, {u}> != 1")
+    m = cone.dim
+    # the affine rank of the rays is the same in ambient and in hyperplane
+    # coordinates; it is checked first, since _solve takes m <= 3 only
+    rank = _point_rank(cone.rays)
+    if rank != m - 1:
+        raise UnsupportedError(
+            f"the rays do not span R^{m} (cross-section of dimension {rank}, "
+            f"not {m - 1}); only full-dimensional cones are supported")
+    if rank > 2:
+        raise UnsupportedError("cross-sections of dimension > 2 are out of scope")
     # gamma V = (+-1, 0, ..., 0) for the unimodular V, so the columns of V
     # after the first are a lattice basis of ker(gamma) and V^-1 gives
     # integral coordinates in it
     V = _smith_normal_form([list(gamma)])[2]
-    m = cone.dim
     kernel = tuple(tuple(V[i][k] for i in range(m)) for k in range(1, m))
     origin = cone.rays[0]
 
@@ -267,13 +284,6 @@ def cross_section(cone: ToricConeData, gamma) -> CrossSection:
         return tuple(int(c) for c in q[1:])
 
     verts2d = [to2d(u) for u in cone.rays]
-    rank = _point_rank(verts2d)
-    if rank != m - 1:
-        raise UnsupportedError(
-            f"the rays do not span R^{m} (cross-section of dimension {rank}, "
-            f"not {m - 1}); only full-dimensional cones are supported")
-    if rank > 2:
-        raise UnsupportedError("cross-sections of dimension > 2 are out of scope")
     if rank == 1:
         pts, boundary, interior = _segment_points(verts2d)
     else:
@@ -442,8 +452,14 @@ def support_function_check(tri: FanTriangulation, values) -> SupportCheck:
     """Check strict convexity of the piecewise-linear support function h with
     h(u_j) = values[j]: on each top cone sigma, the linear form l_sigma agrees
     with h on sigma and must dominate it strictly off sigma.  Compact support
-    means h vanishes on the boundary rays."""
+    means h vanishes on the boundary rays.
+
+    The forms are solved in Fractions; the test is in integers.  With D the
+    common denominator of l_sigma and values[j] = p_j / q_j (q_j > 0),
+    <u_j, l_sigma> <= values[j] reads <u_j, D l_sigma> q_j <= p_j D.  The
+    rays of sigma itself are skipped before anything is computed."""
     vals = _support_values(tri, values)
+    fracs = [(v.numerator, v.denominator) for v in vals]
     forms = []
     witnesses = []
     strict = True
@@ -452,11 +468,13 @@ def support_function_check(tri: FanTriangulation, values) -> SupportCheck:
         if l is None:
             raise DomainError(f"simplex {s} is degenerate")
         forms.append(l)
+        D = math.lcm(*(c.denominator for c in l))
+        Dl = [c.numerator * (D // c.denominator) for c in l]
         for j, u in enumerate(tri.rays):
-            val = sum(Fraction(x) * c for x, c in zip(u, l))
             if j in s:
                 continue
-            if val <= vals[j]:
+            p, q = fracs[j]
+            if sum(map(operator.mul, u, Dl)) * q <= p * D:
                 strict = False
                 witnesses.append((si, u))
     compact = all(vals[j] == 0 for j in range(tri.n_boundary))
@@ -505,40 +523,79 @@ def kahler_class(tri: FanTriangulation, values) -> KahlerClass:
 
 
 def _poly_vertices(ineqs, dim):
-    """Exact vertices of {y : <u, y> >= rhs for (u, rhs) in ineqs}.
+    """Exact vertices of {y : <u, y> >= rhs for (u, rhs) in ineqs}, dim 2
+    or 3, in integer arithmetic.
 
     Each inequality is scaled by the common denominator of its row to
-    integers (u, p).  A solved vertex is y = x / det with x = adj(A) b, and
-    det > 0 after a sign flip, so <u, y> >= p reads <u, x> >= p det.
+    integers (u, p).  Each dim rows A with right-hand side b solve to
+    y = x / det with x = adj(A) b, in closed form (in 3d the columns of
+    adj(A) are the cross products of the rows), and det > 0 after a sign
+    flip, so <u, y> >= p reads <u, x> >= p det, one unrolled integer dot
+    product per row.  Vertices are collected as (x, det) divided by their
+    gcd, and become Fractions once each.
     """
     rows = []
     for u, rhs in ineqs:
         q = math.lcm(*(Fraction(c).denominator for c in (*u, rhs)))
         rows.append((tuple(int(c * q) for c in u), int(rhs * q)))
     verts = set()
-    for combo in itertools.combinations(rows, dim):
-        A = [u for u, _ in combo]
-        det = _det(A)
-        if det == 0:
-            continue
-        x = [_det([[*row[:i], p, *row[i + 1:]] for row, (_, p) in
-                   zip(A, combo)]) for i in range(dim)]
-        if det < 0:
-            det, x = -det, [-c for c in x]
-        if all(sum(c * xi for c, xi in zip(u, x)) >= p * det
-               for u, p in rows):
-            verts.add(tuple(Fraction(xi, det) for xi in x))
-    return sorted(verts)
+    if dim == 2:
+        for ((a0, a1), pa), ((b0, b1), pb) in itertools.combinations(rows, 2):
+            det = a0 * b1 - a1 * b0
+            if det == 0:
+                continue
+            x0, x1 = pa * b1 - a1 * pb, a0 * pb - pa * b0
+            if det < 0:
+                det, x0, x1 = -det, -x0, -x1
+            for (u0, u1), p in rows:
+                if u0 * x0 + u1 * x1 < p * det:
+                    break
+            else:
+                g = math.gcd(x0, x1, det)
+                verts.add((x0 // g, x1 // g, det // g))
+    elif dim == 3:
+        for ((a0, a1, a2), pa), ((b0, b1, b2), pb), ((c0, c1, c2), pc) in \
+                itertools.combinations(rows, 3):
+            bc0, bc1, bc2 = (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2,
+                             b0 * c1 - b1 * c0)
+            det = a0 * bc0 + a1 * bc1 + a2 * bc2
+            if det == 0:
+                continue
+            ca0, ca1, ca2 = (c1 * a2 - c2 * a1, c2 * a0 - c0 * a2,
+                             c0 * a1 - c1 * a0)
+            ab0, ab1, ab2 = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                             a0 * b1 - a1 * b0)
+            x0 = pa * bc0 + pb * ca0 + pc * ab0
+            x1 = pa * bc1 + pb * ca1 + pc * ab1
+            x2 = pa * bc2 + pb * ca2 + pc * ab2
+            if det < 0:
+                det, x0, x1, x2 = -det, -x0, -x1, -x2
+            for (u0, u1, u2), p in rows:
+                if u0 * x0 + u1 * x1 + u2 * x2 < p * det:
+                    break
+            else:
+                g = math.gcd(x0, x1, x2, det)
+                verts.add((x0 // g, x1 // g, x2 // g, det // g))
+    else:
+        raise InternalFault(f"vertex enumeration in dimension {dim}; "
+                            f"only 2 and 3 are supported")
+    return sorted(tuple(Fraction(xi, v[-1]) for xi in v[:-1]) for v in verts)
 
 
 def _hull_volume(verts, dim):
-    """Volume of the convex hull of ``verts`` in R^dim; 0 if degenerate."""
+    """Volume of the convex hull of ``verts`` in R^dim; 0 if degenerate.
+
+    Qhull sees the points scaled by 2^-e, e the binary exponent of the
+    largest |coordinate|, so that its tolerances hold at any scale; the
+    volume is scaled back by 2^(dim e).  Both scalings are exact."""
     if len(verts) < dim + 1:
         return 0.0
     from scipy.spatial import ConvexHull, QhullError
     pts = np.array([[float(x) for x in v] for v in verts])
+    e = math.frexp(np.abs(pts).max())[1]
     try:
-        return float(ConvexHull(pts).volume)
+        return math.ldexp(float(ConvexHull(np.ldexp(pts, -e)).volume),
+                          dim * e)
     except QhullError:
         return 0.0
 

@@ -402,6 +402,21 @@ class TestToricCommand:
         assert f"error: the rays do not span R^{len(rays[0])}" in err
         assert "Traceback" not in err
 
+    def test_large_interior_value_exits_0(self, tmp_path):
+        # C^3 / Z_3 at 1e90: Qhull failed on these coordinates before its
+        # input was scaled; the excised volume is 1.5e270
+        res = {}
+        for interior in (1, 1e90):
+            doc = {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [-1, -1, 3]],
+                   "omega_link": 1.0, "interior_value": interior}
+            inp = write(tmp_path, "fan.json", json.dumps(doc))
+            out = str(tmp_path / "r.json")
+            assert main(["toric", "--in", inp, "--out", out]) == 0
+            res[interior] = json.load(open(out))["results"]
+        for key in ("invariant_A", "polytope_volume"):
+            assert res[1e90][key] == pytest.approx(1e270 * res[1][key],
+                                                   rel=1e-12)
+
     def test_overflowing_invariant_exits_2(self, tmp_path, capsys):
         doc = {"dim": 2, "rays": [[1, 0], [1, 2]], "omega_link": 1e-300,
                "interior_value": 1000000000000}

@@ -191,6 +191,67 @@ class TestAssemblyMatchesLoops:
         assert cone.measures[off:].tobytes() == np.array(measures).tobytes()
 
 
+DISTANCE_CONES = [
+    flat_disc(r_max=3.0, radial=24, angular=16),
+    build_cone(CircleLink(math.pi / 2), 0.0, 3.0, 20, angular_steps=6),
+    build_cone(CircleLink(3 * math.pi), 0.0, 3.0, 20, angular_steps=24),
+    build_cone(CircleLink(TWO_PI), 0.7, 3.0, 20, angular_steps=16),
+    build_cone(sphere_link(4, 8), 0.2, 2.0, 12),
+]
+DISTANCE_IDS = ["apex", "wedge", "3pi", "r_min", "sphere"]
+
+
+def gathered_distances(cone, v):
+    """Distances from v by the per-vertex formula: the link distance of
+    every vertex gathered, and its cosine taken, one vertex at a time."""
+    r1 = cone.radii[v]
+    r = cone.radii
+    if v == cone.apex:
+        return r.copy()
+    dS = cone._link_dist[cone.link_index[v], cone.link_index].copy()
+    ang = np.minimum(dS, math.pi)
+    d = np.sqrt(np.maximum(
+        r1 * r1 + r * r - 2.0 * r1 * r * np.cos(ang), 0.0))
+    if cone.apex is not None:
+        d[cone.apex] = r1
+    d[v] = 0.0
+    return d
+
+
+def dijkstra_link_cone():
+    """A cone over a ten-node cycle link without directions (Dijkstra
+    distances), long enough that some link distances exceed pi."""
+    n = 10
+    lengths = tuple(0.5 + 0.05 * i for i in range(n))
+    link = GraphLink((1.0,) * n, tuple((i, (i + 1) % n) for i in range(n)),
+                     tuple(1.0 / x for x in lengths), lengths, dim=1)
+    return build_cone(link, 0.3, 2.5, 16)
+
+
+class TestDistancesFromTheProduct:
+    """``distances_from`` broadcasts over (rings x link nodes); it must
+    give the gathered per-vertex formula's bits."""
+
+    @pytest.mark.parametrize("cone", DISTANCE_CONES + [dijkstra_link_cone()],
+                             ids=DISTANCE_IDS + ["dijkstra"])
+    def test_every_vertex(self, cone):
+        for v in range(cone.n_vertices):
+            assert (cone.distances_from(v).tobytes()
+                    == gathered_distances(cone, v).tobytes())
+
+    def test_dijkstra_link_reaches_past_pi(self):
+        assert dijkstra_link_cone()._link_dist.max() > math.pi
+
+    @pytest.mark.parametrize("nodes", [48, 96, 144])
+    def test_bench_sized_cones(self, nodes):
+        cone = build_cone(CircleLink(TWO_PI * nodes / 96), 0.0, 8.0, 192,
+                          angular_steps=nodes)
+        rng = np.random.default_rng(nodes)
+        for v in rng.integers(0, cone.n_vertices, size=30).tolist():
+            assert (cone.distances_from(v).tobytes()
+                    == gathered_distances(cone, v).tobytes())
+
+
 class TestDistances:
     def test_distance_from_apex_is_radius(self):
         cone = flat_disc()
@@ -216,13 +277,7 @@ class TestDistances:
         r = cone.radii[a]
         assert cone.distances_from(a)[b] == pytest.approx(r * math.sqrt(2.0))
 
-    @pytest.mark.parametrize("cone", [
-        flat_disc(r_max=3.0, radial=24, angular=16),
-        build_cone(CircleLink(math.pi / 2), 0.0, 3.0, 20, angular_steps=6),
-        build_cone(CircleLink(3 * math.pi), 0.0, 3.0, 20, angular_steps=24),
-        build_cone(CircleLink(TWO_PI), 0.7, 3.0, 20, angular_steps=16),
-        build_cone(sphere_link(4, 8), 0.2, 2.0, 12),
-    ], ids=["apex", "wedge", "3pi", "r_min", "sphere"])
+    @pytest.mark.parametrize("cone", DISTANCE_CONES, ids=DISTANCE_IDS)
     def test_one_distance_is_the_array_entry(self, cone):
         rng = np.random.default_rng(11)
         sources = {cone.base_point(), 0, cone.n_vertices - 1,

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 import types
@@ -614,6 +615,33 @@ class TestSeparatedVariables:
             want = vertex_time_integration(cone, source, 0.05, 60)
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
 
+    def test_link_modes_solved_once_per_cone(self, monkeypatch):
+        def make():
+            return build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
+
+        want_green = greens_function(make(), 5).values
+        want_time = green_by_time_integration(make(), 5, dt=0.05, n_steps=60)
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counted)
+        cone = make()
+        got_green = greens_function(cone, 5).values
+        got_time = green_by_time_integration(cone, 5, dt=0.05, n_steps=60)
+        heat_kernel(cone, 5, [0.2])
+        assert len(calls) == 1
+        assert got_green.tobytes() == want_green.tobytes()
+        assert got_time.tobytes() == want_time.tobytes()
+        # the modes are kept only while their cone lives
+        kept = len(conelab.spectral._LINK_MODES)
+        del cone
+        gc.collect()
+        assert len(conelab.spectral._LINK_MODES) == kept - 1
+
     def test_green_memory_is_linear(self):
         """The traced heap peak of one solve on a 46,080-vertex cone stays
         below 40 arrays of n floats: O(n), with no fill-in."""
@@ -869,6 +897,10 @@ class TestCongruenceClasses:
         wider = cell_of(U, Ustar, Ustar + [v(4, 1)])
         assert key(cone, wider) != key(cone, cell)
         assert key(cone, rotated_cell(cone, cell, 5)) == key(cone, cell)
+        # U* = U#, as two equal arrays in the rotated image
+        same = cell_of(U, Ustar, Ustar)
+        assert key(cone, same) != key(cone, cell)
+        assert key(cone, rotated_cell(cone, same, 7)) == key(cone, same)
 
     def test_perturbed_duplicate_raises(self, monkeypatch):
         cone = self.annulus()

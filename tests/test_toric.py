@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -10,10 +12,10 @@ from conelab import (DomainError, InternalFault, PreconditionError,
                      ToricConeData, UnsupportedError, cross_section,
                      gorenstein_covector, invariant_A, kahler_class,
                      maximal_triangulation, support_function_check)
-from conelab.toric import (_divisor_facet, _face_relative_volume, _hull2d,
-                           _hull_volume, _kernel_basis, _poly_vertices,
-                           _polygon_points, _primitive, _smith_normal_form,
-                           _solve, integer_solve)
+from conelab.toric import (_det, _divisor_facet, _face_relative_volume,
+                           _hull2d, _hull_volume, _kernel_basis,
+                           _poly_vertices, _polygon_points, _primitive,
+                           _smith_normal_form, _solve, integer_solve)
 
 
 def a1_cone():
@@ -146,6 +148,33 @@ class TestIntegerLinearAlgebra:
             assert [sum(a * c for a, c in zip(row, x)) for row in A] == b
 
 
+def cofactor_det(M):
+    """Determinant by cofactor expansion along the first row."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * a * cofactor_det([row[:j] + row[j + 1:]
+                                             for row in M[1:]])
+               for j, a in enumerate(M[0]))
+
+
+entries = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                    st.fractions(max_denominator=50))
+
+
+class TestClosedFormDeterminant:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_matches_cofactor_expansion(self, M):
+        got = _det(M)
+        assert got == cofactor_det(M)
+        assert isinstance(got, (int, Fraction))
+
+    def test_larger_matrix_is_a_fault(self):
+        with pytest.raises(InternalFault, match="4 x 4"):
+            _det([[int(i == j) for j in range(4)] for i in range(4)])
+
+
 class TestGorenstein:
     def test_a1(self):
         res = gorenstein_covector(a1_cone())
@@ -242,6 +271,73 @@ class TestSupportAndKahler:
             invariant_A(tri, vals, omega_link=math.pi)
 
 
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def fixture_fan(name):
+    """The fan of a fixture and its support values as the CLI reads them."""
+    doc = json.loads((FIXTURES / name).read_text())
+    tri = triangulate(ToricConeData(doc["dim"],
+                                    tuple(map(tuple, doc["rays"]))))
+    raw = doc.get("support_values", {})
+    vals = [Fraction(raw.get(json.dumps(list(u)),
+                             0 if i < tri.n_boundary else 1))
+            for i, u in enumerate(tri.rays)]
+    return tri, vals
+
+
+FIXTURE_FANS = {name: fixture_fan(name)
+                for name in ("toric.json", "a9.json", "z5.json")}
+
+
+def support_check_by_fractions(tri, vals):
+    """(strict, witnesses, forms) with every form evaluated in Fractions."""
+    forms, witnesses = [], []
+    for si, s in enumerate(tri.simplices):
+        l = _solve([tri.rays[i] for i in s], [vals[i] for i in s])
+        forms.append(l)
+        witnesses += [(si, u) for j, u in enumerate(tri.rays)
+                      if j not in s and dot(u, l) <= vals[j]]
+    return not witnesses, witnesses, forms
+
+
+class TestSupportCheckInIntegers:
+    """The strictness test in integers against one in Fractions, on the
+    fixture fans with convex and non-convex support values."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_FANS))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_reference(self, name, data):
+        tri, _ = FIXTURE_FANS[name]
+        vals = data.draw(st.lists(
+            st.one_of(st.integers(-6, 30),
+                      st.fractions(min_value=-6, max_value=30,
+                                   max_denominator=12)),
+            min_size=len(tri.rays), max_size=len(tri.rays)))
+        vals = [Fraction(v) for v in vals]
+        chk = support_function_check(tri, vals)
+        strict, witnesses, forms = support_check_by_fractions(tri, vals)
+        assert chk.strictly_convex == strict
+        assert list(chk.witnesses) == witnesses
+        assert list(chk.linear_forms) == forms
+        assert all(isinstance(c, Fraction) for l in chk.linear_forms
+                   for c in l)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_FANS))
+    @pytest.mark.parametrize("scale", [1, Fraction(1, 3), 0, -1])
+    def test_scaled_fixture_values(self, name, scale):
+        tri, vals = FIXTURE_FANS[name]
+        vals = [scale * v for v in vals]
+        chk = support_function_check(tri, vals)
+        strict, witnesses, forms = support_check_by_fractions(tri, vals)
+        assert (chk.strictly_convex, list(chk.witnesses),
+                list(chk.linear_forms)) == (strict, witnesses, forms)
+        # the fixtures' classes are strictly convex; flat or concave
+        # multiples fail somewhere
+        assert bool(witnesses) == (scale <= 0)
+
+
 class TestInvariantA:
     def test_a1_value(self):
         cone = a1_cone()
@@ -332,6 +428,18 @@ class TestOmegaLink:
         tri = triangulate(a1_cone())
         with pytest.raises(DomainError, match="omega_link must be positive"):
             invariant_A(tri, default_values(tri), omega_link=omega)
+
+
+class TestLargeCoordinates:
+    def test_hull_volume_is_scale_exact(self):
+        # scaling the points by 2^k scales the volume by exactly 2^(dim k)
+        verts = [(0, 0, 0), (3, 0, 0), (0, 5, 0), (0, 0, Fraction(7, 3)),
+                 (1, 1, 1)]
+        base = _hull_volume(verts, 3)
+        assert base > 0
+        for k in (-300, -40, 40, 300):
+            big = [tuple(math.ldexp(float(x), k) for x in v) for v in verts]
+            assert _hull_volume(big, 3) == math.ldexp(base, 3 * k)
 
 
 class TestOverflow:
