@@ -1,9 +1,11 @@
 """Toric Gorenstein cones: cross-sections, triangulations and the volume
 invariant of compactly supported Kahler classes.
 
-Lattice geometry (Gorenstein covectors, lattice points, triangulations,
-determinants, support function convexity) is done in exact integer/rational
-arithmetic; only the final volume evaluations use floating point.
+Everything up to the invariant's value is exact integer/rational
+arithmetic: Gorenstein covectors, lattice points, triangulations,
+closed-form determinants, support function convexity and the volumes of
+both routes to the invariant.  Floats enter only in the final
+(2 pi)^m / Omega scaling.
 """
 from __future__ import annotations
 
@@ -13,8 +15,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .errors import (DomainError, InternalFault, PreconditionError,
                      UnsupportedError)
@@ -175,14 +175,25 @@ class ToricConeData:
                 raise DomainError(f"ray {u} is not primitive")
         if len(set(self.rays)) != len(self.rays):
             raise DomainError("duplicate rays")
-        # pointedness: the rays must lie in an open half space
-        from scipy.optimize import linprog
-        A = -np.asarray(self.rays, dtype=float)
-        res = linprog(np.zeros(self.dim), A_ub=A,
-                      b_ub=-np.ones(len(self.rays)),
-                      bounds=[(None, None)] * self.dim, method="highs")
-        if not res.success:
+        if _contains_line(self.rays):
             raise DomainError("rays do not span a strictly convex cone")
+
+
+def _contains_line(rays):
+    """Whether the cone spanned by ``rays`` contains a line.  It does not
+    when the sum of the rays is positive on every ray.  Otherwise, by the
+    conformal decomposition of a nonnegative dependence into circuits, it
+    does exactly when some circuit (at most dim + 1 rays with a
+    one-dimensional kernel) has coefficients of one sign."""
+    w = [sum(c) for c in zip(*rays)]
+    if all(sum(map(operator.mul, w, u)) > 0 for u in rays):
+        return False
+    for k in range(2, len(rays[0]) + 2):
+        for subset in itertools.combinations(rays, k):
+            kernel = _kernel_basis(list(zip(*subset)))
+            if len(kernel) == 1 and (min(kernel[0]) > 0 or max(kernel[0]) < 0):
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -420,7 +431,7 @@ def _as_fraction(x):
     if isinstance(x, float):
         if not math.isfinite(x):
             raise DomainError(f"support value {x!r} is not finite")
-        return Fraction(x).limit_denominator(10 ** 12)
+        return Fraction(repr(x))
     if isinstance(x, str):
         return Fraction(x)
     raise DomainError(f"cannot interpret support value {x!r}")
@@ -523,24 +534,30 @@ def kahler_class(tri: FanTriangulation, values) -> KahlerClass:
 
 
 def _poly_vertices(ineqs, dim):
-    """Exact vertices of {y : <u, y> >= rhs for (u, rhs) in ineqs}, dim 2
-    or 3, in integer arithmetic.
+    """(rows, verts): the inequalities {<u, y> >= rhs for (u, rhs) in ineqs}
+    scaled to integers, and the exact vertices of the polyhedron they cut
+    out, each with the indices of the rows it lies on; dim 2 or 3, in
+    integer arithmetic.
 
     Each inequality is scaled by the common denominator of its row to
     integers (u, p).  Each dim rows A with right-hand side b solve to
     y = x / det with x = adj(A) b, in closed form (in 3d the columns of
     adj(A) are the cross products of the rows), and det > 0 after a sign
     flip, so <u, y> >= p reads <u, x> >= p det, one unrolled integer dot
-    product per row.  Vertices are collected as (x, det) divided by their
-    gcd, and become Fractions once each.
+    product per row.  A vertex is the tuple (x, det) divided by its gcd,
+    and ``verts`` maps it to the rows of every choice that solves to it:
+    the normals of the rows a vertex lies on span R^dim, so each of them
+    is in a nonsingular choice of dim of them.
     """
     rows = []
     for u, rhs in ineqs:
-        q = math.lcm(*(Fraction(c).denominator for c in (*u, rhs)))
-        rows.append((tuple(int(c * q) for c in u), int(rhs * q)))
-    verts = set()
+        q = math.lcm(*(c.denominator for c in (*u, rhs)))
+        rows.append((tuple(c.numerator * (q // c.denominator) for c in u),
+                     rhs.numerator * (q // rhs.denominator)))
+    verts = {}
     if dim == 2:
-        for ((a0, a1), pa), ((b0, b1), pb) in itertools.combinations(rows, 2):
+        for (i, ((a0, a1), pa)), (j, ((b0, b1), pb)) in \
+                itertools.combinations(enumerate(rows), 2):
             det = a0 * b1 - a1 * b0
             if det == 0:
                 continue
@@ -552,10 +569,12 @@ def _poly_vertices(ineqs, dim):
                     break
             else:
                 g = math.gcd(x0, x1, det)
-                verts.add((x0 // g, x1 // g, det // g))
+                verts.setdefault((x0 // g, x1 // g, det // g),
+                                 set()).update((i, j))
     elif dim == 3:
-        for ((a0, a1, a2), pa), ((b0, b1, b2), pb), ((c0, c1, c2), pc) in \
-                itertools.combinations(rows, 3):
+        for ((i, ((a0, a1, a2), pa)), (j, ((b0, b1, b2), pb)),
+             (k, ((c0, c1, c2), pc))) in \
+                itertools.combinations(enumerate(rows), 3):
             bc0, bc1, bc2 = (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2,
                              b0 * c1 - b1 * c0)
             det = a0 * bc0 + a1 * bc1 + a2 * bc2
@@ -575,53 +594,47 @@ def _poly_vertices(ineqs, dim):
                     break
             else:
                 g = math.gcd(x0, x1, x2, det)
-                verts.add((x0 // g, x1 // g, x2 // g, det // g))
+                verts.setdefault((x0 // g, x1 // g, x2 // g, det // g),
+                                 set()).update((i, j, k))
     else:
         raise InternalFault(f"vertex enumeration in dimension {dim}; "
                             f"only 2 and 3 are supported")
-    return sorted(tuple(Fraction(xi, v[-1]) for xi in v[:-1]) for v in verts)
+    return rows, verts
 
 
-def _hull_volume(verts, dim):
-    """Volume of the convex hull of ``verts`` in R^dim; 0 if degenerate.
-
-    Qhull sees the points scaled by 2^-e, e the binary exponent of the
-    largest |coordinate|, so that its tolerances hold at any scale; the
-    volume is scaled back by 2^(dim e).  Both scalings are exact."""
-    if len(verts) < dim + 1:
-        return 0.0
-    from scipy.spatial import ConvexHull, QhullError
-    pts = np.array([[float(x) for x in v] for v in verts])
-    e = math.frexp(np.abs(pts).max())[1]
-    try:
-        return math.ldexp(float(ConvexHull(np.ldexp(pts, -e)).volume),
-                          dim * e)
-    except QhullError:
-        return 0.0
+def _facet_volume(verts, u):
+    """Lattice-normalized volume vol(F) / |u| of the facet F = conv(verts)
+    on a hyperplane with normal u, exact: the length (m = 2) or area
+    (m = 3) of F projected along the coordinate k of largest |u_k|, which
+    is vol(F) |u_k| / |u|, divided by |u_k|."""
+    k = max(range(len(u)), key=lambda i: abs(u[i]))
+    pts = [v[:k] + v[k + 1:] for v in verts]
+    if len(u) == 2:
+        return Fraction(max(pts)[0] - min(pts)[0], abs(u[k]))
+    hull = _hull2d(pts)
+    twice_area = sum(a[0] * b[1] - a[1] * b[0]
+                     for a, b in zip(hull, hull[1:] + hull[:1]))
+    return Fraction(twice_area, 2 * abs(u[k]))
 
 
-def _face_relative_volume(verts, u, dim):
-    """Lattice-normalized (dim-1)-volume of the face conv(verts) lying on a
-    hyperplane with primitive normal u: Euclidean volume divided by |u|."""
-    norm = math.sqrt(sum(float(x) ** 2 for x in u))
-    pts = np.array([[float(x) for x in v] for v in verts])
-    if dim == 2:
-        if len(verts) < 2:
-            return 0.0
-        return float(np.max(
-            [np.linalg.norm(pts[i] - pts[j])
-             for i in range(len(pts)) for j in range(len(pts))])) / norm
-    # dim == 3: project to an orthonormal basis of the hyperplane
-    if len(verts) < 3:
-        return 0.0
-    n = np.array([float(x) for x in u]) / norm
-    a = np.array([1.0, 0.0, 0.0])
-    if abs(n[0]) > 0.9:
-        a = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(n, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    return _hull_volume(np.c_[pts @ e1, pts @ e2], 2) / norm
+def _polytope_volume(ineqs, dim):
+    """Exact volume of the bounded polytope {y : <u, y> >= rhs}: pyramids
+    from its first vertex a over its facets F, sum_F (<u, a> - rhs)
+    vol(F) / (|u| dim), on the scaled rows and the (x, det) vertices of
+    :func:`_poly_vertices`, whose row sets give the facets."""
+    rows, verts = _poly_vertices(ineqs, dim)
+    faces = [[] for _ in rows]
+    for v, on in verts.items():
+        y = tuple(Fraction(x, v[-1]) for x in v[:-1])
+        for i in on:
+            faces[i].append(y)
+    apex = min(verts)
+    total = Fraction(0)
+    for i, (u, p) in enumerate(rows):
+        if i not in verts[apex] and len(faces[i]) >= dim:
+            height = sum(map(operator.mul, u, apex)) - p * apex[-1]
+            total += Fraction(height, apex[-1]) * _facet_volume(faces[i], u)
+    return total / dim
 
 
 @dataclass
@@ -629,13 +642,9 @@ class InvariantA:
     value: float
     divisor_sum: Optional[float]
     polytope_volume: Optional[float]
-    excised_volume: Optional[float]   # vol(C \ C_h), lattice normalization
+    excised_volume: float             # vol(C \ C_h), lattice normalization
     m: int
     is_kahler: bool                   # nonzero; strict convexity is checked
-
-
-#: relative accuracy to which the two routes of ``invariant_A`` must agree
-REL_TOL = 1e-9
 
 
 def _divisor_facet(tri: FanTriangulation, forms, j):
@@ -644,56 +653,26 @@ def _divisor_facet(tri: FanTriangulation, forms, j):
     return sorted({forms[k] for k, s in enumerate(tri.simplices) if j in s})
 
 
-def _check_finite(**fields):
-    """DomainError naming every field that is not a finite float (None
-    fields are skipped)."""
-    bad = [f"{k} = {x}" for k, x in fields.items()
-           if x is not None and not math.isfinite(x)]
-    if bad:
-        raise DomainError("invariant A overflows a float: " + ", ".join(bad)
-                          + "; the support values or omega_link are out of "
-                          "range")
-
-
 def _excised_volume(tri: FanTriangulation, vals, forms):
-    """vol(C \\ C_h) from the vertices of C and C_h under a cap
-    <w, y> <= T, doubling T until the volume is stable."""
+    """vol(C \\ C_h) = vol(C) - vol(C_h), both under the one cap
+    <w, y> <= T with T = max <w, l_sigma> + 1: C \\ C_h has the vertices 0
+    and the forms l_sigma, so it lies below the cap."""
     m = tri.cone.dim
-    cone_ineqs = [(u, Fraction(0)) for u in tri.cone.rays]
-    h_ineqs = [(u, vals[j]) for j, u in enumerate(tri.rays)]
     # cap direction: interior of the span of the rays
     w = tuple(sum(u[i] for u in tri.rays) for i in range(m))
-    # the bounded vertices of C_h are the forms l_sigma
-    wmax = max(sum(Fraction(w[i]) * v[i] for i in range(m)) for v in forms)
-    T = 2 * wmax + 1
-
-    def excised(Tcap):
-        cap = (tuple(-x for x in w), -Tcap)
-        v0 = _poly_vertices(cone_ineqs + [cap], m)
-        v1 = _poly_vertices(h_ineqs + [cap], m)
-        vol = _hull_volume(v0, m) - _hull_volume(v1, m)
-        _check_finite(excised_volume=vol)
-        return vol
-
-    vol = excised(T)
-    vol2 = excised(2 * T)
-    for _ in range(8):
-        if abs(vol - vol2) <= 1e-12 * max(abs(vol), 1.0):
-            return vol
-        T, vol = 2 * T, vol2
-        vol2 = excised(2 * T)
-    raise InternalFault("excised volume did not stabilize under capping")
+    cap = (tuple(-x for x in w),
+           -max(sum(map(operator.mul, w, l)) for l in forms) - 1)
+    return (_polytope_volume([(u, 0) for u in tri.cone.rays] + [cap], m)
+            - _polytope_volume([(u, vals[j]) for j, u in enumerate(tri.rays)]
+                               + [cap], m))
 
 
 def _facet_sum(tri: FanTriangulation, vals, forms):
     """sum_j lambda_j vol(F_j) over the interior rays with lambda_j != 0."""
-    total = 0.0
-    for j in range(tri.n_boundary, len(tri.rays)):
-        if vals[j] != 0:
-            face = _divisor_facet(tri, forms, j)
-            total += float(vals[j]) * _face_relative_volume(face, tri.rays[j],
-                                                            tri.cone.dim)
-    return total
+    return sum((vals[j] * _facet_volume(_divisor_facet(tri, forms, j),
+                                        tri.rays[j])
+                for j in range(tri.n_boundary, len(tri.rays))
+                if vals[j] != 0), Fraction(0))
 
 
 def invariant_A(tri: FanTriangulation, values, omega_link: float,
@@ -709,10 +688,12 @@ def invariant_A(tri: FanTriangulation, values, omega_link: float,
     facet volumes are lattice-normalized.  The divisor route reads the
     bounded facet F_j of C_h on <u_j, y> = lambda_j from the fan: its
     vertices are the forms l_sigma of the top cones sigma that contain ray
-    j.  The polytope route enumerates the vertices of C and C_h under a cap
-    <w, y> <= T, doubling T until the excised volume is stable.  With
-    ``method='both'`` the two must agree to ``REL_TOL`` relative accuracy.
-    Negative for every nonzero class.
+    j.  The polytope route enumerates the vertices of C and C_h under one
+    cap beyond the forms and sums pyramids over their facets.  Both
+    volumes are exact Fractions; with ``method='both'`` they must be equal
+    (vol(C \\ C_h) = facet sum / m), and the one exact volume is scaled to
+    a float once, so both fields carry the same value.  Negative for every
+    nonzero class.
     """
     m = tri.cone.dim
     if not (omega_link > 0 and math.isfinite((m - 1) * m * omega_link)
@@ -724,31 +705,23 @@ def invariant_A(tri: FanTriangulation, values, omega_link: float,
     if method not in ("both", "divisor_sum", "polytope_volume"):
         raise DomainError(f"unknown method {method!r}")
     vals, chk, nonzero = _checked_class(tri, values)
-    try:
+    vol = None
+    if method != "divisor_sum":
         vol = _excised_volume(tri, vals, chk.linear_forms)
-        total = None
-        if method in ("both", "divisor_sum"):
-            total = _facet_sum(tri, vals, chk.linear_forms)
+    if method != "polytope_volume":
+        facets = _facet_sum(tri, vals, chk.linear_forms) / m
+        if vol is not None and facets != vol:
+            raise InternalFault(f"excised volume {vol} and facet sum / m "
+                                f"{facets} differ")
+        vol = facets
+    try:
+        excised = float(vol)
     except OverflowError as exc:
         raise DomainError(f"invariant A overflows a float: {exc}") from exc
-
-    result_div = result_vol = None
-    if method in ("both", "polytope_volume"):
-        result_vol = (-(2 * math.pi) ** m * vol / ((m - 1) * omega_link))
-    if total is not None:
-        result_div = (-(2 * math.pi) ** m * total
-                      / ((m - 1) * m * omega_link))
-    _check_finite(divisor_sum=result_div, polytope_volume=result_vol)
-    if method == "both":
-        # compared before the Omega scaling, which may underflow either one
-        facets = total / m
-        if nonzero and abs(vol - facets) > REL_TOL * max(abs(vol),
-                                                          abs(facets)):
-            raise InternalFault(
-                f"excised volume {vol} and facet sum / m {facets} "
-                f"disagree beyond {REL_TOL}")
-        value = result_div
-    else:
-        value = result_div if result_div is not None else result_vol
-    return InvariantA(float(value), result_div, result_vol, float(vol), m,
+    value = -(2 * math.pi) ** m * excised / ((m - 1) * omega_link)
+    if not math.isfinite(value):
+        raise DomainError(f"invariant A overflows a float: {value}; the "
+                          f"support values or omega_link are out of range")
+    return InvariantA(value, None if method == "polytope_volume" else value,
+                      None if method == "divisor_sum" else value, excised, m,
                       nonzero)

@@ -2,12 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import conelab
 import conelab.cli
 import conelab.graphs
 import conelab.toric
@@ -402,20 +407,33 @@ class TestToricCommand:
         assert f"error: the rays do not span R^{len(rays[0])}" in err
         assert "Traceback" not in err
 
-    def test_large_interior_value_exits_0(self, tmp_path):
-        # C^3 / Z_3 at 1e90: Qhull failed on these coordinates before its
-        # input was scaled; the excised volume is 1.5e270
+    @staticmethod
+    def assert_scales_as_cube(tmp_path, interior):
+        """C^3 / Z_3 with the given interior value exits 0, and A is
+        interior^3 times the unit class's to 1e-15."""
         res = {}
-        for interior in (1, 1e90):
+        for v in (1, interior):
             doc = {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [-1, -1, 3]],
-                   "omega_link": 1.0, "interior_value": interior}
+                   "omega_link": 1.0, "interior_value": v}
             inp = write(tmp_path, "fan.json", json.dumps(doc))
             out = str(tmp_path / "r.json")
             assert main(["toric", "--in", inp, "--out", out]) == 0
-            res[interior] = json.load(open(out))["results"]
-        for key in ("invariant_A", "polytope_volume"):
-            assert res[1e90][key] == pytest.approx(1e270 * res[1][key],
-                                                   rel=1e-12)
+            res[v] = json.load(open(out))["results"]
+        assert res[interior]["is_kahler"]
+        for key in ("invariant_A", "divisor_sum", "polytope_volume"):
+            assert res[interior][key] == pytest.approx(
+                interior ** 3 * res[1][key], rel=1e-15)
+
+    def test_large_interior_value_exits_0(self, tmp_path):
+        # vertex coordinates of order 1e90, far from any float tolerance
+        self.assert_scales_as_cube(tmp_path, 1e90)
+
+    @pytest.mark.parametrize("interior", [1e-13, 3e-12, 1e-3])
+    def test_small_interior_value_exits_0(self, tmp_path, interior):
+        # volumes far below those of the cone itself, which a float
+        # difference of two capped volumes would lose; 1e-13 must not be
+        # read as the zero class
+        self.assert_scales_as_cube(tmp_path, interior)
 
     def test_overflowing_invariant_exits_2(self, tmp_path, capsys):
         doc = {"dim": 2, "rays": [[1, 0], [1, 2]], "omega_link": 1e-300,
@@ -425,6 +443,24 @@ class TestToricCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: invariant A overflows a float: ")
+
+    def test_no_scipy_optimize_or_spatial(self, tmp_path):
+        # the toric pipeline is exact: no LP for pointedness, no Qhull
+        code = ("import sys\n"
+                "from conelab.cli import main\n"
+                "assert main(sys.argv[1:]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith("
+                "('scipy.optimize', 'scipy.spatial'))))\n")
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "toric.json"
+        src = str(pathlib.Path(conelab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "toric", "--in", str(fixture),
+             "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_one_class_check_per_run(self, tmp_path, monkeypatch):
         calls = []

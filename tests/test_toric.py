@@ -4,16 +4,19 @@ import math
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 import conelab.toric
 from conelab import (DomainError, InternalFault, PreconditionError,
                      ToricConeData, UnsupportedError, cross_section,
                      gorenstein_covector, invariant_A, kahler_class,
                      maximal_triangulation, support_function_check)
-from conelab.toric import (_det, _divisor_facet, _face_relative_volume,
-                           _hull2d, _hull_volume, _kernel_basis,
+from conelab.toric import (_as_fraction, _contains_line, _det,
+                           _divisor_facet, _hull2d, _kernel_basis,
                            _poly_vertices, _polygon_points, _primitive,
                            _smith_normal_form, _solve, integer_solve)
 
@@ -42,6 +45,12 @@ def dot(u, y):
     return sum(Fraction(a) * b for a, b in zip(u, y))
 
 
+def fraction_vertices(ineqs, dim):
+    """The vertices of :func:`_poly_vertices` as sorted Fraction tuples."""
+    return sorted(tuple(Fraction(x, v[-1]) for x in v[:-1])
+                  for v in _poly_vertices(ineqs, dim)[1])
+
+
 def enumerated_facets(tri, vals):
     """Divisor facets by brute force: the vertices of C_h, cut by a cap
     beyond its bounded vertices, that lie on <u_j, y> = lambda_j, for every
@@ -49,34 +58,62 @@ def enumerated_facets(tri, vals):
     m = tri.cone.dim
     h_ineqs = [(u, vals[j]) for j, u in enumerate(tri.rays)]
     w = tuple(sum(u[i] for u in tri.rays) for i in range(m))
-    wmax = max(dot(w, v) for v in _poly_vertices(h_ineqs, m))
+    wmax = max(dot(w, v) for v in fraction_vertices(h_ineqs, m))
     cap = (tuple(-x for x in w), -(2 * wmax + 1))
-    verts = _poly_vertices(h_ineqs + [cap], m)
+    verts = fraction_vertices(h_ineqs + [cap], m)
     return {j: [v for v in verts if dot(tri.rays[j], v) == vals[j]]
             for j in range(tri.n_boundary, len(tri.rays)) if vals[j] != 0}
 
 
+def hull_volume(verts, dim):
+    """Qhull's volume of the convex hull of ``verts``; 0 if degenerate."""
+    if len(verts) < dim + 1:
+        return 0.0
+    try:
+        return float(ConvexHull(np.array(verts, dtype=float)).volume)
+    except QhullError:
+        return 0.0
+
+
+def face_relative_volume(verts, u, dim):
+    """Euclidean volume of the face conv(verts) on a hyperplane with normal
+    u, over |u|, in floats: in 3d the face is projected to an orthonormal
+    basis of the hyperplane."""
+    norm = math.sqrt(sum(float(x) ** 2 for x in u))
+    pts = np.array(verts, dtype=float)
+    if dim == 2:
+        return float(np.max(np.linalg.norm(pts[:, None] - pts[None], axis=2))
+                     ) / norm
+    n = np.array(u, dtype=float) / norm
+    e1 = np.cross(n, [0.0, 1.0, 0.0] if abs(n[0]) > 0.9 else [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    return hull_volume(np.c_[pts @ e1, pts @ e2], 2) / norm
+
+
 def enumerated_invariant(tri, vals, omega):
-    """(divisor_sum, polytope_volume, excised_volume) with C and C_h both
-    bounded by every triangulation ray and the facets enumerated."""
+    """(divisor_sum, polytope_volume, excised_volume) in floats, the float
+    oracle of the exact routes: Qhull volumes of C and C_h, both bounded
+    by every triangulation ray and capped, with the cap doubled until the
+    excised volume is stable, and Qhull areas of the enumerated facets."""
     m = tri.cone.dim
     rays = tri.rays
     w = tuple(sum(u[i] for u in rays) for i in range(m))
     h_ineqs = [(u, vals[j]) for j, u in enumerate(rays)]
-    T = 2 * max(dot(w, v) for v in _poly_vertices(h_ineqs, m)) + 1
+    T = 2 * max(dot(w, v) for v in fraction_vertices(h_ineqs, m)) + 1
 
     def excised(Tcap):
         cap = (tuple(-x for x in w), -Tcap)
-        return (_hull_volume(_poly_vertices(
+        return (hull_volume(fraction_vertices(
                     [(u, Fraction(0)) for u in rays] + [cap], m), m)
-                - _hull_volume(_poly_vertices(h_ineqs + [cap], m), m))
+                - hull_volume(fraction_vertices(h_ineqs + [cap], m), m))
 
     vol, vol2 = excised(T), excised(2 * T)
     while abs(vol - vol2) > 1e-12 * max(abs(vol), 1.0):
         T, vol, vol2 = 2 * T, vol2, excised(4 * T)
     total = 0.0
     for j, face in enumerated_facets(tri, vals).items():
-        total += float(vals[j]) * _face_relative_volume(face, rays[j], m)
+        total += float(vals[j]) * face_relative_volume(face, rays[j], m)
     return (-(2 * math.pi) ** m * total / ((m - 1) * m * omega),
             -(2 * math.pi) ** m * vol / ((m - 1) * omega), vol)
 
@@ -115,6 +152,26 @@ class TestConeData:
     def test_rejects_non_pointed(self):
         with pytest.raises(DomainError):
             ToricConeData(2, [(1, 0), (-1, 0)])
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda dim: st.lists(
+        st.tuples(*[st.integers(-3, 3)] * dim).filter(any),
+        min_size=1, max_size=dim + 3)))
+    def test_circuit_test_matches_linprog(self, rays):
+        # the cone is pointed iff the rays lie in an open half space,
+        # <u, y> >= 1 for some y (Gordan)
+        dim = len(rays[0])
+        res = linprog(np.zeros(dim), A_ub=-np.array(rays, dtype=float),
+                      b_ub=-np.ones(len(rays)),
+                      bounds=[(None, None)] * dim, method="highs")
+        assert _contains_line(rays) == (not res.success)
+
+    @pytest.mark.parametrize("x, want", [
+        (0.1, Fraction(1, 10)), (1e-13, Fraction(1, 10 ** 13)),
+        (3e-12, Fraction(3, 10 ** 12)), (1e90, Fraction(10 ** 90)),
+        (-0.0, Fraction(0))])
+    def test_float_support_values_read_as_decimals(self, x, want):
+        assert _as_fraction(x) == want
 
 
 class TestIntegerLinearAlgebra:
@@ -396,15 +453,14 @@ class TestFacetsFromTheFan:
         for j, face in enumerated_facets(tri, fracs).items():
             assert _divisor_facet(tri, forms, j) == face
         inv = invariant_A(tri, vals, omega_link=omega)
-        assert inv.divisor_sum == pytest.approx(inv.polytope_volume,
-                                                rel=1e-9)
+        assert inv.divisor_sum == inv.polytope_volume == inv.value
         want = enumerated_invariant(tri, fracs, omega)
         got = (inv.divisor_sum, inv.polytope_volume, inv.excised_volume)
-        assert list(map(repr, got)) == list(map(repr, want))
+        assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("make", [a1_cone, z3_cone])
-    def test_four_vertex_enumerations(self, make, monkeypatch):
-        # two per capped volume, at T and 2T, when the cap is stable at once
+    def test_one_vertex_enumeration_per_volume(self, make, monkeypatch):
+        # C and C_h, each under the one cap
         calls = []
         enumerate_ = conelab.toric._poly_vertices
 
@@ -416,9 +472,9 @@ class TestFacetsFromTheFan:
         cone = make()
         tri = triangulate(cone)
         invariant_A(tri, default_values(tri), omega_link=1.0)
-        assert len(calls) == 4
-        # C is bounded by the cone's own rays and the cap
-        assert sorted(calls)[:2] == [len(cone.rays) + 1] * 2
+        # C is bounded by the cone's own rays and the cap, C_h by every
+        # ray of the triangulation and the cap
+        assert calls == [len(cone.rays) + 1, len(tri.rays) + 1]
 
 
 class TestOmegaLink:
@@ -428,18 +484,6 @@ class TestOmegaLink:
         tri = triangulate(a1_cone())
         with pytest.raises(DomainError, match="omega_link must be positive"):
             invariant_A(tri, default_values(tri), omega_link=omega)
-
-
-class TestLargeCoordinates:
-    def test_hull_volume_is_scale_exact(self):
-        # scaling the points by 2^k scales the volume by exactly 2^(dim k)
-        verts = [(0, 0, 0), (3, 0, 0), (0, 5, 0), (0, 0, Fraction(7, 3)),
-                 (1, 1, 1)]
-        base = _hull_volume(verts, 3)
-        assert base > 0
-        for k in (-300, -40, 40, 300):
-            big = [tuple(math.ldexp(float(x), k) for x in v) for v in verts]
-            assert _hull_volume(big, 3) == math.ldexp(base, 3 * k)
 
 
 class TestOverflow:
@@ -496,16 +540,26 @@ class TestPolyVertices:
     @given(system=inequality_systems())
     def test_matches_fraction_enumeration(self, system):
         ineqs, dim = system
-        assert _poly_vertices(ineqs, dim) == \
+        assert fraction_vertices(ineqs, dim) == \
             poly_vertices_by_fractions(ineqs, dim)
+        # each vertex carries exactly the rows it lies on
+        rows, verts = _poly_vertices(ineqs, dim)
+        for v, on in verts.items():
+            assert on == {i for i, (u, p) in enumerate(rows) if any(u)
+                          and sum(a * x for a, x in zip(u, v)) == p * v[-1]}
 
     def test_capped_cone(self):
         # the capped C of the C^3 / Z_3 cone: the simplex of the rays' dual
         ineqs = [(u, 0) for u in z3_cone().rays] + [((-1, -1, -1), -3)]
-        verts = _poly_vertices(ineqs, 3)
-        assert verts == poly_vertices_by_fractions(ineqs, 3)
-        assert all(isinstance(x, Fraction) for v in verts for x in v)
+        rows, verts = _poly_vertices(ineqs, 3)
+        assert fraction_vertices(ineqs, 3) == \
+            poly_vertices_by_fractions(ineqs, 3)
+        assert all(isinstance(x, int) for v in verts for x in v)
         assert len(verts) == 4
+        assert rows == ineqs
+        # a simplex: each vertex lies on three of the four rows
+        assert sorted(map(sorted, verts.values())) == [
+            [0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
 
 
 class TestPolygonPoints:
