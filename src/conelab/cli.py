@@ -177,12 +177,15 @@ def run_heat(args):
     }
     if args.csv:
         d = cone.distances_from(source)
-        vertex = np.arange(cone.n_vertices)
+        # each vertex's "vertex,distance," is formatted once for all times
+        prefix = np.array(list(map("{},{:.12g},".format,
+                                   range(cone.n_vertices), d.tolist())),
+                          dtype=object)
         with open(args.csv, "w") as fh:
             fh.write("t,vertex,distance,value\n")
             for s in samples:
-                _write_rows(fh, f"{s.t:.12g}," + "{},{:.12g},{:.12g}\n",
-                            vertex, d, s.values)
+                _write_rows(fh, f"{s.t:.12g}," + "{}{:.12g}\n",
+                            prefix, s.values)
     write_report("heat", {"in": args.infile, "times": times,
                           "source": args.source}, results, args)
     return 0

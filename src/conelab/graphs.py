@@ -29,6 +29,11 @@ DENSE_EIG_LIMIT = 3000
 #: the gap.
 GAP_RESIDUAL_TOL = 1e-6
 
+#: Largest accepted null eigenvalue of the dense pencil, relative to the
+#: gap.  The pencil's exact null eigenvalue is 0, so what LAPACK returns
+#: for it measures the rounding error of the eigenvalues next to it.
+GAP_NULL_TOL = 1e-9
+
 
 def dirichlet_laplacian(n, edges, weights) -> sp.csr_matrix:
     """Matrix of the Dirichlet form sum_e w_e |f(i) - f(j)|^2 on n vertices.
@@ -172,54 +177,84 @@ class WeightedGraph:
 # subset enumeration
 
 
+#: Entries per step of the chunked reductions over the subset tables.
+_CHUNK = 1 << 15
+
+
 def _enum_tables(g: WeightedGraph, cap: int):
-    """Per-subset measures and boundary measures, indexed by bitmask - 1.
+    """Measures and boundary measures of the subsets without the top vertex
+    n-1: two tables of 2^(n-1) entries, indexed by bitmask, the empty set
+    at 0.
 
     A subset's measure is its top vertex's measure added to the measure of
     the rest, so every table entry is the sum of its vertices' measures in
     increasing bit order.  Boundary measures are summed edge by edge: edge
     (a, b), a < b, adds its measure to the two strided views of the table
-    where bits a and b differ.  Only the half without the top vertex n-1 is
-    filled that way; a set and its complement cross the same edges, so the
-    other half is the first one reversed.  Besides the two float tables of
-    2^n entries nothing of size 2^n is allocated.
+    where bits a and b differ.  The other half is never stored; see
+    :func:`_subset_chunks`.
     """
     n = len(g)
     if n > cap:
         raise CapacityError(f"{n} vertices exceeds enumeration cap {cap}")
-    m_sub = np.zeros(1 << n)
-    for pos in range(n):
+    m_lo = np.zeros(1 << (n - 1))
+    for pos in range(n - 1):
         h = 1 << pos
-        np.add(m_sub[:h], g.measures[pos], out=m_sub[h:2 * h])
-    bnd = np.zeros(1 << n)
-    half = bnd[:len(bnd) // 2]
+        np.add(m_lo[:h], g.measures[pos], out=m_lo[h:2 * h])
+    b_lo = np.zeros(len(m_lo))
     w = g.edge_measures
     for k, (a, b) in enumerate(g.edge_pos.tolist()):
         if b == n - 1:
             # bit b is clear in this half: the edge is cut iff bit a is set
-            half.reshape(-1, 2, 1 << a)[:, 1, :] += w[k]
+            b_lo.reshape(-1, 2, 1 << a)[:, 1, :] += w[k]
         else:
-            v = half.reshape(-1, 2, 1 << (b - a - 1), 2, 1 << a)
+            v = b_lo.reshape(-1, 2, 1 << (b - a - 1), 2, 1 << a)
             v[:, 1, :, 0, :] += w[k]
             v[:, 0, :, 1, :] += w[k]
-    bnd[len(half):] = half[::-1]
-    return m_sub[1:], bnd[1:]
+    return m_lo, b_lo
+
+
+def _subset_chunks(g: WeightedGraph, cap: int):
+    """Yield ``(measures, boundaries)`` of every nonempty subset, at most
+    ``_CHUNK`` subsets at a time, in bitmask order.
+
+    The subsets without vertex n-1 are read from :func:`_enum_tables`.  A
+    subset S + {n-1} has measure ``m_lo[S] + m(n-1)``, and the same
+    boundary as its complement, a set of the first half: its boundaries
+    are the first table read backwards.  A yielded array may be reused by
+    the next step.
+    """
+    m_lo, b_lo = _enum_tables(g, cap)
+    h = len(m_lo)
+    for lo in range(1, h, _CHUNK):
+        hi = min(lo + _CHUNK, h)
+        yield m_lo[lo:hi], b_lo[lo:hi]
+    top = g.measures[-1]
+    buf = np.empty(min(h, _CHUNK))
+    for lo in range(0, h, _CHUNK):
+        hi = min(lo + _CHUNK, h)
+        m = np.add(m_lo[lo:hi], top, out=buf[:hi - lo])
+        yield m, b_lo[h - hi:h - lo][::-1]
 
 
 def cheeger_constant(g: WeightedGraph, cap: int = DEFAULT_ENUM_CAP) -> float:
     """inf m(boundary U) / m(U) over subsets with 0 < m(U) <= m(V)/2.
 
-    Exact, by subset enumeration.  Returns 0 iff the graph is disconnected.
-    Raises CapacityError above ``cap`` vertices.
+    Exact, by subset enumeration: a minimum over the chunks of
+    :func:`_subset_chunks`, so besides the two half tables of 2^(n-1)
+    floats nothing of size 2^n is allocated.  Returns 0 iff the graph is
+    disconnected.  Raises CapacityError above ``cap`` vertices.
     """
     if len(g) == 1:
         return math.inf  # no admissible subset: m(U) <= m/2 forces U empty
-    m_sub, bnd = _enum_tables(g, cap)
-    half = g.total_measure / 2.0
-    ok = m_sub <= half * (1 + 1e-12)
-    if not ok.any():
-        return math.inf
-    return float(np.min(bnd[ok] / m_sub[ok]))
+    limit = g.total_measure / 2.0 * (1 + 1e-12)
+    best = math.inf
+    # a ratio too large for a float is inf, its correctly rounded value
+    with np.errstate(over="ignore"):
+        for m, b in _subset_chunks(g, cap):
+            ok = m <= limit
+            if ok.any():
+                best = min(best, float(np.min(b[ok] / m[ok])))
+    return best
 
 
 def isoperimetric_constant(g: WeightedGraph, nu: float = math.inf,
@@ -234,7 +269,8 @@ def isoperimetric_constant(g: WeightedGraph, nu: float = math.inf,
 
     Subsets with empty boundary (e.g. the whole vertex set, or a full
     connected component) make the supremum infinite.  ``subsets`` restricts
-    the supremum to an explicit family of vertex-id collections.
+    the supremum to an explicit family of vertex-id collections; without
+    it the supremum is a maximum over the chunks of :func:`_subset_chunks`.
     """
     if mode not in ("dirichlet", "neumann"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -252,18 +288,22 @@ def isoperimetric_constant(g: WeightedGraph, nu: float = math.inf,
                 msub ** expo if mode == "dirichlet" else msub) / mbnd
             best = max(best, ratio)
         return best
-    m_sub, bnd = _enum_tables(g, cap)
-    if mode == "neumann":
-        keep = m_sub <= g.total_measure / 2.0 * (1 + 1e-12)
-        m_sub, bnd = m_sub[keep], bnd[keep]
-        if len(m_sub) == 0:
-            return 0.0
-        num = m_sub
-    else:
-        num = m_sub ** expo
-    if np.any(bnd == 0):
-        return math.inf
-    return float(np.max(num / bnd))
+    limit = g.total_measure / 2.0 * (1 + 1e-12)
+    best = 0.0
+    with np.errstate(over="ignore"):
+        for m, b in _subset_chunks(g, cap):
+            if mode == "neumann":
+                keep = m <= limit
+                m, b = m[keep], b[keep]
+                if len(m) == 0:
+                    continue
+                num = m
+            else:
+                num = m ** expo
+            if np.any(b == 0):
+                return math.inf
+            best = max(best, float(np.max(num / b)))
+    return best
 
 
 @dataclass(frozen=True)
@@ -298,9 +338,10 @@ def spectral_gap(g: WeightedGraph) -> float:
     single vertex (no nonconstant test functions).  Up to
     ``DENSE_EIG_LIMIT`` vertices L is assembled as a dense array
     (:func:`_dense_laplacian`) and the pencil is solved by LAPACK; no
-    sparse matrix is built.  Above it the gap is found by shift-invert
-    Lanczos (ARPACK) just below 0, and a residual check raises
-    CapacityError instead of returning an unconverged value.
+    sparse matrix is built, and a null eigenvalue further from 0 than
+    ``GAP_NULL_TOL`` times the gap raises CapacityError.  Above it the gap
+    is found by shift-invert Lanczos (ARPACK) just below 0, and a residual
+    check raises CapacityError instead of returning an unconverged value.
     """
     n = len(g)
     if n == 1:
@@ -310,7 +351,11 @@ def spectral_gap(g: WeightedGraph) -> float:
     if n <= DENSE_EIG_LIMIT:
         L = _dense_laplacian(n, g.edge_pos, g.edge_measures)
         w = scipy.linalg.eigh(L, np.diag(g.measures), eigvals_only=True)
-        return float(max(w[1], 0.0))
+        if not abs(w[0]) <= GAP_NULL_TOL * w[1]:
+            raise CapacityError(f"spectral gap {w[1]:.6e} on {n} vertices "
+                                f"is lost to rounding: the null eigenvalue "
+                                f"reads {w[0]:.2e}")
+        return float(w[1])
     L = dirichlet_laplacian(n, g.edge_pos, g.edge_measures)
     # large graphs: shift-invert Lanczos just below 0 finds the two
     # smallest eigenvalues (0 and the gap)

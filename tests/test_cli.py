@@ -84,6 +84,29 @@ class TestGraphCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and message in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps", [1e-300, 1e-305, 1e-310, 1e-320])
+    def test_tiny_measure_gives_the_gap_or_exits_2(self, tmp_path, capsys,
+                                                   eps):
+        """Unit path on 4 vertices, vertex 1 of measure eps: the gap tends
+        to (3 - sqrt 3)/2.  Where rounding loses it the run exits 2 with
+        its error line alone on stderr; any warning fails the test."""
+        doc = {"vertices": [{"id": i, "measure": eps if i == 1 else 1.0}
+                            for i in range(4)],
+               "edges": [[0, 1], [1, 2], [2, 3]]}
+        inp = write(tmp_path, "g.json", json.dumps(doc))
+        out = tmp_path / "r.json"
+        code = main(["graph", "--in", inp, "--out", str(out)])
+        err = capsys.readouterr().err
+        if eps == 1e-300:
+            assert (code, err) == (0, "")
+            gap = json.loads(out.read_text())["results"]["spectral_gap"]
+            assert gap == pytest.approx((3.0 - math.sqrt(3.0)) / 2.0,
+                                        rel=0, abs=1e-12)
+        else:
+            assert code == 2 and not out.exists()
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_failed_parse_leaves_the_parser_as_built(self, tmp_path, capsys):
         g = WeightedGraph([(0, 1.0), (1, 2.0), (2, 1.0)], [(0, 1), (1, 2)])
         inp = write(tmp_path, "g.json", graph_to_json(g))

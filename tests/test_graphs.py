@@ -10,7 +10,7 @@ import conelab.graphs
 from conelab import (CapacityError, DomainError, WeightedGraph,
                      cheeger_constant, cheeger_gap_report, degree_bound_m0,
                      isoperimetric_constant, spectral_gap)
-from conelab.graphs import (_dense_laplacian, _enum_tables,
+from conelab.graphs import (_dense_laplacian, _enum_tables, _subset_chunks,
                             dirichlet_laplacian, graph_from_json,
                             graph_to_json, random_connected_graph,
                             subset_cut)
@@ -131,6 +131,35 @@ class TestInvariants:
 def path(n):
     return WeightedGraph([(i, 1.0) for i in range(n)],
                          [(i, i + 1) for i in range(n - 1)])
+
+
+class TestDenseSpectralGap:
+    """Graphs up to DENSE_EIG_LIMIT, solved by LAPACK."""
+
+    @pytest.mark.parametrize("eps, ok", [(1e-290, True), (1e-300, True),
+                                         (1e-303, False), (1e-305, False)])
+    def test_null_eigenvalue_guards_the_gap(self, eps, ok):
+        """Unit path with vertex 1 of measure eps: the gap tends to
+        (3 - sqrt 3)/2, and is refused once the null eigenvalue shows it
+        lost to rounding."""
+        g = WeightedGraph([(0, 1.0), (1, eps), (2, 1.0), (3, 1.0)],
+                          [(0, 1), (1, 2), (2, 3)])
+        if ok:
+            assert spectral_gap(g) == pytest.approx(
+                (3.0 - math.sqrt(3.0)) / 2.0, rel=1e-13)
+        else:
+            with pytest.raises(CapacityError, match="rounding"):
+                spectral_gap(g)
+
+    def test_connected_graph_never_reads_gap_zero(self):
+        """Measures over 16 decades on a connected path: rounding makes the
+        computed gap negative, which must not be reported as the 0 of a
+        disconnected graph."""
+        m = 10.0 ** np.random.default_rng(1).uniform(-8.0, 8.0, size=200)
+        g = WeightedGraph(enumerate(m), [(i, i + 1) for i in range(199)])
+        assert g.is_connected()
+        with pytest.raises(CapacityError, match="rounding"):
+            spectral_gap(g)
 
 
 class TestSparseSpectralGap:
@@ -293,42 +322,64 @@ def enum_tables_by_bits(g):
     return m_sub, bnd
 
 
+def assert_tables_match_reference(g):
+    """The half tables are the reference's subsets without the top vertex,
+    after the empty set's zeros, and the chunks read both halves; all bit
+    for bit."""
+    (m_lo, b_lo), want = _enum_tables(g, 22), enum_tables_by_bits(g)
+    h = 1 << (len(g) - 1)
+    for a, b in zip((m_lo, b_lo), want):
+        assert a.tobytes() == np.r_[0.0, b[:h - 1]].tobytes()
+    chunks = [(m.copy(), b.copy()) for m, b in _subset_chunks(g, 22)]
+    for k, b in enumerate(want):
+        assert np.concatenate([c[k] for c in chunks]).tobytes() == b.tobytes()
+
+
+def ring_with_chords(n, step, measures):
+    return WeightedGraph(enumerate(measures),
+                         [(i, (i + 1) % n) for i in range(n)]
+                         + [(i, (i + step) % n) for i in range(n)])
+
+
 class TestEnumTables:
     @pytest.mark.parametrize("seed", range(12))
     def test_bitwise_equal_to_per_bit_sums(self, seed):
-        g = random_connected_graph(np.random.default_rng(seed),
-                                   max_vertices=16)
-        got, want = _enum_tables(g, 22), enum_tables_by_bits(g)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+        assert_tables_match_reference(random_connected_graph(
+            np.random.default_rng(seed), max_vertices=16))
 
     def test_bitwise_equal_on_any_graph(self):
         for g in random_graphs(2, 520):
-            got, want = _enum_tables(g, 22), enum_tables_by_bits(g)
-            for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes()
+            assert_tables_match_reference(g)
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_reductions_equal_reference_across_chunks(self, n):
+        """2^(n-1) > _CHUNK, so both halves are read in several chunks."""
+        assert 1 << (n - 1) > conelab.graphs._CHUNK
+        g = ring_with_chords(n, 5, np.random.default_rng(n).uniform(
+            0.1, 10.0, size=n))
+        m_sub, bnd = enum_tables_by_bits(g)
+        ok = m_sub <= g.total_measure / 2.0 * (1 + 1e-12)
+        assert cheeger_constant(g) == np.min(bnd[ok] / m_sub[ok])
+        assert isoperimetric_constant(g, mode="neumann") == np.max(
+            m_sub[ok] / bnd[ok])
 
     def test_peak_memory_is_two_tables(self):
-        n = 18
-        g = WeightedGraph(enumerate(np.linspace(0.5, 2.0, n)),
-                          [(i, (i + 1) % n) for i in range(n)]
-                          + [(i, (i + 7) % n) for i in range(n)])
+        """The Cheeger scan holds two half tables, 8 * 2^n bytes, and
+        chunks; nothing else of size 2^n."""
+        n = 20
+        g = ring_with_chords(n, 7, np.linspace(0.5, 2.0, n))
         tracemalloc.start()
         try:
-            tables = _enum_tables(g, 22)
+            h = cheeger_constant(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(tables[0]) == (1 << n) - 1
-        assert peak < 2.5 * 8 * (1 << n)
+        assert 0 < h < math.inf
+        assert peak < 1.25 * 8 * (1 << n)
 
     def test_fixed_shapes(self):
         m = np.random.default_rng(7).uniform(0.1, 10.0, size=16)
         for g in (WeightedGraph([(0, 0.3)]),
                   WeightedGraph([(i, 0.1 * (i + 1)) for i in range(5)]),
-                  WeightedGraph(enumerate(m),
-                                [(i, (i + 1) % 16) for i in range(16)]
-                                + [(i, (i + 5) % 16) for i in range(16)])):
-            got, want = _enum_tables(g, 22), enum_tables_by_bits(g)
-            for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes()
+                  ring_with_chords(16, 5, m)):
+            assert_tables_match_reference(g)
