@@ -177,15 +177,12 @@ def run_heat(args):
     }
     if args.csv:
         d = cone.distances_from(source)
-        # each vertex's "vertex,distance," is formatted once for all times
-        prefix = np.array(list(map("{},{:.12g},".format,
-                                   range(cone.n_vertices), d.tolist())),
-                          dtype=object)
+        vertex = np.arange(cone.n_vertices)
         with open(args.csv, "w") as fh:
             fh.write("t,vertex,distance,value\n")
             for s in samples:
-                _write_rows(fh, f"{s.t:.12g}," + "{}{:.12g}\n",
-                            prefix, s.values)
+                _write_rows(fh, f"{s.t:.12g}," + "{},{:.12g},{:.12g}\n",
+                            vertex, d, s.values)
     write_report("heat", {"in": args.infile, "times": times,
                           "source": args.source}, results, args)
     return 0

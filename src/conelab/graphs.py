@@ -30,8 +30,10 @@ DENSE_EIG_LIMIT = 3000
 GAP_RESIDUAL_TOL = 1e-6
 
 #: Largest accepted null eigenvalue of the dense pencil, relative to the
-#: gap.  The pencil's exact null eigenvalue is 0, so what LAPACK returns
-#: for it measures the rounding error of the eigenvalues next to it.
+#: gap and per vertex.  The pencil's exact null eigenvalue is 0, so what
+#: LAPACK returns for it samples the rounding error of the eigenvalues
+#: next to it; that error's bound grows with the vertex count n, and so
+#: does the tolerance: n * GAP_NULL_TOL times the gap.
 GAP_NULL_TOL = 1e-9
 
 
@@ -339,7 +341,7 @@ def spectral_gap(g: WeightedGraph) -> float:
     ``DENSE_EIG_LIMIT`` vertices L is assembled as a dense array
     (:func:`_dense_laplacian`) and the pencil is solved by LAPACK; no
     sparse matrix is built, and a null eigenvalue further from 0 than
-    ``GAP_NULL_TOL`` times the gap raises CapacityError.  Above it the gap
+    n * ``GAP_NULL_TOL`` times the gap raises CapacityError.  Above it the gap
     is found by shift-invert Lanczos (ARPACK) just below 0, and a residual
     check raises CapacityError instead of returning an unconverged value.
     """
@@ -351,7 +353,7 @@ def spectral_gap(g: WeightedGraph) -> float:
     if n <= DENSE_EIG_LIMIT:
         L = _dense_laplacian(n, g.edge_pos, g.edge_measures)
         w = scipy.linalg.eigh(L, np.diag(g.measures), eigvals_only=True)
-        if not abs(w[0]) <= GAP_NULL_TOL * w[1]:
+        if not abs(w[0]) <= GAP_NULL_TOL * n * w[1]:
             raise CapacityError(f"spectral gap {w[1]:.6e} on {n} vertices "
                                 f"is lost to rounding: the null eigenvalue "
                                 f"reads {w[0]:.2e}")

@@ -151,6 +151,24 @@ class TestDenseSpectralGap:
             with pytest.raises(CapacityError, match="rounding"):
                 spectral_gap(g)
 
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_path_oracle(self, n):
+        """The null eigenvalue of a long path reads about 1e-9 of its gap
+        (pi/n)^2 at n = 3000, while the gap is good to about 8 digits."""
+        assert n <= conelab.graphs.DENSE_EIG_LIMIT
+        exact = 4.0 * math.sin(math.pi / (2 * n)) ** 2
+        assert spectral_gap(path(n)) == pytest.approx(exact, rel=1e-8)
+
+    def test_varied_measures_match_lanczos(self, monkeypatch):
+        """Measures over 4 decades on a 500-vertex path: the null
+        eigenvalue reads about 8e-9 of the gap, and the gap agrees with
+        the residual-checked Lanczos solve."""
+        m = 10.0 ** np.random.default_rng(3).uniform(-2.0, 2.0, size=500)
+        g = WeightedGraph(enumerate(m), [(i, i + 1) for i in range(499)])
+        dense = spectral_gap(g)
+        monkeypatch.setattr(conelab.graphs, "DENSE_EIG_LIMIT", len(g) - 1)
+        assert dense == pytest.approx(spectral_gap(g), rel=1e-6)
+
     def test_connected_graph_never_reads_gap_zero(self):
         """Measures over 16 decades on a connected path: rounding makes the
         computed gap negative, which must not be reported as the 0 of a
