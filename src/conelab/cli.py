@@ -340,7 +340,7 @@ def build_parser():
     sp.set_defaults(func=run_bp)
 
     sp = sub.add_parser("report", help="validate a report JSON")
-    common(sp)
+    sp.add_argument("--in", dest="infile", required=True)
     sp.set_defaults(func=run_report)
     return p
 

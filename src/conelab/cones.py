@@ -385,24 +385,6 @@ class DiscretizedCone:
         d[v] = 0.0
         return d
 
-    def distance(self, u: int, v: int) -> float:
-        """``distances_from(u)[v]``, bit for bit: the same expression on
-        one-element slices, so that the same ufunc loops run."""
-        if u == self.apex:
-            return float(self.radii[v])
-        if v == u:
-            return 0.0
-        r1 = self.radii[u]
-        if v == self.apex:
-            return float(r1)
-        r = self.radii[v:v + 1]
-        ang = np.minimum(
-            self._link_dist[self.link_index[u], self.link_index[v:v + 1]],
-            math.pi)
-        d = np.sqrt(np.maximum(
-            r1 * r1 + r * r - 2.0 * r1 * r * np.cos(ang), 0.0))
-        return float(d[0])
-
     def boundary_distance(self, v=slice(None)):
         """Distance from vertex v (by default every vertex, as an array) to
         the truncation boundary of the grid."""
@@ -444,13 +426,19 @@ def classify_ball(cone: DiscretizedCone, v: int, r: float,
                   epsilon: float = 0.5, base: int | None = None) -> str:
     """'anchored' if centered at the base point, 'remote' if
     r <= epsilon * d(o, x) / 2, else 'neither'."""
+    o = cone.base_point() if base is None else base
+    return _ball_case(cone.distances_from(o), o, v, r, epsilon)
+
+
+def _ball_case(d_o, o: int, v: int, r: float, epsilon: float) -> str:
+    """:func:`classify_ball` with ``d_o`` the distances from the base
+    point o."""
     if not 0 < epsilon:
         raise DomainError("epsilon must be positive")
-    o = cone.base_point() if base is None else base
     if v == o:
         return "anchored"
-    d = cone.distance(o, v)
-    return "remote" if r <= 0.5 * epsilon * d * (1 + 1e-12) else "neither"
+    return ("remote" if r <= 0.5 * epsilon * d_o[v] * (1 + 1e-12)
+            else "neither")
 
 
 def combine_parameter(epsilon: float, delta0: float) -> float:
@@ -482,8 +470,9 @@ def doubling_scan(cone: DiscretizedCone, n_samples: int = 100,
                   anchored: bool = False) -> DoublingScan:
     """Sample balls and record V(x, 2r)/V(x, r); clipped doubles excluded.
 
-    With ``anchored=True`` all samples are centered at the base point, and
-    its distance array is computed once.  Deterministic for a fixed seed.
+    With ``anchored=True`` all samples are centered at the base point.  The
+    base point's distance array is computed once; it measures the anchored
+    balls and classifies every ball.  Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     lo, hi = r_bounds
@@ -494,7 +483,7 @@ def doubling_scan(cone: DiscretizedCone, n_samples: int = 100,
     records, n_clipped = [], 0
     tries = 0
     base = cone.base_point()
-    d_base = cone.distances_from(base) if anchored else None
+    d_base = cone.distances_from(base)
     while len(records) < n_samples and tries < 50 * n_samples:
         tries += 1
         r = float(rng.uniform(lo, hi))
@@ -504,7 +493,7 @@ def doubling_scan(cone: DiscretizedCone, n_samples: int = 100,
             continue
         d = d_base if anchored else cone.distances_from(v)
         ratio = cone._ball_measure(d, 2 * r) / cone._ball_measure(d, r)
-        case = classify_ball(cone, v, r, epsilon=epsilon)
+        case = _ball_case(d_base, base, v, r, epsilon)
         records.append(DoublingRecord(v, r, ratio, case, False))
     worst = max(records, key=lambda rec: rec.ratio) if records else None
     return DoublingScan(records, worst.ratio if worst else math.nan, worst,

@@ -352,7 +352,11 @@ def spectral_gap(g: WeightedGraph) -> float:
         return 0.0
     if n <= DENSE_EIG_LIMIT:
         L = _dense_laplacian(n, g.edge_pos, g.edge_measures)
-        w = scipy.linalg.eigh(L, np.diag(g.measures), eigvals_only=True)
+        try:
+            w = scipy.linalg.eigh(L, np.diag(g.measures), eigvals_only=True)
+        except np.linalg.LinAlgError as exc:
+            raise CapacityError(
+                f"spectral gap on {n} vertices: {exc}") from exc
         if not abs(w[0]) <= GAP_NULL_TOL * n * w[1]:
             raise CapacityError(f"spectral gap {w[1]:.6e} on {n} vertices "
                                 f"is lost to rounding: the null eigenvalue "

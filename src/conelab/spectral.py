@@ -6,9 +6,8 @@ sum c_e |f(i)-f(j)|^2 against the vertex measure matrix.  The energy form is
 put in reverse Cuthill-McKee order and factored once as a band (LAPACK
 ``dpbtrf``, with a pivot guard against forms that are singular to working
 precision); the pencil's largest eigenpair then comes from a standard
-symmetric operator, formed densely up to 400 vertices and applied by
-Lanczos above, one ``dpbtrs`` solve per step, and it is checked by its
-residual on the pencil (:func:`poincare_constant`).
+symmetric operator applied by Lanczos, one ``dpbtrs`` solve per step, and
+it is checked by its residual on the pencil (:func:`poincare_constant`).
 
 Heat kernels and Green's functions need a
 :class:`~conelab.cones.DiscretizedCone`: they use
@@ -440,9 +439,10 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
 def _band_factor(pos, edges, c, n):
     """Lower band Cholesky factor (LAPACK ``dpbtrf``) of the energy form of
     ``edges`` with conductances ``c``, its vertices renumbered by ``pos``,
-    grounded at position n: that row and column are dropped, and an edge to
-    it adds to its other end's diagonal only.  The diagonal is one
-    ``np.bincount``; each other entry lies at its band offset |i - j|.
+    grounded at positions n and above: those rows and columns are dropped,
+    and an edge to them adds to its other end's diagonal only.  The
+    diagonal is one ``np.bincount``; each other entry lies at its band
+    offset |i - j|.
 
     Raises PreconditionError if ``dpbtrf`` fails (the form is not positive
     definite), or if it succeeds with a pivot c_ii^2 <= n eps a_ii: then
@@ -481,20 +481,19 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     Q = P^T D P, D = diag(m on U) and P f = f - a(f), the nonzero spectrum
     of the pencil is that of the symmetric operator B = D^1/2 P L^+ P^T D^1/2
     on U: P^T maps into the sum-zero vectors, where L^+ is one ``dpbtrs``
-    solve of the grounded system, and P removes the constant.  Up to 400
-    vertices in U', B is formed densely, one ``dpbtrs`` call with a
-    right-hand side per U vertex, and its largest eigenpair (lambda, y)
-    taken by ``scipy.linalg.eigh``.  Above, ARPACK's Lanczos (mode 1, to
-    machine precision) finds it, one band solve per step; CapacityError if
-    it does not converge.  On both routes the pair is then checked on the
-    pencil itself: with f = L^+ P^T D^1/2 y, InternalFault is raised unless
+    solve of the grounded system, and P removes the constant.  B's largest
+    eigenpair (lambda, y) comes from ARPACK's Lanczos (mode 1, to machine
+    precision), one band solve per step; CapacityError if it does not
+    converge.  The pair is then checked on the pencil itself: with
+    f = L^+ P^T D^1/2 y, InternalFault is raised unless
     ||Q f - lambda L f||_inf <= POINCARE_RESIDUAL_TOL * (||D f||_inf +
     lambda || |L| |f| ||_inf), L f and |L| |f| summed edge by edge.
 
     Edges of zero conductance and loops link nothing: if U meets several
-    components of U' without them, the constant is +inf.  Raises
-    PreconditionError if the grounded energy form is not positive definite
-    or is singular to working precision.
+    components of U' without them, the constant is +inf.  Otherwise the
+    vertices off U's component are grounded with the U vertex: both forms
+    vanish there.  Raises PreconditionError if the grounded energy form is
+    not positive definite or is singular to working precision.
     """
     def ids(vs):
         """Sorted distinct vertices, from an array or any iterable."""
@@ -518,21 +517,10 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     keep = (e >= 0).all(axis=1) & (c != 0) & (e[:, 0] != e[:, 1])
     e, c = e[keep], c[keep]
     L = dirichlet_laplacian(nloc, e, c)
-    ncomp, labels = connected_components(L, directed=False)
+    labels = connected_components(L, directed=False)[1]
     u_loc = loc[U]
-    if ncomp > 1:
-        comps = set(labels[u_loc])
-        if len(comps) > 1:
-            return math.inf
-        comp = comps.pop()
-        keep_v = np.flatnonzero(labels == comp)
-        remap = -np.ones(nloc, dtype=int)
-        remap[keep_v] = np.arange(len(keep_v))
-        L = L[keep_v][:, keep_v]
-        inside = labels[e[:, 0]] == comp
-        e, c = remap[e[inside]], c[inside]
-        u_loc = remap[u_loc]
-        nloc = len(keep_v)
+    if np.any(labels[u_loc] != labels[u_loc[0]]):
+        return math.inf
     # mass form on U with the mean over mean_set removed:
     #   Q(f) = sum_U m_i (f_i - a)^2,  a = (mm . f) / mu_mean
     m = np.asarray(net.measures, dtype=float)
@@ -543,26 +531,28 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     mm_full[in_mean] = mU_full[in_mean]
     mu_mean = mm_full.sum()
 
-    # ground the first U vertex (both forms are shift invariant); band
-    # positions: reverse Cuthill-McKee order, the grounded vertex last
+    # ground the first U vertex (both forms are shift invariant) and the
+    # vertices off its component (both forms vanish there); band positions:
+    # reverse Cuthill-McKee order, the grounded vertices last
     g = int(u_loc[0])
-    n = nloc - 1
+    off = labels != labels[g]
+    n = nloc - 1 - int(np.count_nonzero(off))
     order = reverse_cuthill_mckee(L, symmetric_mode=True)
+    last = off[order] | (order == g)
     pos = np.empty(nloc, dtype=int)
-    pos[order[order != g]] = np.arange(n)
-    pos[g] = n
+    pos[order[np.argsort(last, kind="stable")]] = np.arange(nloc)
     factor = _band_factor(pos, e, c, n)
     sq = np.sqrt(mU_full[u_loc])
     mm = mm_full[u_loc]
     pos_U = pos[u_loc]
 
     def solve(y):
-        """L^+ P^T D^1/2 y in band positions, 0 at the grounded vertex."""
+        """L^+ P^T D^1/2 y in band positions, 0 at the grounded vertices."""
         z = sq * y
-        r = np.zeros(n + 1)
+        r = np.zeros(nloc)
         r[pos_U] = z - mm * (z.sum() / mu_mean)
         r[:n] = dpbtrs(factor, r[:n], lower=1)[0]
-        r[n] = 0.0
+        r[n:] = 0.0
         return r
 
     def bmul(y):
@@ -570,25 +560,15 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
         return sq * (x - np.dot(mm, x) / mu_mean)
 
     nU = len(u_loc)
-    if nloc <= 400:
-        # B column by column: one dpbtrs with a right-hand side per U vertex
-        r = np.zeros((n + 1, nU))
-        r[pos_U] = np.diag(sq) - np.outer(mm, sq / mu_mean)
-        r[:n] = dpbtrs(factor, r[:n], lower=1)[0]
-        r[n] = 0.0
-        x = r[pos_U]
-        B = sq[:, None] * (x - mm @ x / mu_mean)
-        w, y = scipy.linalg.eigh(B, subset_by_index=[nU - 1, nU - 1])
-    else:
-        # a fixed start vector keeps repeated runs bit-identical
-        v0 = np.random.default_rng(12345).standard_normal(nU)
-        try:
-            w, y = eigsh(LinearOperator((nU, nU), matvec=bmul, dtype=float),
-                         k=1, which="LA", v0=v0)
-        except ArpackNoConvergence as exc:
-            raise CapacityError(
-                f"Lanczos solve for the Poincare constant on {nloc} "
-                f"vertices did not converge") from exc
+    # a fixed start vector keeps repeated runs bit-identical
+    v0 = np.random.default_rng(12345).standard_normal(nU)
+    try:
+        w, y = eigsh(LinearOperator((nU, nU), matvec=bmul, dtype=float),
+                     k=1, which="LA", v0=v0)
+    except ArpackNoConvergence as exc:
+        raise CapacityError(
+            f"Lanczos solve for the Poincare constant on {nloc} "
+            f"vertices did not converge") from exc
     lam = float(w[0])
     f = solve(y[:, 0])[pos]
     a = np.dot(mm_full, f) / mu_mean
@@ -623,10 +603,12 @@ def scale_invariant_poincare_scan(cone, delta: float = 0.5,
                                   seed: int = 0,
                                   epsilon: float = 0.5) -> PoincareScan:
     """Sample unclipped balls and record Lambda(B(x, delta r), B(x, r))/r^2."""
-    from .cones import classify_ball
+    from .cones import _ball_case
     if not 0 < delta < 1:
         raise DomainError("delta must lie in (0, 1)")
     rng = np.random.default_rng(seed)
+    base = cone.base_point()
+    d_base = cone.distances_from(base)
     lo, hi = r_bounds
     records = []
     tries = 0
@@ -642,9 +624,8 @@ def scale_invariant_poincare_scan(cone, delta: float = 0.5,
         if len(inner) < 2:
             continue
         val = poincare_constant(cone, inner, outer) / r ** 2
-        records.append(PoincareRecord(v, r, val,
-                                      classify_ball(cone, v, r,
-                                                    epsilon=epsilon)))
+        case = _ball_case(d_base, base, v, r, epsilon)
+        records.append(PoincareRecord(v, r, val, case))
     worst = max(records, key=lambda rec: rec.value) if records else None
     return PoincareScan(records, worst.value if worst else math.nan, worst)
 

@@ -90,7 +90,8 @@ class TestGraphCommand:
                                                    eps):
         """Unit path on 4 vertices, vertex 1 of measure eps: the gap tends
         to (3 - sqrt 3)/2.  Where rounding loses it the run exits 2 with
-        its error line alone on stderr; any warning fails the test."""
+        its error line, naming the spectral gap, alone on stderr; any
+        warning fails the test."""
         doc = {"vertices": [{"id": i, "measure": eps if i == 1 else 1.0}
                             for i in range(4)],
                "edges": [[0, 1], [1, 2], [2, 3]]}
@@ -106,6 +107,7 @@ class TestGraphCommand:
         else:
             assert code == 2 and not out.exists()
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert "spectral gap" in err
 
     def test_failed_parse_leaves_the_parser_as_built(self, tmp_path, capsys):
         g = WeightedGraph([(0, 1.0), (1, 2.0), (2, 1.0)], [(0, 1), (1, 2)])
@@ -784,3 +786,16 @@ class TestReportCommand:
     def test_rejects_foreign_document(self, tmp_path):
         inp = write(tmp_path, "x.json", json.dumps({"hello": 1}))
         assert main(["report", "--in", inp]) == 2
+
+    @pytest.mark.parametrize("option", [["--out", "r.json"], ["--seed", "3"]])
+    def test_takes_no_out_or_seed(self, tmp_path, capsys, option):
+        # report only reads its input: an output path or a seed is refused
+        g = WeightedGraph([(0, 1.0), (1, 1.0)], [(0, 1)])
+        inp = write(tmp_path, "g.json", graph_to_json(g))
+        out = str(tmp_path / "r.json")
+        assert main(["graph", "--in", inp, "--out", out]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--in", out, *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

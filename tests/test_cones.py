@@ -277,17 +277,6 @@ class TestDistances:
         r = cone.radii[a]
         assert cone.distances_from(a)[b] == pytest.approx(r * math.sqrt(2.0))
 
-    @pytest.mark.parametrize("cone", DISTANCE_CONES, ids=DISTANCE_IDS)
-    def test_one_distance_is_the_array_entry(self, cone):
-        rng = np.random.default_rng(11)
-        sources = {cone.base_point(), 0, cone.n_vertices - 1,
-                   *rng.integers(0, cone.n_vertices, size=30).tolist()}
-        for u in sorted(sources):
-            d = cone.distances_from(u)
-            got = np.array([cone.distance(u, v)
-                            for v in range(cone.n_vertices)])
-            assert got.tobytes() == d.tobytes()
-
 
 class TestBalls:
     def test_anchored_volume_quadratic(self):
@@ -315,6 +304,18 @@ class TestBalls:
         d = cone.distances_from(o)[far]
         assert classify_ball(cone, far, 0.5 * 0.2 * d, epsilon=0.2) == "remote"
         assert classify_ball(cone, far, d, epsilon=0.2) == "neither"
+
+    @pytest.mark.parametrize("cone", DISTANCE_CONES, ids=DISTANCE_IDS)
+    def test_classification_threshold_on_every_cone(self, cone):
+        # 'remote' up to r = epsilon d(o, x) / 2 and 'neither' just above
+        o = cone.base_point()
+        d = cone.distances_from(o)
+        for v in np.random.default_rng(11).integers(0, cone.n_vertices, 20):
+            if v != o:
+                r = 0.1 * d[v]
+                assert classify_ball(cone, v, r, epsilon=0.2) == "remote"
+                assert classify_ball(cone, v, r * (1 + 1e-9),
+                                     epsilon=0.2) == "neither"
 
     def test_combine_parameter(self):
         assert combine_parameter(0.5, 0.5) == pytest.approx(0.5 * 0.25 / 8.0)
@@ -382,13 +383,13 @@ class TestDoublingMatchesBallVolumes:
         scan = doubling_scan(cone, **args)
         assert scan.records == records
         assert scan.n_clipped == n_clipped > 0
-        # one array per kept sample (classify_ball computes its one
-        # distance without an array), clipped samples compute none; an
-        # anchored scan computes the base point's array once
+        # the base point's array once, which classifies every ball and
+        # measures the anchored ones; one more array per kept non-anchored
+        # sample, and none for a clipped sample
         if anchored:
             assert calls == [cone.base_point()]
         else:
-            assert calls == [r.vertex for r in records]
+            assert calls == [cone.base_point()] + [r.vertex for r in records]
 
 
 class TestNetsAndCoverings:

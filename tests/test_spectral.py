@@ -61,16 +61,59 @@ class TestPoincare:
         lam = poincare_constant(net, range(n), range(n))
         assert lam == pytest.approx(L * L / math.pi ** 2, rel=1e-3)
 
-    def test_dense_and_iterative_agree(self):
-        # same pair solved below and above the dense-solver cutoff
-        n_small, n_big = 300, 600
-        lam_s = poincare_constant(path_net(n_small, 1.0 / n_small),
-                                  range(n_small // 4, 3 * n_small // 4),
-                                  range(n_small))
-        lam_b = poincare_constant(path_net(n_big, 1.0 / n_big),
-                                  range(n_big // 4, 3 * n_big // 4),
-                                  range(n_big))
-        assert lam_b == pytest.approx(lam_s, rel=1e-3)
+    @pytest.mark.parametrize("n", [3, 10, 50, 300])
+    def test_matches_schur_reference(self, n):
+        # a path with random chords, measures and conductances; U' is the
+        # whole net and U two thirds of it, so the Schur form has work
+        rng = np.random.default_rng(n)
+        chords = rng.integers(0, n, size=(n // 2, 2))
+        chords = chords[chords[:, 0] != chords[:, 1]]
+        net = types.SimpleNamespace(
+            measures=rng.uniform(0.5, 2.0, n),
+            edges=np.vstack([np.c_[np.arange(n - 1), np.arange(1, n)],
+                             chords]))
+        net.conductances = rng.uniform(0.5, 2.0, len(net.edges))
+        U = np.sort(rng.permutation(n)[:max(2, 2 * n // 3)])
+        assert (poincare_constant(net, U, range(n))
+                == pytest.approx(schur_reference(net, U, range(n)),
+                                 rel=1e-9))
+
+    def test_two_vertex_pencil(self):
+        # U = U' = {0, 1}, measures 1 and 3, conductance 2: Q(f) = 3/4 d^2
+        # and the energy 2 d^2 with d = f_0 - f_1, so the constant is 3/8
+        net = types.SimpleNamespace(measures=[1.0, 3.0], edges=[(0, 1)],
+                                    conductances=[2.0])
+        assert poincare_constant(net, [0, 1], [0, 1]) == pytest.approx(
+            0.375, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_components_off_u_are_grounded(self, n):
+        # two zero edges cut the path into thirds, U in the middle one: the
+        # constant is that of U's third alone
+        k = n // 3
+        net = path_net(n, 1.0 / n)
+        net.conductances[k - 1] = 0.0
+        net.conductances[2 * k - 1] = 0.0
+        alone = path_net(k, 1.0 / n)
+        U = range(k + 5, k + 50)
+        assert (poincare_constant(net, U, range(n))
+                == pytest.approx(poincare_constant(alone, range(5, 50),
+                                                   range(k)), rel=1e-12))
+
+    def test_no_dense_eigen_solve(self, monkeypatch):
+        # every pencil, however small, is solved by Lanczos
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "eigh", counted)
+        for n in (3, 10, 399):
+            net = path_net(n, 1.0 / n)
+            poincare_constant(net, range(n), range(n))
+            poincare_constant(net, range(n // 2 + 1), range(n))
+        assert calls == []
 
     def test_larger_pair_does_no_worse(self):
         n = 200
@@ -85,7 +128,7 @@ class TestPoincare:
         net.conductances = [1.0, 1.0]
         assert poincare_constant(net, [0, 1, 3, 4], [0, 1, 3, 4]) == math.inf
 
-    @pytest.mark.parametrize("n", [300, 500])   # dense and Lanczos routes
+    @pytest.mark.parametrize("n", [300, 500])
     def test_zero_conductance_splits(self, n):
         # the zero edge splits the path into n - 49 and 49 vertices
         net = path_net(n, 1.0 / n)
@@ -114,13 +157,13 @@ class TestPoincare:
     @pytest.mark.parametrize("seed", [3, 4, 5])
     @pytest.mark.parametrize("n", [50, 300, 399])
     def test_singular_dense_form_in_any_numbering(self, n, seed):
-        # the dense route shares the band factor and its pivot guard: a
-        # dense generalized eigen-solve returned about 1.1e16 here
+        # small pencils meet the same band factor and pivot guard as large
+        # ones: a dense generalized eigen-solve returns about 1.1e16 here
         net = cancelling_triangle_net(n, seed)
         with pytest.raises(PreconditionError, match="singular"):
             poincare_constant(net, range(n), range(n))
 
-    @pytest.mark.parametrize("n", [10, 500])   # dense and Lanczos routes
+    @pytest.mark.parametrize("n", [10, 500])
     def test_star_about_the_grounded_vertex(self, n):
         # every edge meets the grounded centre, so the band is its diagonal
         # alone; the leaves off U follow the centre, and the constant is
@@ -177,7 +220,8 @@ def schur_reference(net, U, Uprime):
 
 
 class TestPoincareLanczos:
-    """Pairs above the 400-vertex dense cutoff, solved by Lanczos."""
+    """Pairs on 1,000 vertices and more: the Lanczos steps, its failure
+    modes and the global criterion-2 pencil."""
 
     def test_unit_interval_oracle(self):
         # U = U' = the whole path: the constant is 1 / gap of the path
