@@ -16,12 +16,10 @@ import math
 import sys
 
 import jsonschema
-import numpy as np
 
 from . import __version__
 from .errors import (CapacityError, DomainError, InternalFault,
                      PreconditionError, UnsupportedError)
-from . import cones, covering, graphs, hypersurface, spectral, toric
 
 
 @functools.cache
@@ -73,23 +71,27 @@ _CSV_CHUNK = 1024
 
 
 def _write_rows(fh, fmt, *columns):
-    """Write ``fmt.format(*row)`` for each row of the equal-length arrays
+    """Write ``fmt % row`` for each row of the equal-length arrays
     ``columns``.  Python scalars format faster than numpy ones, and
     converting _CSV_CHUNK rows at a time keeps the text of a large table
     out of memory."""
     for lo in range(0, len(columns[0]), _CSV_CHUNK):
         rows = (c[lo:lo + _CSV_CHUNK].tolist() for c in columns)
-        fh.write("".join(map(fmt.format, *rows)))
+        fh.write("".join(map(fmt.__mod__, zip(*rows))))
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each imports the modules it runs, so a process loads no
+# more than its subcommand needs
 
 
 def run_graph(args):
+    from . import graphs
+
+    cap = graphs.DEFAULT_ENUM_CAP if args.enum_cap is None else args.enum_cap
     with open(args.infile) as fh:
         g = graphs.graph_from_json(fh.read())
-    rep = graphs.cheeger_gap_report(g, cap=args.enum_cap)
+    rep = graphs.cheeger_gap_report(g, cap=cap)
     warnings = []
     if not rep.upper_ok:
         warnings.append(
@@ -104,12 +106,14 @@ def run_graph(args):
         "lower_ok": rep.lower_ok,
         "upper_ok": rep.upper_ok,
     }
-    write_report("graph", {"in": args.infile, "enum_cap": args.enum_cap},
+    write_report("graph", {"in": args.infile, "enum_cap": cap},
                  results, args, warnings)
     return 0
 
 
 def run_cover(args):
+    from . import covering, graphs
+
     with open(args.infile) as fh:
         cov = covering.covering_from_json(fh.read())
     rep = covering.validate_covering(cov)
@@ -128,6 +132,8 @@ def run_cover(args):
 
 
 def run_cone(args):
+    from . import cones
+
     with open(args.infile) as fh:
         cone = cones.cone_from_json(fh.read())
     scan = cones.doubling_scan(cone, n_samples=args.samples,
@@ -160,6 +166,10 @@ def run_cone(args):
 
 
 def run_heat(args):
+    import numpy as np
+
+    from . import cones, spectral
+
     with open(args.infile) as fh:
         cone = cones.cone_from_json(fh.read())
     source = cone.base_point() if args.source == "apex" else int(args.source)
@@ -181,7 +191,7 @@ def run_heat(args):
         with open(args.csv, "w") as fh:
             fh.write("t,vertex,distance,value\n")
             for s in samples:
-                _write_rows(fh, f"{s.t:.12g}," + "{},{:.12g},{:.12g}\n",
+                _write_rows(fh, f"{s.t:.12g}," + "%d,%.12g,%.12g\n",
                             vertex, d, s.values)
     write_report("heat", {"in": args.infile, "times": times,
                           "source": args.source}, results, args)
@@ -189,6 +199,10 @@ def run_heat(args):
 
 
 def run_green(args):
+    import numpy as np
+
+    from . import cones, spectral
+
     with open(args.infile) as fh:
         cone = cones.cone_from_json(fh.read())
     source = cone.base_point() if args.source == "apex" else int(args.source)
@@ -203,7 +217,7 @@ def run_green(args):
         d = cone.distances_from(source)
         with open(args.csv, "w") as fh:
             fh.write("vertex,distance,value\n")
-            _write_rows(fh, "{},{:.12g},{:.12g}\n",
+            _write_rows(fh, "%d,%.12g,%.12g\n",
                         np.arange(cone.n_vertices), d, res.values)
     write_report("green", {"in": args.infile, "source": args.source},
                  results, args)
@@ -211,6 +225,8 @@ def run_green(args):
 
 
 def run_toric(args):
+    from . import toric
+
     with open(args.infile) as fh:
         text = fh.read()
     try:
@@ -253,6 +269,8 @@ def run_toric(args):
 
 
 def run_bp(args):
+    from . import hypersurface
+
     lo, hi = (int(x) for x in args.k_range.split(".."))
     ks = list(range(lo, hi + 1))
     if args.format == "csv":
@@ -298,8 +316,9 @@ def build_parser():
 
     sp = sub.add_parser("graph", help="Cheeger/spectral gap comparison")
     common(sp)
-    sp.add_argument("--enum-cap", dest="enum_cap", type=int,
-                    default=graphs.DEFAULT_ENUM_CAP)
+    # None stands for graphs.DEFAULT_ENUM_CAP, read in run_graph: the
+    # parser of every subcommand would load graphs to read it here
+    sp.add_argument("--enum-cap", dest="enum_cap", type=int, default=None)
     sp.set_defaults(func=run_graph)
 
     sp = sub.add_parser("cover", help="validate a good covering")

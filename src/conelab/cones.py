@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
 from .covering import Cell, GoodCovering
 from .errors import DomainError, UnsupportedError
@@ -148,6 +146,9 @@ def _link_mesh(link, angular_steps):
             D = np.asarray(link.directions, dtype=float)
             dist = np.arccos(np.clip(D @ D.T, -1.0, 1.0))
         else:
+            import scipy.sparse as sp
+            from scipy.sparse.csgraph import dijkstra
+
             lengths = np.asarray(link.lengths, dtype=float)
             W = sp.csr_matrix((lengths, (edges[:, 0], edges[:, 1])),
                               shape=(A, A))

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError, PreconditionError
 from .graphs import WeightedGraph
@@ -202,6 +201,8 @@ class GoodCovering:
     def _adj_matrix(self):
         """Sparse atom adjacency (with the identity), for closure dilation,
         in the COO layout of :func:`~conelab.graphs.dirichlet_laplacian`."""
+        import scipy.sparse as sp
+
         n = len(self.atom_ids)
         a, b = self._adjacency_index.T
         d = np.arange(n)

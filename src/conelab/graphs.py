@@ -14,8 +14,6 @@ from typing import Iterable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import CapacityError, DomainError
 
@@ -37,13 +35,15 @@ GAP_RESIDUAL_TOL = 1e-6
 GAP_NULL_TOL = 1e-9
 
 
-def dirichlet_laplacian(n, edges, weights) -> sp.csr_matrix:
+def dirichlet_laplacian(n, edges, weights) -> scipy.sparse.csr_matrix:
     """Matrix of the Dirichlet form sum_e w_e |f(i) - f(j)|^2 on n vertices.
 
     ``edges`` is an (E, 2) array of vertex indices aligned with ``weights``.
     Every edge is stored, zero weights included, so the sparsity pattern is
     the graph and ``connected_components`` may run on the matrix itself.
     """
+    import scipy.sparse as sp
+
     e = np.asarray(edges, dtype=int).reshape(-1, 2)
     w = np.asarray(weights, dtype=float)
     a, b = e[:, 0], e[:, 1]
@@ -179,71 +179,88 @@ class WeightedGraph:
 # subset enumeration
 
 
-#: Entries per step of the chunked reductions over the subset tables.
+#: Subsets per chunk of the subset enumeration; a power of two.
 _CHUNK = 1 << 15
 
 
-def _enum_tables(g: WeightedGraph, cap: int):
+def _chunk_tables(x0, low, measures, edges):
     """Measures and boundary measures of the subsets without the top vertex
-    n-1: two tables of 2^(n-1) entries, indexed by bitmask, the empty set
-    at 0.
+    whose bitmasks run from ``x0`` over ``len(low)`` values: two arrays
+    indexed by the low bits.
 
-    A subset's measure is its top vertex's measure added to the measure of
-    the rest, so every table entry is the sum of its vertices' measures in
-    increasing bit order.  Boundary measures are summed edge by edge: edge
-    (a, b), a < b, adds its measure to the two strided views of the table
-    where bits a and b differ.  The other half is never stored; see
-    :func:`_subset_chunks`.
+    ``low`` holds the measures of the subsets of the low bits, and every
+    higher vertex of ``x0`` adds its measure in increasing bit order, as
+    one pass over a whole table would.  Boundary measures are summed edge
+    by edge, in edge order: edge (a, b), a < b, adds its measure to the
+    entries where bits a and b differ.  The bits above the low ones are
+    those of ``x0`` across the chunk, so an edge with one end there is
+    cut where the other end's bit differs from it, and an edge with both
+    ends there is cut on the whole chunk or nowhere.
+    """
+    k = len(low).bit_length() - 1
+    m = low.copy()
+    for pos in range(k, len(measures)):
+        if x0 >> pos & 1:
+            m += measures[pos]
+    bnd = np.zeros(len(low))
+    for a, b, w in edges:
+        if b < k:
+            v = bnd.reshape(-1, 2, 1 << (b - a - 1), 2, 1 << a)
+            v[:, 1, :, 0, :] += w
+            v[:, 0, :, 1, :] += w
+        elif a < k:
+            bnd.reshape(-1, 2, 1 << a)[:, 1 - (x0 >> b & 1), :] += w
+        elif (x0 >> a ^ x0 >> b) & 1:
+            bnd += w
+    return m, bnd
+
+
+def _subset_chunks(g: WeightedGraph, cap: int):
+    """Yield ``(first, measures, boundaries)`` for every nonempty subset,
+    at most ``_CHUNK`` subsets at a time; a chunk holds the subsets with
+    bitmasks ``first``, ``first + 1``, ...
+
+    The chunks of the subsets without vertex n-1 are built by
+    :func:`_chunk_tables`, one pair at a time: chunk c of H with its
+    mirror H-1-c.  A subset S + {n-1} has measure ``m(S) + m(n-1)``, and
+    the boundary of its complement, a subset of the mirror chunk: its
+    boundaries are the mirror's read backwards.  Every entry is summed as
+    by one pass over the 2^n subsets, and nothing of that size is held.
+    A yielded array may be changed by the next step.
     """
     n = len(g)
     if n > cap:
         raise CapacityError(f"{n} vertices exceeds enumeration cap {cap}")
-    m_lo = np.zeros(1 << (n - 1))
-    for pos in range(n - 1):
+    k = min(n - 1, _CHUNK.bit_length() - 1)
+    low = np.zeros(1 << k)
+    for pos in range(k):
         h = 1 << pos
-        np.add(m_lo[:h], g.measures[pos], out=m_lo[h:2 * h])
-    b_lo = np.zeros(len(m_lo))
-    w = g.edge_measures
-    for k, (a, b) in enumerate(g.edge_pos.tolist()):
-        if b == n - 1:
-            # bit b is clear in this half: the edge is cut iff bit a is set
-            b_lo.reshape(-1, 2, 1 << a)[:, 1, :] += w[k]
-        else:
-            v = b_lo.reshape(-1, 2, 1 << (b - a - 1), 2, 1 << a)
-            v[:, 1, :, 0, :] += w[k]
-            v[:, 0, :, 1, :] += w[k]
-    return m_lo, b_lo
-
-
-def _subset_chunks(g: WeightedGraph, cap: int):
-    """Yield ``(measures, boundaries)`` of every nonempty subset, at most
-    ``_CHUNK`` subsets at a time, in bitmask order.
-
-    The subsets without vertex n-1 are read from :func:`_enum_tables`.  A
-    subset S + {n-1} has measure ``m_lo[S] + m(n-1)``, and the same
-    boundary as its complement, a set of the first half: its boundaries
-    are the first table read backwards.  A yielded array may be reused by
-    the next step.
-    """
-    m_lo, b_lo = _enum_tables(g, cap)
-    h = len(m_lo)
-    for lo in range(1, h, _CHUNK):
-        hi = min(lo + _CHUNK, h)
-        yield m_lo[lo:hi], b_lo[lo:hi]
-    top = g.measures[-1]
-    buf = np.empty(min(h, _CHUNK))
-    for lo in range(0, h, _CHUNK):
-        hi = min(lo + _CHUNK, h)
-        m = np.add(m_lo[lo:hi], top, out=buf[:hi - lo])
-        yield m, b_lo[h - hi:h - lo][::-1]
+        np.add(low[:h], g.measures[pos], out=low[h:2 * h])
+    edges = [(a, b, w) for (a, b), w in zip(g.edge_pos.tolist(),
+                                             g.edge_measures.tolist())]
+    half, size, top = 1 << (n - 1), len(low), g.measures[-1]
+    for x0 in range(0, half, size):
+        x1 = half - size - x0
+        if x1 < x0:
+            break
+        pair = [(x0, *_chunk_tables(x0, low, g.measures, edges))]
+        if x1 != x0:
+            pair.append((x1, *_chunk_tables(x1, low, g.measures, edges)))
+        for x, m, bnd in pair:
+            skip = int(x == 0)  # the empty set
+            if len(m) > skip:
+                yield x + skip, m[skip:], bnd[skip:]
+        for (x, m, _), (_, _, bnd) in zip(pair, pair[::-1]):
+            m += top
+            yield half + x, m, bnd[::-1]
 
 
 def cheeger_constant(g: WeightedGraph, cap: int = DEFAULT_ENUM_CAP) -> float:
     """inf m(boundary U) / m(U) over subsets with 0 < m(U) <= m(V)/2.
 
     Exact, by subset enumeration: a minimum over the chunks of
-    :func:`_subset_chunks`, so besides the two half tables of 2^(n-1)
-    floats nothing of size 2^n is allocated.  Returns 0 iff the graph is
+    :func:`_subset_chunks`, so a few tables of ``_CHUNK`` floats are held
+    at a time, whatever n.  Returns 0 iff the graph is
     disconnected.  Raises CapacityError above ``cap`` vertices.
     """
     if len(g) == 1:
@@ -252,7 +269,7 @@ def cheeger_constant(g: WeightedGraph, cap: int = DEFAULT_ENUM_CAP) -> float:
     best = math.inf
     # a ratio too large for a float is inf, its correctly rounded value
     with np.errstate(over="ignore"):
-        for m, b in _subset_chunks(g, cap):
+        for _, m, b in _subset_chunks(g, cap):
             ok = m <= limit
             if ok.any():
                 best = min(best, float(np.min(b[ok] / m[ok])))
@@ -293,7 +310,7 @@ def isoperimetric_constant(g: WeightedGraph, nu: float = math.inf,
     limit = g.total_measure / 2.0 * (1 + 1e-12)
     best = 0.0
     with np.errstate(over="ignore"):
-        for m, b in _subset_chunks(g, cap):
+        for _, m, b in _subset_chunks(g, cap):
             if mode == "neumann":
                 keep = m <= limit
                 m, b = m[keep], b[keep]
@@ -316,15 +333,14 @@ class SubsetCut:
 
 
 def subset_cut(g: WeightedGraph, subset) -> SubsetCut:
-    """Measure of a vertex set and of its edge boundary."""
+    """Measure of a vertex set and of its edge boundary.  The boundary's
+    edge measures are summed one after another, in edge order."""
     pos = frozenset(g.index(v) for v in subset)
     msub = float(sum(g.measures[p] for p in pos))
-    mbnd = 0.0
-    w = g.edge_measures
-    for k in range(len(g.edge_pos)):
-        a, b = g.edge_pos[k]
-        if (a in pos) != (b in pos):
-            mbnd += float(w[k])
+    inside = np.zeros(len(g), dtype=bool)
+    inside[list(pos)] = True
+    cut = inside[g.edge_pos[:, 0]] != inside[g.edge_pos[:, 1]]
+    mbnd = float(np.cumsum(np.r_[0.0, g.edge_measures[cut]])[-1])
     return SubsetCut(frozenset(subset), msub, mbnd)
 
 
@@ -362,6 +378,9 @@ def spectral_gap(g: WeightedGraph) -> float:
                                 f"is lost to rounding: the null eigenvalue "
                                 f"reads {w[0]:.2e}")
         return float(w[1])
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     L = dirichlet_laplacian(n, g.edge_pos, g.edge_measures)
     # large graphs: shift-invert Lanczos just below 0 finds the two
     # smallest eigenvalues (0 and the gap)

@@ -28,8 +28,6 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import (CapacityError, DomainError, InternalFault,
                      PreconditionError)
@@ -495,6 +493,11 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     vanish there.  Raises PreconditionError if the grounded energy form is
     not positive definite or is singular to working precision.
     """
+    from scipy.sparse.csgraph import (connected_components,
+                                      reverse_cuthill_mckee)
+    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
+                                     eigsh)
+
     def ids(vs):
         """Sorted distinct vertices, from an array or any iterable."""
         a = np.asarray(vs if isinstance(vs, np.ndarray) else list(vs),

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import conelab
@@ -145,7 +146,7 @@ class TestCoverCommand:
         def no_convergence(*args, **kwargs):
             raise ArpackNoConvergence("forced", None, None)
         monkeypatch.setattr(conelab.graphs, "DENSE_EIG_LIMIT", 1)
-        monkeypatch.setattr(conelab.graphs, "eigsh", no_convergence)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         atoms = {a: 1.0 for a in range(5)}
         cells = [([i], [i - 1, i, i + 1], [i - 1, i, i + 1])
                  for i in (1, 2, 3)]
@@ -321,8 +322,9 @@ class TestHeatCommand:
 
 class TestCsvRows:
     def test_chunks_match_per_row_formatting(self, tmp_path):
-        """Rows written in chunks, across two chunk boundaries, equal the
-        per-row f-string formatting kept here as the reference."""
+        """Rows written in chunks, across two chunk boundaries, by printf
+        formats, equal the per-row f-string formatting kept here as the
+        reference."""
         n = 2 * conelab.cli._CSV_CHUNK + 7
         rng = np.random.default_rng(0)
         d = rng.random(n) * 10.0
@@ -331,7 +333,7 @@ class TestCsvRows:
         t = 0.25
         path = tmp_path / "rows.csv"
         with open(path, "w") as fh:
-            conelab.cli._write_rows(fh, f"{t:.12g}," + "{},{:.12g},{:.12g}\n",
+            conelab.cli._write_rows(fh, f"{t:.12g}," + "%d,%.12g,%.12g\n",
                                     np.arange(n), d, values)
         want = [f"{t:.12g},{v},{d[v]:.12g},{values[v]:.12g}\n"
                 for v in range(n)]
@@ -799,3 +801,44 @@ class TestReportCommand:
             main(["report", "--in", out, *option])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestImportFloor:
+    """Each subcommand loads only the modules it runs: in a fresh process,
+    after ``main`` on the subcommand's fixture, no module of the forbidden
+    packages is in ``sys.modules``."""
+
+    CODE = ("import json, sys\n"
+            "from conelab.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+
+    @pytest.mark.parametrize("argv, forbidden", [
+        (["bp", "--m", "3", "--k-range", "3..8", "--format", "json"],
+         ("numpy", "scipy")),
+        (["toric", "--in", "toric.json"], ("numpy", "scipy")),
+        (["report", "--in", "golden/graph.json"], ("numpy", "scipy")),
+        (["graph", "--in", "graph.json"], ("scipy.sparse",)),
+        (["cone", "--in", "cone.json", "--samples", "20", "--csv", "c.csv"],
+         ("scipy.sparse",)),
+        (["heat", "--in", "heat.json", "--times", "0.2,0.4",
+          "--csv", "h.csv"], ("scipy.sparse",)),
+        (["green", "--in", "green.json", "--csv", "g.csv"],
+         ("scipy.sparse",)),
+    ], ids=lambda v: v[0] if isinstance(v, list) else "-".join(v))
+    def test_fresh_process_modules(self, argv, forbidden, tmp_path):
+        fixtures = pathlib.Path(__file__).parent / "fixtures"
+        argv = [str(fixtures / a) if a.endswith(".json") else
+                str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        if argv[0] != "report":
+            argv += ["--out", str(tmp_path / "r.json")]
+        src = str(pathlib.Path(conelab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", self.CODE, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert [m for m in loaded if any(
+            m == p or m.startswith(p + ".") for p in forbidden)] == []

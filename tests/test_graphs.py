@@ -4,13 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.csgraph import connected_components
 
 import conelab.graphs
 from conelab import (CapacityError, DomainError, WeightedGraph,
                      cheeger_constant, cheeger_gap_report, degree_bound_m0,
                      isoperimetric_constant, spectral_gap)
-from conelab.graphs import (_dense_laplacian, _enum_tables, _subset_chunks,
+from conelab.graphs import (_dense_laplacian, _subset_chunks,
                             dirichlet_laplacian, graph_from_json,
                             graph_to_json, random_connected_graph,
                             subset_cut)
@@ -83,6 +84,28 @@ class TestEdgeMeasure:
         cut = subset_cut(g, [0])
         assert cut.boundary_measure == pytest.approx(5.0)
         assert cut.interior_measure == pytest.approx(2.0)
+
+
+def loop_boundary(g, subset):
+    """Boundary measure of ``subset`` by a loop over the edges, summed one
+    edge after another in edge order."""
+    pos = {g.index(v) for v in subset}
+    total = 0.0
+    for (a, b), w in zip(g.edge_pos.tolist(), g.edge_measures.tolist()):
+        if (a in pos) != (b in pos):
+            total += w
+    return total
+
+
+class TestSubsetCut:
+    def test_boundary_equals_edge_loop_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for g in random_graphs(4, 80):
+            for subset in ([], list(g.ids)) + tuple(
+                    [v for v in g.ids if rng.random() < p]
+                    for p in (0.2, 0.5, 0.8)):
+                got = subset_cut(g, subset).boundary_measure
+                assert got.hex() == loop_boundary(g, subset).hex()
 
 
 class TestInvariants:
@@ -196,19 +219,19 @@ class TestSparseSpectralGap:
         assert spectral_gap(g) == pytest.approx(dense, rel=1e-9)
 
     def test_no_convergence_raises(self, monkeypatch):
-        eigsh = conelab.graphs.eigsh
-        monkeypatch.setattr(conelab.graphs, "eigsh",
+        eigsh = scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
                             lambda *a, **k: eigsh(*a, maxiter=1, ncv=3, **k))
         with pytest.raises(CapacityError):
             spectral_gap(path(5000))
 
     def test_large_residual_raises(self, monkeypatch):
-        eigsh = conelab.graphs.eigsh
+        eigsh = scipy.sparse.linalg.eigsh
 
         def off_by_1e3(*a, **k):
             vals, vecs = eigsh(*a, **k)
             return vals * (1 + 1e-3), vecs
-        monkeypatch.setattr(conelab.graphs, "eigsh", off_by_1e3)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", off_by_1e3)
         with pytest.raises(CapacityError):
             spectral_gap(path(3001))
 
@@ -341,16 +364,16 @@ def enum_tables_by_bits(g):
 
 
 def assert_tables_match_reference(g):
-    """The half tables are the reference's subsets without the top vertex,
-    after the empty set's zeros, and the chunks read both halves; all bit
-    for bit."""
-    (m_lo, b_lo), want = _enum_tables(g, 22), enum_tables_by_bits(g)
-    h = 1 << (len(g) - 1)
-    for a, b in zip((m_lo, b_lo), want):
-        assert a.tobytes() == np.r_[0.0, b[:h - 1]].tobytes()
-    chunks = [(m.copy(), b.copy()) for m, b in _subset_chunks(g, 22)]
-    for k, b in enumerate(want):
-        assert np.concatenate([c[k] for c in chunks]).tobytes() == b.tobytes()
+    """Every yielded chunk equals the reference at its bitmasks, bit for
+    bit, and the chunks hold every nonempty subset exactly once."""
+    want_m, want_b = enum_tables_by_bits(g)
+    seen = np.zeros(len(want_m), dtype=int)
+    for first, m, b in _subset_chunks(g, 22):
+        at = slice(first - 1, first - 1 + len(m))
+        assert m.tobytes() == want_m[at].tobytes()
+        assert b.tobytes() == want_b[at].tobytes()
+        seen[at] += 1
+    assert np.all(seen == 1)
 
 
 def ring_with_chords(n, step, measures):
@@ -371,20 +394,22 @@ class TestEnumTables:
 
     @pytest.mark.parametrize("n", [17, 18])
     def test_reductions_equal_reference_across_chunks(self, n):
-        """2^(n-1) > _CHUNK, so both halves are read in several chunks."""
+        """2^(n-1) > _CHUNK, so both halves come in several chunks, and
+        some edges have one or both ends above the chunk's bits."""
         assert 1 << (n - 1) > conelab.graphs._CHUNK
         g = ring_with_chords(n, 5, np.random.default_rng(n).uniform(
             0.1, 10.0, size=n))
+        assert_tables_match_reference(g)
         m_sub, bnd = enum_tables_by_bits(g)
         ok = m_sub <= g.total_measure / 2.0 * (1 + 1e-12)
         assert cheeger_constant(g) == np.min(bnd[ok] / m_sub[ok])
         assert isoperimetric_constant(g, mode="neumann") == np.max(
             m_sub[ok] / bnd[ok])
 
-    def test_peak_memory_is_two_tables(self):
-        """The Cheeger scan holds two half tables, 8 * 2^n bytes, and
-        chunks; nothing else of size 2^n."""
-        n = 20
+    @pytest.mark.parametrize("n", [20, 22])
+    def test_peak_memory_does_not_grow_with_n(self, n):
+        """The Cheeger scan holds a few tables of _CHUNK floats at a time
+        (2^n floats are 8 and 32 MB here), and nothing of size 2^n."""
         g = ring_with_chords(n, 7, np.linspace(0.5, 2.0, n))
         tracemalloc.start()
         try:
@@ -393,7 +418,7 @@ class TestEnumTables:
         finally:
             tracemalloc.stop()
         assert 0 < h < math.inf
-        assert peak < 1.25 * 8 * (1 << n)
+        assert peak < 12 * 8 * conelab.graphs._CHUNK
 
     def test_fixed_shapes(self):
         m = np.random.default_rng(7).uniform(0.1, 10.0, size=16)
