@@ -15,8 +15,6 @@ import json
 import math
 import sys
 
-import jsonschema
-
 from . import __version__
 from .errors import (CapacityError, DomainError, InternalFault,
                      PreconditionError, UnsupportedError)
@@ -25,6 +23,8 @@ from .errors import (CapacityError, DomainError, InternalFault,
 @functools.cache
 def _validator():
     """The report schema's validator, built and checked once."""
+    import jsonschema
+
     ref = importlib.resources.files("conelab.schemas") / "report.schema.json"
     schema = json.loads(ref.read_text())
     cls = jsonschema.validators.validator_for(schema)
@@ -34,6 +34,8 @@ def _validator():
 
 def _validate(doc):
     """``jsonschema.validate(doc, schema)`` with the compiled validator."""
+    import jsonschema
+
     error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
     if error is not None:
         raise error
@@ -364,14 +366,25 @@ def build_parser():
     return p
 
 
+def _input_errors():
+    """The exceptions that exit 2.  jsonschema's ValidationError is one of
+    them once a report was validated; jsonschema is not loaded before, so
+    a subcommand that validates nothing does not load it."""
+    errors = (DomainError, PreconditionError, CapacityError,
+              UnsupportedError, FileNotFoundError, json.JSONDecodeError,
+              KeyError, ValueError)
+    jsonschema = sys.modules.get("jsonschema")
+    if jsonschema is None:
+        return errors
+    return errors + (jsonschema.ValidationError,)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, PreconditionError, CapacityError, UnsupportedError,
-            FileNotFoundError, json.JSONDecodeError, KeyError,
-            jsonschema.ValidationError, ValueError) as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalFault as exc:

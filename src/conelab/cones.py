@@ -11,6 +11,14 @@ Distances between vertices use the exact cone metric: with d_S the link
 distance, d((r1,x),(r2,y)) = sqrt(r1^2 + r2^2 - 2 r1 r2 cos(min(d_S, pi))).
 On flat model cones this is the true distance at every resolution, which is
 what the heat-kernel and Green comparisons require.
+
+A cone stores its vertex arrays (radii, measures, ring and link indices)
+and the product factors of its measures and conductances.  Its edges come
+in blocks of a few rings (:meth:`DiscretizedCone._edge_blocks`); the
+edge arrays ``edges``, ``conductances`` and ``edge_lengths`` are built from
+them on first read and kept.  The heat, Green and doubling computations
+never read them: the heat and Green solves run on the product factors, and
+their vertex-basis checks sum the edges block by block.
 """
 from __future__ import annotations
 
@@ -26,6 +34,9 @@ from .errors import DomainError, UnsupportedError
 
 #: Longest accepted circle link (see :class:`CircleLink`).
 MAX_CIRCLE_LENGTH = 1e100
+
+#: Rings per block of :meth:`DiscretizedCone._edge_blocks`.
+_RING_BLOCK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +275,20 @@ class DiscretizedCone:
         self.r_min, self.r_max = float(r_min), float(r_max)
         self.radial_steps = int(radial_steps)
         self.spacing = spacing
+        self._edge_arrays = None
         try:
             self._assemble(link, angular_steps)
         except (FloatingPointError, OverflowError) as exc:
-            raise DomainError(f"cone measures or conductances leave the "
-                              f"floating-point range: {exc}") from exc
+            raise DomainError(f"cone measures, conductances or edge "
+                              f"lengths leave the floating-point range: "
+                              f"{exc}") from exc
 
     @np.errstate(over="raise", divide="raise", invalid="raise")
     def _assemble(self, link, angular_steps):
-        """Link mesh, rings, measures and conductances; FloatingPointError
-        or OverflowError where one of them overflows."""
+        """Link mesh, rings and measures; FloatingPointError or
+        OverflowError where one of them, a conductance or an edge length
+        overflows.  The edge blocks are computed here for that check
+        only, and not kept."""
         lm, ledges, lcond, ldist = _link_mesh(link, angular_steps)
         self._link_dist = ldist
         self.link_automorphism = _link_rotation(link, lm, ledges, lcond)
@@ -330,25 +345,71 @@ class DiscretizedCone:
             self.ring_of = np.r_[-1, self.ring_of]
             self.measures = np.r_[lm.sum() * apex_hi ** n / n, self.measures]
 
-        # radial edges between consecutive rings, across the shared face
-        inner = off + np.arange((K - 1) * A)
-        edges = [np.c_[inner, inner + A]]
-        cond = [(f.face_powers[:, None] * lm / f.gaps[:, None]).ravel()]
-        elen = [np.repeat(f.gaps, A)]
-        if self.apex is not None:
-            edges.append(np.c_[np.zeros(A, dtype=int), off + nodes])
-            cond.append(f.apex_power * lm / f.apex_gap)
-            elen.append(np.full(A, f.apex_gap))
-        # tangential edges within each ring
-        edges.append((off + rings[:, None, None] * A + ledges).reshape(-1, 2))
-        cond.append((f.ring_powers[:, None] * lcond
-                     * f.widths[:, None]).ravel())
-        elen.append((ring_r[:, None]
-                     * ldist[ledges[:, 0], ledges[:, 1]]).ravel())
-        self.edges = np.concatenate(edges)
-        self.conductances = np.concatenate(cond)
-        self.edge_lengths = np.concatenate(elen)
         self.is_outer = self.ring_of == K - 1
+        for _ in self._edge_blocks():
+            pass
+
+    def _edge_blocks(self):
+        """The cone's edges as ``(edges, conductances, lengths)`` blocks of
+        at most _RING_BLOCK rings, in edge order: the radial edges between
+        consecutive rings (across their shared face), the apex edges, then
+        the tangential edges within each ring."""
+        f = self.factors
+        lm, ledges = f.link_measures, f.link_edges
+        A, K = self.link_nodes, self.radial_steps
+        off = 0 if self.apex is None else 1
+        for k0 in range(0, K - 1, _RING_BLOCK):
+            k = slice(k0, min(k0 + _RING_BLOCK, K - 1))
+            inner = off + np.arange(k.start * A, k.stop * A)
+            yield (np.c_[inner, inner + A],
+                   (f.face_powers[k, None] * lm / f.gaps[k, None]).ravel(),
+                   np.repeat(f.gaps[k], A))
+        if off:
+            yield (np.c_[np.zeros(A, dtype=int), off + np.arange(A)],
+                   f.apex_power * lm / f.apex_gap, np.full(A, f.apex_gap))
+        link_lengths = self._link_dist[ledges[:, 0], ledges[:, 1]]
+        for k0 in range(0, K, _RING_BLOCK):
+            k = slice(k0, min(k0 + _RING_BLOCK, K))
+            rings = np.arange(k.start, k.stop)
+            yield ((off + rings[:, None, None] * A + ledges).reshape(-1, 2),
+                   (f.ring_powers[k, None] * f.link_conductances
+                    * f.widths[k, None]).ravel(),
+                   (self.ring_radii[k, None] * link_lengths).ravel())
+
+    def _materialize_edges(self):
+        """``(edges, conductances, lengths)``, filled block by block from
+        :meth:`_edge_blocks` on first call and kept read-only."""
+        if self._edge_arrays is None:
+            A, K = self.link_nodes, self.radial_steps
+            n_edges = ((K - 1) * A + (A if self.apex is not None else 0)
+                       + K * len(self.factors.link_edges))
+            arrays = (np.empty((n_edges, 2), dtype=int),
+                      np.empty(n_edges), np.empty(n_edges))
+            i = 0
+            for block in self._edge_blocks():
+                j = i + len(block[1])
+                for a, b in zip(arrays, block):
+                    a[i:j] = b
+                i = j
+            for a in arrays:
+                a.setflags(write=False)
+            self._edge_arrays = arrays
+        return self._edge_arrays
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(E, 2) vertex pairs, in the order of :meth:`_edge_blocks`."""
+        return self._materialize_edges()[0]
+
+    @property
+    def conductances(self) -> np.ndarray:
+        """The conductance of each edge."""
+        return self._materialize_edges()[1]
+
+    @property
+    def edge_lengths(self) -> np.ndarray:
+        """The cone length of each edge."""
+        return self._materialize_edges()[2]
 
     # -- geometry ---------------------------------------------------------
     def base_point(self) -> int:

@@ -16,7 +16,8 @@ its product structure (separation of variables in the link eigenmodes, see
 The heat flow is an exact function of it (:func:`_modal_apply`), the Green's
 function one ``dpttrf``/``dpttrs`` solve, the backward-Euler time integral one
 tridiagonal recursion.  Each result is checked against the vertex-basis
-network, summed edge by edge (:func:`_robin_products`).
+network, summed edge by edge in the cone's ring blocks, so no edge array of
+the whole cone is built (:func:`_robin_products`).
 """
 from __future__ import annotations
 
@@ -139,6 +140,16 @@ def _modal(cone, robin):
     return diag.ravel(), coupling, mass, to_modes, from_modes
 
 
+def _mode_blocks(cone):
+    """(lo, hi) of each diagonal block of the operator of :func:`_modal`:
+    the apex (when present) with mode 0's rings, then the K rings of each
+    further link mode.  No coupling joins two blocks."""
+    off = 0 if cone.apex is None else 1
+    bounds = (off + cone.radial_steps
+              * np.arange(1, cone.link_nodes + 1)).tolist()
+    return list(zip([0] + bounds[:-1], bounds))
+
+
 def _modal_apply(cone, source, f):
     """The columns of V M^-1/2 Q f(Lambda) Q^T M^-1/2 V^T e_source, for
     Q Lambda Q^T the eigen-decomposition of the mass-scaled operator
@@ -156,8 +167,8 @@ def _modal_apply(cone, source, f):
     eigenvalue, found in O(K).  The mass lives in that block, and the
     eigen-solver finds its null eigenvalue to about eps times the bound."""
     diag, coupling, mass, to_modes, from_modes = _modal(cone, robin=False)
-    A, K = cone.link_nodes, cone.radial_steps
     off = 0 if cone.apex is None else 1
+    K = cone.radial_steps
     scale = 1.0 / np.sqrt(mass)
     diag = diag * scale ** 2
     coupling = coupling * scale[:-1] * scale[1:]
@@ -166,9 +177,8 @@ def _modal_apply(cone, source, f):
     e = np.zeros(cone.n_vertices)
     e[source] = 1.0
     b = to_modes(e) * scale
-    bounds = np.r_[0, off + K * np.arange(1, A + 1)]
     y = None
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in _mode_blocks(cone):
         if not b[lo:hi].any():
             continue
         lam, Q = scipy.linalg.eigh_tridiagonal(diag[lo:hi],
@@ -194,13 +204,25 @@ def _edge_products(n, edges, c, x):
 
 def _robin_products(cone, x):
     """L x and |L| |x| for L the vertex-basis Laplacian plus r, the outflow of
-    :func:`_outflow` times the link measure, on the outer ring, summed edge
-    by edge (:func:`_edge_products`) and r_i x_i, r_i |x_i| added."""
-    r = np.where(cone.is_outer, _outflow(cone)
-                 * cone.factors.link_measures[cone.link_index], 0.0)
-    Lx, absLx = _edge_products(cone.n_vertices, cone.edges,
-                               cone.conductances, x)
-    return Lx + r * x, absLx + r * np.abs(x)
+    :func:`_outflow` times the link measure, on the outer ring: summed edge
+    by edge (:func:`_edge_products`), one ring block of the cone's edges at
+    a time (:meth:`~conelab.cones.DiscretizedCone._edge_blocks`), so the
+    scratch is the size of a block; then r_i x_i, r_i |x_i| added."""
+    n = cone.n_vertices
+    Lx, absLx = np.zeros(n), np.zeros(n)
+    for edges, c, _ in cone._edge_blocks():
+        if not len(c):
+            continue
+        # a block joins the vertices of a few consecutive rings
+        lo, hi = int(edges.min()), int(edges.max()) + 1
+        block = _edge_products(hi - lo, edges - lo, c, x[lo:hi])
+        Lx[lo:hi] += block[0]
+        absLx[lo:hi] += block[1]
+    outer = slice(n - cone.link_nodes, n)
+    r = _outflow(cone) * cone.factors.link_measures
+    Lx[outer] += r * x[outer]
+    absLx[outer] += r * np.abs(x[outer])
+    return Lx, absLx
 
 
 def _check_residual(cone, x, rhs, what):
@@ -388,7 +410,10 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
     to T_N = dt (h_1 + ... + h_N).  The steps run in the link-eigenmode
     basis of :func:`_modal`, where M + dt L is one symmetric positive-
     definite tridiagonal matrix: it is factored once (LAPACK ``dpttrf``,
-    InternalFault if that fails), and each step is one ``dpttrs`` solve.  A
+    InternalFault if that fails), and each step is one ``dpttrs`` solve.
+    The matrix is block diagonal (:func:`_mode_blocks`), so a block that
+    the source does not reach stays exactly 0: the steps solve only the
+    reached blocks, with their slices of the factor, in place.  A
     tail estimate h_N / lam_N, with lam_N the decay rate of the mass from
     h_(N-1) to h_N, stands for the rest of the integral.  The vertex-basis
     network checks T_N through the identity L T_N = M (h_0 - h_N) that the
@@ -411,14 +436,25 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
     e_source = np.zeros(cone.n_vertices)
     e_source[source] = 1.0
     b = to_modes(e_source)   # V^T M h_0
-    total = np.zeros_like(b)
-    c = None
+    blocks = [(lo, hi) for lo, hi in _mode_blocks(cone) if b[lo:hi].any()]
+    reached = np.concatenate([np.arange(lo, hi) for lo, hi in blocks])
+    d, e, mass = d[reached], e[reached[:-1]], mass[reached]
+    # the last row of a reached block couples to no other reached block
+    e[np.cumsum([hi - lo for lo, hi in blocks[:-1]], dtype=int) - 1] = 0.0
+    rhs, h, h_prev = b[reached], np.empty(len(d)), np.empty(len(d))
+    total = np.zeros(len(d))
     for _ in range(n_steps):
-        c_prev = c
-        c = dpttrs(d, e, b)[0]
+        c = dpttrs(d, e, rhs, overwrite_b=1)[0]
         total += c
-        b = mass * c
-    total, h, h_prev = (from_modes(x) for x in (dt * total, c, c_prev))
+        # three buffers: h_(k-2)'s takes the next right-hand side
+        rhs, h, h_prev = np.multiply(mass, c, out=h_prev), c, h
+
+    def from_reached(x):
+        y = np.zeros(len(b))
+        y[reached] = x
+        return from_modes(y)
+
+    total, h, h_prev = map(from_reached, (dt * total, h, h_prev))
     rhs = e_source - cone.measures * h   # M (h_0 - h_N)
     _check_residual(cone, total, rhs, "time integration")
     norm = float(np.dot(h, cone.measures))

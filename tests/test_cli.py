@@ -816,6 +816,8 @@ class TestImportFloor:
     @pytest.mark.parametrize("argv, forbidden", [
         (["bp", "--m", "3", "--k-range", "3..8", "--format", "json"],
          ("numpy", "scipy")),
+        (["bp", "--m", "3", "--k-range", "3..8"],
+         ("numpy", "scipy", "jsonschema")),
         (["toric", "--in", "toric.json"], ("numpy", "scipy")),
         (["report", "--in", "golden/graph.json"], ("numpy", "scipy")),
         (["graph", "--in", "graph.json"], ("scipy.sparse",)),
@@ -832,13 +834,29 @@ class TestImportFloor:
                 str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
         if argv[0] != "report":
             argv += ["--out", str(tmp_path / "r.json")]
-        src = str(pathlib.Path(conelab.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", self.CODE, *argv],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+        proc = self.fresh_process(self.CODE, argv)
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert [m for m in loaded if any(
             m == p or m.startswith(p + ".") for p in forbidden)] == []
+
+    @staticmethod
+    def fresh_process(code, argv):
+        src = str(pathlib.Path(conelab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    def test_schema_error_exits_2_in_a_fresh_process(self, tmp_path):
+        # jsonschema loads inside the validation that raises the error
+        inp = write(tmp_path, "x.json", json.dumps({"hello": 1}))
+        proc = self.fresh_process(
+            "import sys\n"
+            "from conelab.cli import main\n"
+            "assert 'jsonschema' not in sys.modules\n"
+            "sys.exit(main(sys.argv[1:]))\n", ["report", "--in", inp])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr

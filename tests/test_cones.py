@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -147,6 +149,10 @@ class TestAssemblyMatchesLoops:
         (CircleLink(TWO_PI), 0.15, 16.0, 168, 3, "geometric"),
         (sphere_link(2, 3), 0.05, 5.0, 128),
         (sphere_link(4, 8), 0.2, 2.0, 6, None, "geometric"),
+        # several edge blocks each, with a short last block
+        (CircleLink(TWO_PI), 0.0, 4.0, 40, 12),
+        (CircleLink(3 * math.pi), 0.5, 9.0, 33, 7, "geometric"),
+        (sphere_link(3, 6), 0.1, 3.0, 17),
     ]
 
     @pytest.mark.parametrize("args", LOOP_GRIDS)
@@ -189,6 +195,115 @@ class TestAssemblyMatchesLoops:
         assert cone.conductances.tobytes() == np.array(cond).tobytes()
         measures = [lm[a] * f.shell[k] for k in range(K) for a in range(A)]
         assert cone.measures[off:].tobytes() == np.array(measures).tobytes()
+
+
+def _overflow_doc(measures, length, conductance, dim, r_min, r_max, K):
+    """A cone over a two-node graph link joined by one edge."""
+    return json.dumps({
+        "link": {"kind": "graph", "dim": dim,
+                 "nodes": [{"measure": m} for m in measures],
+                 "edges": [{"i": 0, "j": 1, "length": length,
+                            "conductance": conductance}]},
+        "r_min": r_min, "r_max": r_max, "radial_steps": K})
+
+
+#: Cones whose measures are finite but whose edges leave the float range.
+EDGE_OVERFLOWS = {
+    # face power * link measure / gap
+    "radial_conductance": _overflow_doc((1e308, 1e308), 1.0, 1.0, 1,
+                                        0.5, 1.0, 4),
+    # ring power * link conductance * width
+    "tangential_conductance": _overflow_doc((1.0, 1.0), 1.0, 1e307, 2,
+                                            1.0, 200.0, 2),
+    # ring radius * link length
+    "edge_length": _overflow_doc((1.0, 1.0), 1e300, 1.0, 1,
+                                 1.0, 1e10, 4),
+}
+
+
+class TestEdgesOnDemand:
+    """A cone keeps no edge array until one is read; the edges come in
+    ring blocks, and their overflow is still caught at construction."""
+
+    def test_arrays_are_built_once_and_read_only(self):
+        cone = flat_disc(r_max=3.0, radial=40, angular=12)
+        assert cone._edge_arrays is None
+        edges = cone.edges
+        assert cone.edges is edges
+        assert cone.conductances is cone._edge_arrays[1]
+        for name in ("edges", "conductances", "edge_lengths"):
+            with pytest.raises(AttributeError):
+                setattr(cone, name, None)
+            with pytest.raises(ValueError):
+                getattr(cone, name)[0] = 0
+
+    def test_blocks_hold_a_few_rings(self):
+        cone = build_cone(sphere_link(3, 6), 0.1, 3.0, 40)
+        A = cone.link_nodes
+        blocks = list(cone._edge_blocks())
+        # 39 radial gaps and 40 rings in blocks of 16 rings
+        assert len(blocks) == 3 + 3
+        for edges, cond, lengths in blocks:
+            assert len(edges) == len(cond) == len(lengths)
+            rings = cone.ring_of[edges]
+            assert rings.max() - rings.min() <= conelab.cones._RING_BLOCK
+        E_S = len(cone.factors.link_edges)
+        assert sum(len(c) for _, c, _ in blocks) == 39 * A + 40 * E_S
+
+    @pytest.fixture
+    def no_edge_arrays(self, monkeypatch):
+        def refused(self):
+            raise AssertionError("the cone's edge arrays were built")
+        monkeypatch.setattr(conelab.cones.DiscretizedCone,
+                            "_materialize_edges", refused)
+
+    def test_heat_green_and_doubling_read_no_edge_array(self, no_edge_arrays):
+        from conelab import (gaussian_fit, green_by_time_integration,
+                             greens_function, heat_kernel)
+        disc = flat_disc(r_max=3.0, radial=40, angular=12)
+        gaussian_fit(heat_kernel(disc, 0, [0.1, 0.3]), disc)
+        doubling_scan(disc, n_samples=5, r_bounds=(0.2, 0.5))
+        doubling_scan(disc, n_samples=5, r_bounds=(0.2, 0.5), anchored=True)
+        sphere = build_cone(sphere_link(4, 8), 0.1, 3.0, 40)
+        greens_function(sphere, 0)
+        green_by_time_integration(sphere, 0, dt=0.05, n_steps=20)
+
+    @pytest.mark.parametrize("argv", [
+        ["cone", "--in", "cone.json", "--samples", "20", "--csv", "c.csv"],
+        ["heat", "--in", "heat.json", "--times", "0.2,0.4", "--csv", "h.csv"],
+        ["green", "--in", "green.json", "--csv", "g.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_cli_reads_no_edge_array(self, argv, tmp_path, no_edge_arrays):
+        from conelab.cli import main
+        fixtures = pathlib.Path(__file__).parent / "fixtures"
+        argv = [str(fixtures / a) if a.endswith(".json") else
+                str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("doc", list(EDGE_OVERFLOWS.values()),
+                             ids=list(EDGE_OVERFLOWS))
+    def test_edge_overflow_raises_at_construction(self, doc, monkeypatch):
+        with pytest.raises(DomainError, match="floating-point range"):
+            cone_from_json(doc)
+        # the measures are finite: the edges are what overflow
+        monkeypatch.setattr(conelab.cones.DiscretizedCone, "_edge_blocks",
+                            lambda self: iter(()))
+        assert np.isfinite(cone_from_json(doc).measures).all()
+
+    @pytest.mark.parametrize("command", ["cone", "heat", "green"])
+    @pytest.mark.parametrize("doc", list(EDGE_OVERFLOWS.values()),
+                             ids=list(EDGE_OVERFLOWS))
+    def test_edge_overflow_exits_2(self, doc, command, tmp_path, capsys):
+        from conelab.cli import main
+        inp = tmp_path / "cone.json"
+        inp.write_text(doc)
+        out = tmp_path / "r.json"
+        source = [] if command == "cone" else ["--source", "0"]
+        assert main([command, "--in", str(inp), "--out", str(out),
+                     *source]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "floating-point range" in err
+        assert not out.exists()
 
 
 DISTANCE_CONES = [

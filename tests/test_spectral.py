@@ -646,6 +646,65 @@ class TestSeparatedVariables:
             assert np.all(np.abs(absLx - want) <= 1e-13 * want)
             assert np.max(np.abs(Lx - L @ x)) <= 1e-13 * np.max(want)
 
+    @pytest.mark.parametrize("cone", CONES + [
+        build_cone(sphere_link(12, 24), 0.05, 8.0, 160),
+        build_cone(CircleLink(TWO_PI), 0.0, 4.0, 40, angular_steps=12)],
+        ids=CONE_IDS + ["green_bench", "disc_40_rings"])
+    def test_ring_blocks_match_the_whole_edge_sum(self, cone):
+        """Summed block by block, L x and |L| |x| equal the sums over the
+        cone's whole edge arrays to 1e-13 relative."""
+        lm = cone.factors.link_measures
+        r = np.where(cone.is_outer, conelab.spectral._outflow(cone)
+                     * lm[cone.link_index], 0.0)
+        rng = np.random.default_rng(11)
+        for x in (rng.standard_normal(cone.n_vertices),
+                  rng.uniform(0.5, 2.0, cone.n_vertices)):
+            Lx, absLx = conelab.spectral._robin_products(cone, x)
+            want, want_abs = conelab.spectral._edge_products(
+                cone.n_vertices, cone.edges, cone.conductances, x)
+            want, want_abs = want + r * x, want_abs + r * np.abs(x)
+            assert np.all(np.abs(absLx - want_abs) <= 1e-13 * want_abs)
+            assert np.all(np.abs(Lx - want) <= 1e-13 * want_abs)
+
+    @pytest.mark.parametrize("source", [0, 700, 3999])
+    def test_time_integration_steps_only_the_reached_blocks(self, source,
+                                                            monkeypatch):
+        """The steps solve the mode blocks that the source reaches, and
+        give the bits of stepping the whole modal system."""
+        cone = build_cone(sphere_link(10, 20), 0.05, 5.0, 20)
+        dt, n_steps = 0.05, 30
+        diag, coupling, mass, to_modes, from_modes = \
+            conelab.spectral._modal(cone, robin=True)
+        d, e, _ = scipy.linalg.lapack.dpttrf(mass + dt * diag,
+                                             dt * coupling)
+        e_source = np.zeros(cone.n_vertices)
+        e_source[source] = 1.0
+        b = to_modes(e_source)
+        total, c = np.zeros_like(b), None
+        for _ in range(n_steps):
+            c_prev, c = c, scipy.linalg.lapack.dpttrs(d, e, b)[0]
+            total += c
+            b = mass * c
+        total, h, h_prev = (from_modes(x) for x in (dt * total, c, c_prev))
+        want = total + h / (-math.log(np.dot(h, cone.measures)
+                                      / np.dot(h_prev, cone.measures)) / dt)
+        reached = [hi - lo for lo, hi in conelab.spectral._mode_blocks(cone)
+                   if to_modes(e_source)[lo:hi].any()]
+        sizes = []
+        dpttrs = conelab.spectral.dpttrs
+
+        def counted(d, e, b, **kwargs):
+            sizes.append(len(d))
+            return dpttrs(d, e, b, **kwargs)
+
+        monkeypatch.setattr(conelab.spectral, "dpttrs", counted)
+        got = green_by_time_integration(cone, source, dt=dt, n_steps=n_steps)
+        assert got.tobytes() == want.tobytes()
+        assert sizes == [sum(reached)] * n_steps
+        if source == 0:
+            # the polar cap node is a zero of a quarter of the link modes
+            assert sum(reached) < cone.n_vertices
+
     def test_green_path_needs_no_superlu(self, monkeypatch):
         def refused(*args, **kwargs):
             raise AssertionError("splu called")
@@ -689,7 +748,8 @@ class TestSeparatedVariables:
 
     def test_green_memory_is_linear(self):
         """The traced heap peak of one solve on a 46,080-vertex cone stays
-        below 40 arrays of n floats: O(n), with no fill-in."""
+        below 16 arrays of n floats: O(n), with no fill-in, and the edge
+        sums of the residual check held to one ring block at a time."""
         cone = build_cone(sphere_link(12, 24), 0.05, 8.0, 160)
         greens_function(cone, cone.base_point())   # warm the import caches
         tracemalloc.start()
@@ -698,7 +758,7 @@ class TestSeparatedVariables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 8 * cone.n_vertices
+        assert peak < 16 * 8 * cone.n_vertices
 
     @pytest.mark.parametrize("apex", [True, False])
     def test_heat_solves_only_the_modes_the_source_reaches(self, apex,
