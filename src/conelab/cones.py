@@ -572,25 +572,45 @@ def separated_net(cone: DiscretizedCone, region, s: float) -> list:
     Pairwise distances are >= s and every region vertex lies within s of the
     net.  Deterministic: vertices are visited in index order.
     """
-    return _net_with_distances(cone, region, s)[0]
+    return _net(cone, _sorted_region(cone, region), s)[0]
 
 
-def _net_with_distances(cone: DiscretizedCone, region, s: float):
-    """``separated_net``, the distance array of each of its points, their
-    minimum, and the sorted region."""
-    if s <= 0:
-        raise DomainError("separation must be positive")
+def _sorted_region(cone: DiscretizedCone, region) -> list:
+    """The region's vertices, sorted; DomainError unless it is a nonempty
+    set of vertices of the cone."""
     region = sorted(int(v) for v in region)
     if not region:
         raise DomainError("region is empty")
+    for v in (region[0], region[-1]):
+        if not 0 <= v < cone.n_vertices:
+            raise DomainError(f"region vertex {v} is not a vertex of the "
+                              f"cone (0..{cone.n_vertices - 1})")
+    return region
+
+
+def _net(cone: DiscretizedCone, region: list, s: float, cut=None):
+    """``separated_net`` of the sorted ``region``, what ``cut`` keeps of the
+    distance array of each net point (the array itself is dropped), and the
+    distance of each vertex to the net."""
+    if s <= 0:
+        raise DomainError("separation must be positive")
     mindist = np.full(cone.n_vertices, np.inf)
-    net, dists = [], []
+    net, kept = [], []
     for v in region:
         if mindist[v] >= s:
+            d = cone.distances_from(v)
             net.append(v)
-            dists.append(cone.distances_from(v))
-            mindist = np.minimum(mindist, dists[-1])
-    return net, dists, mindist, region
+            if cut is not None:
+                kept.append(cut(d))
+            np.minimum(mindist, d, out=mindist)
+    return net, kept, mindist
+
+
+def _longest_edge(cone: DiscretizedCone, mask) -> float:
+    """Length of the longest edge with an end in ``mask``; 0.0 if none."""
+    e = cone.edges
+    touch = mask[e[:, 0]] | mask[e[:, 1]]
+    return float(cone.edge_lengths[touch].max(initial=0.0))
 
 
 def net_covering(cone: DiscretizedCone, region, s: float,
@@ -604,18 +624,31 @@ def net_covering(cone: DiscretizedCone, region, s: float,
     vertices of A# and the region, and the adjacency the cone's edges
     between them.
     """
-    _, dists, mindist, region = _net_with_distances(cone, region, s)
+    region = _sorted_region(cone, region)
     small = s * (1 + 1e-12)
-    in_U = mindist <= small
-    # grid slack: touching cells have centers within 2s + (longest edge
-    # incident to a small ball), so that much is added to the buffer radius
-    touch_edge = in_U[cone.edges[:, 0]] | in_U[cone.edges[:, 1]]
-    h = float(cone.edge_lengths[touch_edge].max()) if touch_edge.any() else 0.0
+    # grid slack h: touching cells have centers within 2s + (longest edge
+    # incident to a small ball), so that much is added to the buffer
+    # radius.  h is known once the net is; a ball B(x, s) keeps within s of
+    # x's radius, so the longest edge at a vertex within 2s of the region's
+    # radii bounds it, and each net point's distances are kept only up to
+    # the buffer radius of that bound.
+    r = cone.radii[region]
+    h_up = _longest_edge(cone, (cone.radii >= r.min() - 2 * s)
+                         & (cone.radii <= r.max() + 2 * s))
+    reach = (buffer_factor * s + h_up) * (1 + 1e-12)
+
+    def cut(d):
+        near = np.flatnonzero(d <= reach)
+        return np.flatnonzero(d <= small), near, d[near]
+
+    _, kept, mindist = _net(cone, region, s, cut)
+    h = _longest_edge(cone, mindist <= small)
     big = (buffer_factor * s + h) * (1 + 1e-12)
     cells = []
-    for d in dists:
-        Us = np.flatnonzero(d <= big)
-        cells.append(Cell(np.flatnonzero(d <= small), Us, Us))
+    for i, (U, near, d) in enumerate(kept):
+        kept[i] = None   # the distances go once the cell is cut
+        Us = near[d <= big]
+        cells.append(Cell(U, Us, Us))
     inside = mindist <= big
     Asharp = np.flatnonzero(inside)
     inside[region] = True

@@ -21,6 +21,16 @@ adjacency as one (E, 2) array of id pairs.  The arrays hold atom ids, never
 positions in the atom table: on a cone the ids are vertex indices, so
 ``cov.Asharp`` can be handed to :func:`~conelab.spectral.poincare_constant`
 as it is.  Atom ids are all integers or all strings.
+
+Each cell's U, U* and U# are also packed, as they are built, into bit rows
+over the atom table (the bytes of ``np.packbits`` of their masks), and
+:func:`validate_covering` runs on those rows: unions, nesting and overlaps
+by bitwise OR, AND and AND-NOT, the closure of U_i by marking both ends of
+each adjacency edge with an end in U_i.  No dense (cells x atoms) mask is
+built, except for the measures: mu(U_i) and mu(U*_i) are each one float64
+matrix-vector product over the unpacked rows, so that every sum is the
+same BLAS call's.  The report carries mu(U_i) as ``cell_measures``, and
+:func:`associated_graph` takes its vertex measures from there.
 """
 from __future__ import annotations
 
@@ -111,18 +121,18 @@ class GoodCovering:
         cells = tuple(cells)
         if not cells:
             raise DomainError("covering needs at least one cell")
-        masks = np.zeros((3, len(cells), len(atom_ids)), dtype=bool)
+        self._cell_bits = np.zeros((3, len(cells), (len(atom_ids) + 7) // 8),
+                                   dtype=np.uint8)
         out = []
         for i, c in enumerate(cells):
             U, Us, Uh = (c.U, c.Ustar, c.Usharp) if isinstance(c, Cell) else c
             # U* = U# given as one set is mapped once and kept as one array
             row = [self._sorted_ids(U, "cell"), self._sorted_ids(Us, "cell")]
             row.append(row[1] if Uh is Us else self._sorted_ids(Uh, "cell"))
-            for j, (_, index) in enumerate(row):
-                masks[j, i, index] = True
+            for bits, (_, index) in zip(self._cell_bits[:, i], row):
+                bits[:] = _packed(index, len(atom_ids))
             out.append(Cell(*(ids for ids, _ in row)))
         self.cells = tuple(out)
-        self._cell_bits = np.packbits(masks, axis=-1)
         self.A, self._A_index = self._sorted_ids(A, "region")
         self.Asharp, self._Asharp_index = self._sorted_ids(Asharp, "region")
         if isinstance(adjacency, np.ndarray):
@@ -187,35 +197,31 @@ class GoodCovering:
             arr = self.atom_ids[pos]
         return _frozen(arr), pos
 
-    def _mask(self, index) -> np.ndarray:
-        m = np.zeros(len(self.atom_ids), dtype=bool)
-        m[index] = True
-        return m
 
-    def _cell_masks(self):
-        """U, U*, U# of every cell as boolean atom masks, (cells, atoms)
-        each; kept packed between calls."""
-        return np.unpackbits(self._cell_bits, axis=-1,
-                             count=len(self.atom_ids)).view(bool)
-
-    def _adj_matrix(self):
-        """Sparse atom adjacency (with the identity), for closure dilation,
-        in the COO layout of :func:`~conelab.graphs.dirichlet_laplacian`."""
-        import scipy.sparse as sp
-
-        n = len(self.atom_ids)
-        a, b = self._adjacency_index.T
-        d = np.arange(n)
-        rows, cols = np.r_[a, b, d], np.r_[b, a, d]
-        return sp.csr_matrix((np.ones(len(rows), dtype=np.float32),
-                              (rows, cols)), shape=(n, n))
+def _packed(index, n_atoms) -> np.ndarray:
+    """The atoms at table positions ``index`` (distinct) as a packed bit row:
+    the bytes ``np.packbits`` makes of their boolean mask over n_atoms."""
+    return np.bincount(index >> 3, 128 >> (index & 7),
+                       (n_atoms + 7) // 8).astype(np.uint8)
 
 
-@dataclass
+def _row_measures(bits, mu) -> np.ndarray:
+    """mu of the atom set of each packed row: one matrix-vector product of
+    all the rows, unpacked into float64 row by row, with ``mu``.  A product
+    per row, or a sum over each row's indices, can round differently."""
+    rows = np.empty((len(bits), len(mu)))
+    for row, b in zip(rows, bits):
+        row[:] = np.unpackbits(b, count=len(mu))
+    return rows @ mu
+
+
+@dataclass(eq=False)
 class CoveringReport:
+    """Reports hold an array, so they compare by identity, as cells do."""
     q1: int
     q2: float
     witnesses: dict
+    cell_measures: np.ndarray   # mu(U_i) of each cell
     violations: list = field(default_factory=list)
 
     @property
@@ -224,17 +230,14 @@ class CoveringReport:
 
 
 def validate_covering(cov: GoodCovering) -> CoveringReport:
-    """Check conditions (i)-(v); report Q1, Q2, witnesses and violations."""
-    U, Us, Uh = cov._cell_masks()
-    mA, mAh = cov._mask(cov._A_index), cov._mask(cov._Asharp_index)
-    mu = cov.atom_measures
+    """Check conditions (i)-(v); report Q1, Q2, witnesses, violations and
+    the measure mu(U_i) of each cell."""
+    n = len(cov.atom_ids)
+    U, Us, Uh = cov._cell_bits
     violations = []
-
-    union_U = U.any(axis=0)
-    union_Uh = Uh.any(axis=0)
-    if np.any(mA & ~union_U):
+    if np.any(_packed(cov._A_index, n) & ~np.bitwise_or.reduce(U)):
         violations.append("(i) region A is not covered by the cells U_i")
-    if np.any(union_Uh & ~mAh):
+    if np.any(np.bitwise_or.reduce(Uh) & ~_packed(cov._Asharp_index, n)):
         violations.append("(i) union of U#_i leaves the enlarged region A#")
     unnested = (U & ~Us).any(axis=1) | (Us & ~Uh).any(axis=1)
     empty = ~U.any(axis=1)
@@ -244,20 +247,25 @@ def validate_covering(cov: GoodCovering) -> CoveringReport:
         if empty[i]:
             violations.append(f"(ii) cell {i}: U_i is empty")
 
-    # (iii) overlap multiplicity of the U# cells
-    Uhf = Uh.astype(np.float32)
-    inter = (Uhf @ Uhf.T) > 0
-    q1 = int(inter.sum(axis=1).max())
-
-    # touching pairs: dilate U_i by adjacency, intersect with U_j
-    Uf = U.astype(np.float32)
-    closU = (Uf @ cov._adj_matrix()) > 0
-    touch = (closU.astype(np.float32) @ Uf.T) > 0
+    # row i: the U#_j that U#_i meets (iii), the U_j that the closure of
+    # U_i meets (U_i dilated by adjacency) and the U*_k that hold U_i
+    meets = np.empty((len(U), len(U)), dtype=bool)
+    touch, inside = np.empty_like(meets), np.empty_like(meets)
+    a, b = cov._adjacency_index.T
+    outside_Us = ~Us
+    for i in range(len(U)):
+        meets[i] = (Uh & Uh[i]).any(axis=1)
+        closure = np.unpackbits(U[i], count=n).view(bool)
+        near = closure[a] | closure[b]
+        closure[a[near]] = True
+        closure[b[near]] = True
+        touch[i] = (U & np.packbits(closure)).any(axis=1)
+        inside[i] = ~(outside_Us & U[i]).any(axis=1)
+    q1 = int(meets.sum(axis=1).max())
     touch |= touch.T
 
     # witness of a touching pair i <= j: the first k of i, j, 0, 1, ...
-    # with U_i and U_j in U*_k (counts of float32 ones are exact)
-    inside = (Uf @ (~Us).astype(np.float32).T) == 0   # U_i <= U*_k
+    # with U_i and U_j in U*_k
     I, J = np.nonzero(np.triu(touch))
     fits = inside[I] & inside[J]
     rows = np.arange(len(I))
@@ -268,13 +276,14 @@ def validate_covering(cov: GoodCovering) -> CoveringReport:
         violations.append(f"(iv) no cell U*_k contains U_{i} union U_{j}")
     I, J, K = I[found], J[found], K[found]
     witnesses = dict(zip(zip(I.tolist(), J.tolist()), K.tolist()))
-    muU, muUs = U @ mu, Us @ mu
+    muU = _row_measures(U, cov.atom_measures)
+    muUs = _row_measures(Us, cov.atom_measures)
     with np.errstate(over="ignore"):
         q2 = float(np.max(muUs[K] / np.minimum(muU[I], muU[J]),
                           initial=0.0))
     if math.isinf(q2):
         raise DomainError("the measure ratio Q2 overflows a float")
-    return CoveringReport(q1, q2, witnesses, violations)
+    return CoveringReport(q1, q2, witnesses, muU, violations)
 
 
 def associated_graph(cov: GoodCovering,
@@ -286,11 +295,9 @@ def associated_graph(cov: GoodCovering,
     if not report.ok:
         raise PreconditionError(
             "covering is not good: " + "; ".join(report.violations))
-    U, _, _ = cov._cell_masks()
-    muU = U @ cov.atom_measures
     # a good covering has a witness for every touching pair (i, j), i <= j
     edges = [(i, j) for i, j in report.witnesses if i < j]
-    return WeightedGraph(enumerate(muU), edges)
+    return WeightedGraph(enumerate(report.cell_measures), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,9 @@ def _band_factor(pos, edges, c, n):
     diagonal is one ``np.bincount``; each other entry lies at its band
     offset |i - j|.
 
+    The band is built in LAPACK's layout, (kd + 1, n) in Fortran order,
+    and factored in place: the factor returned is that array.
+
     Raises PreconditionError if ``dpbtrf`` fails (the form is not positive
     definite), or if it succeeds with a pivot c_ii^2 <= n eps a_ii: then
     the form is singular to working precision, whatever the numbering."""
@@ -487,12 +490,12 @@ def _band_factor(pos, edges, c, n):
     inner = hi < n
     k = hi[inner] - lo[inner]
     kd = int(k.max(initial=0))
-    ab = np.bincount(k * n + lo[inner], -c[inner], (kd + 1) * n)
+    ab = np.bincount(lo[inner] * (kd + 1) + k, -c[inner], n * (kd + 1))
     # without inner edges (a star about the grounded vertex) bincount
     # returns integers, which would truncate the diagonal
-    ab = ab.astype(float, copy=False).reshape(kd + 1, n)
+    ab = ab.astype(float, copy=False).reshape(n, kd + 1).T
     ab[0] = diag
-    factor, info = dpbtrf(ab, lower=1)
+    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     if info != 0:
         raise PreconditionError(f"energy form on {n + 1} vertices is not "
                                 f"positive definite (dpbtrf info {info})")
@@ -526,30 +529,42 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     Edges of zero conductance and loops link nothing: if U meets several
     components of U' without them, the constant is +inf.  Otherwise the
     vertices off U's component are grounded with the U vertex: both forms
-    vanish there.  Raises PreconditionError if the grounded energy form is
-    not positive definite or is singular to working precision.
+    vanish there.  Raises DomainError unless U, U' and ``mean_set`` are
+    nonempty sets of vertices of ``net``, and PreconditionError if the
+    grounded energy form is not positive definite or is singular to working
+    precision.
     """
     from scipy.sparse.csgraph import (connected_components,
                                       reverse_cuthill_mckee)
     from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
                                      eigsh)
 
-    def ids(vs):
-        """Sorted distinct vertices, from an array or any iterable."""
+    n_vertices = len(net.measures)
+
+    def ids(vs, what):
+        """Sorted distinct vertices, from an array or any iterable;
+        DomainError unless they are a nonempty set of vertices of net."""
         a = np.asarray(vs if isinstance(vs, np.ndarray) else list(vs),
                        dtype=int)
-        return a if np.all(a[1:] > a[:-1]) else np.unique(a)
+        a = a if np.all(a[1:] > a[:-1]) else np.unique(a)
+        if not len(a):
+            raise DomainError(f"{what} is empty")
+        for v in (a[0], a[-1]):
+            if not 0 <= v < n_vertices:
+                raise DomainError(f"{what} holds {v}, not a vertex of the "
+                                  f"network (0..{n_vertices - 1})")
+        return a
 
-    U, Up = ids(U), ids(Uprime)
+    U, Up = ids(U, "U"), ids(Uprime, "U'")
     if not np.isin(U, Up).all():
         raise DomainError("U must be contained in U'")
-    mean_set = U if mean_set is None else ids(mean_set)
+    mean_set = U if mean_set is None else ids(mean_set, "mean_set")
     if not np.isin(mean_set, U).all():
         raise DomainError("mean_set must be contained in U")
     if len(U) == 1:
         return 0.0
     nloc = len(Up)
-    loc = np.full(len(net.measures), -1, dtype=int)
+    loc = np.full(n_vertices, -1, dtype=int)
     loc[Up] = np.arange(nloc)
     e = loc[np.asarray(net.edges, dtype=int).reshape(-1, 2)]
     c = np.asarray(net.conductances, dtype=float)
@@ -560,6 +575,8 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     u_loc = loc[U]
     if np.any(labels[u_loc] != labels[u_loc[0]]):
         return math.inf
+    order = reverse_cuthill_mckee(L, symmetric_mode=True)
+    del L   # only its components and its order are needed
     # mass form on U with the mean over mean_set removed:
     #   Q(f) = sum_U m_i (f_i - a)^2,  a = (mm . f) / mu_mean
     m = np.asarray(net.measures, dtype=float)
@@ -576,7 +593,6 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
     g = int(u_loc[0])
     off = labels != labels[g]
     n = nloc - 1 - int(np.count_nonzero(off))
-    order = reverse_cuthill_mckee(L, symmetric_mode=True)
     last = off[order] | (order == g)
     pos = np.empty(nloc, dtype=int)
     pos[order[np.argsort(last, kind="stable")]] = np.arange(nloc)

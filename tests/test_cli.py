@@ -821,6 +821,7 @@ class TestImportFloor:
         (["toric", "--in", "toric.json"], ("numpy", "scipy")),
         (["report", "--in", "golden/graph.json"], ("numpy", "scipy")),
         (["graph", "--in", "graph.json"], ("scipy.sparse",)),
+        (["cover", "--in", "cover.json"], ("scipy.sparse",)),
         (["cone", "--in", "cone.json", "--samples", "20", "--csv", "c.csv"],
          ("scipy.sparse",)),
         (["heat", "--in", "heat.json", "--times", "0.2,0.4",

@@ -554,11 +554,27 @@ class TestNetsAndCoverings:
         cov = net_covering(cone, region, s)
         assert calls == net
         assert len(cov.cells) == len(balls)
-        for c, ball in zip(cov.cells, balls):
+        # the buffer radius: 3 s plus the longest edge at a small ball
+        in_U = np.zeros(cone.n_vertices, dtype=bool)
+        in_U[np.concatenate(balls)] = True
+        touch = in_U[cone.edges].any(axis=1)
+        big = (3 * s + cone.edge_lengths[touch].max()) * (1 + 1e-12)
+        for x, c, ball in zip(net, cov.cells, balls):
             np.testing.assert_array_equal(c.U, ball)
+            np.testing.assert_array_equal(
+                c.Ustar, np.flatnonzero(measure(cone, x) <= big))
             # U* and U# are one array, and U lies in it
             assert c.Ustar is c.Usharp
             assert np.isin(c.U, c.Ustar).all()
+
+    def test_region_vertices_are_checked(self):
+        cone = flat_disc(r_max=4.0, radial=8, angular=8)
+        n = cone.n_vertices
+        for region in ([-1, 3], [3, n], [n], [-n - 1]):
+            with pytest.raises(DomainError, match="not a vertex"):
+                net_covering(cone, region, 0.5)
+            with pytest.raises(DomainError, match="not a vertex"):
+                separated_net(cone, region, 0.5)
 
     def test_annular_covering(self):
         cone = build_cone(CircleLink(TWO_PI), 0.05, 40.0, 120,

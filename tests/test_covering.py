@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conelab import (GoodCovering, PatchingInput, PreconditionError,
-                     associated_graph, patch_dirichlet, patch_neumann,
+from conelab import (CircleLink, GoodCovering, PatchingInput,
+                     PreconditionError, associated_graph, build_cone,
+                     net_covering, patch_dirichlet, patch_neumann,
                      validate_covering)
 from conelab.covering import covering_from_json, covering_to_json
 from conelab.errors import DomainError
@@ -71,6 +74,174 @@ class TestValidation:
                            adjacency=[(0, 1), (1, 2)])
         rep = validate_covering(cov)
         assert not rep.ok
+
+
+def reference_report(cov):
+    """Conditions (i)-(v) on Python sets of atom ids, pair by pair: q1, q2,
+    the witnesses, the violations in validate_covering's order, and
+    mu(U_i), the measures summed with math.fsum."""
+    mu = dict(zip(cov.atom_ids.tolist(), cov.atom_measures.tolist()))
+    U, Us, Uh = ([set(getattr(c, f).tolist()) for c in cov.cells]
+                 for f in ("U", "Ustar", "Usharp"))
+    nbr = {a: {a} for a in mu}
+    for a, b in cov.adjacency.tolist():
+        nbr[a].add(b)
+        nbr[b].add(a)
+    violations = []
+    if not set(cov.A.tolist()) <= set().union(*U):
+        violations.append("(i) region A is not covered by the cells U_i")
+    if not set().union(*Uh) <= set(cov.Asharp.tolist()):
+        violations.append("(i) union of U#_i leaves the enlarged region A#")
+    n = len(U)
+    for i in range(n):
+        if not U[i] <= Us[i] <= Uh[i]:
+            violations.append(f"(ii) cell {i}: U <= U* <= U# fails")
+        if not U[i]:
+            violations.append(f"(ii) cell {i}: U_i is empty")
+    q1 = max(sum(1 for j in range(n) if Uh[i] & Uh[j]) for i in range(n))
+    closure = [set().union(*(nbr[a] for a in u)) for u in U]
+    measure = [math.fsum(mu[a] for a in u) for u in U]
+    witnesses, q2 = {}, 0.0
+    for i in range(n):
+        for j in range(i, n):
+            if not (closure[i] & U[j] or closure[j] & U[i]):
+                continue
+            ks = [k for k in (i, j, *range(n)) if U[i] | U[j] <= Us[k]]
+            if not ks:
+                violations.append(
+                    f"(iv) no cell U*_k contains U_{i} union U_{j}")
+                continue
+            witnesses[i, j] = k = ks[0]
+            q2 = max(q2, math.fsum(mu[a] for a in Us[k])
+                     / min(measure[i], measure[j]))
+    return q1, q2, witnesses, violations, measure
+
+
+def random_covering(rng, string_ids):
+    """Cells of consecutive atoms on a path with a few chords, buffered by
+    random widths (U* = U# as one set when the second width is 0), with
+    gaps between cells; the regions sometimes leave an atom out or take
+    one in, so that each condition is violated on some seeds."""
+    n = int(rng.integers(6, 40))
+    ids = np.sort(rng.choice(1000, n, replace=False))
+    if string_ids:
+        ids = np.sort([f"a{v}" for v in ids])
+    at = ids[rng.permutation(n)]   # the atom at each path position
+    edges = [(p, p + 1) for p in range(n - 1)]
+    edges += [tuple(rng.choice(n, 2, replace=False))
+              for _ in range(rng.integers(0, 3))]
+    cells, lo = [], 0
+    while lo < n:
+        hi = min(n, lo + int(rng.integers(0, 5)))
+        star = int(rng.choice([0, 1, 2, 5]))
+        sharp = int(rng.choice([0, 0, 1]))
+        U = list(range(lo, hi))
+        Us = list(range(max(lo - star, 0), min(hi + star, n)))
+        Uh = list(range(max(lo - star - sharp, 0),
+                        min(hi + star + sharp, n)))
+        if U and rng.random() < 0.05:
+            Us.remove(U[0])
+        cells.append((U, Us, Us if sharp == 0 else Uh))
+        lo = hi + int(rng.random() < 0.2)
+    A = sorted({p for c in cells for p in c[0]})
+    Asharp = sorted({p for c in cells for p in c[2]})
+    gaps = sorted(set(range(n)) - set(A))
+    if gaps and rng.random() < 0.3:
+        A.append(int(rng.choice(gaps)))
+    if Asharp and rng.random() < 0.1:
+        Asharp.remove(Asharp[int(rng.integers(len(Asharp)))])
+
+    def atoms(ps):
+        return [at[p].item() for p in ps]
+
+    triples = []
+    for U, Us, Uh in cells:
+        Us_ids = atoms(Us)
+        triples.append((atoms(U), Us_ids, Us_ids if Uh is Us else atoms(Uh)))
+    measures = rng.uniform(0.1, 3.0, n)
+    return GoodCovering(
+        {a: float(m) for a, m in zip(atoms(range(n)), measures)}, triples,
+        atoms(A), atoms(Asharp), [(at[a].item(), at[b].item())
+                                  for a, b in edges])
+
+
+class TestOracle:
+    """validate_covering against reference_report on seeded random
+    coverings with integer and string atom ids."""
+
+    @pytest.mark.parametrize("string_ids", [False, True])
+    def test_random_coverings_match_the_set_reference(self, string_ids):
+        kinds = set()
+        for seed in range(120):
+            cov = random_covering(np.random.default_rng(seed), string_ids)
+            rep = validate_covering(cov)
+            q1, q2, witnesses, violations, measure = reference_report(cov)
+            assert (rep.q1, rep.witnesses, rep.violations) == (
+                q1, witnesses, violations), seed
+            assert rep.q2 == pytest.approx(q2, rel=1e-12, abs=0), seed
+            np.testing.assert_allclose(rep.cell_measures, measure,
+                                       rtol=1e-12, atol=0)
+            kinds.update(re.sub(r"\d+", "n", v) for v in violations)
+            kinds.add("good" if rep.ok else "not good")
+            kinds.update("U* != U#" for c in cov.cells
+                         if not np.array_equal(c.Ustar, c.Usharp))
+            kinds.update("k not in (i, j)" for (i, j), k in witnesses.items()
+                         if k not in (i, j))
+        assert kinds == {
+            "good", "not good", "U* != U#", "k not in (i, j)",
+            "(i) region A is not covered by the cells U_i",
+            "(i) union of U#_i leaves the enlarged region A#",
+            "(ii) cell n: U <= U* <= U# fails",
+            "(ii) cell n: U_i is empty",
+            "(iv) no cell U*_k contains U_n union U_n"}
+
+
+def traced_peak(fn, *args):
+    """The traced heap peak of fn(*args), in bytes, after one warm call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def criterion_2_covering():
+    """The net covering of the criterion-2 annulus at R = 4, the largest of
+    its three: 66 cells on 7,556 atoms."""
+    cone = build_cone(CircleLink(2 * math.pi), 0.15, 16.0, 168,
+                      angular_steps=48, spacing="geometric")
+    region = np.flatnonzero((cone.radii >= 4.0) & (cone.radii <= 8.0))
+    return net_covering(cone, region, 1.2)
+
+
+class TestMemory:
+    def test_validation_holds_one_float_matrix(self, criterion_2_covering):
+        """Below one float64 (cells x atoms) array, the rows of the measure
+        product, plus 16 arrays of atoms floats: the conditions run on the
+        packed rows."""
+        cov = criterion_2_covering
+        n = len(cov.atom_ids)
+        peak = traced_peak(validate_covering, cov)
+        assert peak < 8 * n * (len(cov.cells) + 16)
+
+    def test_building_makes_no_dense_masks(self, criterion_2_covering):
+        """Below the bytes of one (3, cells, atoms) boolean array."""
+        cov = criterion_2_covering
+        peak = traced_peak(GoodCovering.from_arrays, cov.atom_ids,
+                           cov.atom_measures, cov.cells, cov.A, cov.Asharp,
+                           cov.adjacency)
+        assert peak < 3 * len(cov.cells) * len(cov.atom_ids)
+
+    def test_associated_graph_reads_the_report(self, criterion_2_covering):
+        """Below the bytes of one boolean (cells x atoms) mask: the cell
+        measures come from the report, not from unpacked masks."""
+        cov = criterion_2_covering
+        rep = validate_covering(cov)
+        peak = traced_peak(associated_graph, cov, rep)
+        assert peak < len(cov.cells) * len(cov.atom_ids)
 
 
 class TestAssociatedGraph:
@@ -151,6 +322,18 @@ class TestArrays:
         GoodCovering({a: 1.0 for a in range(2)}, [(U, U, U)], A=U,
                      Asharp=U, adjacency=[])
         U[0] = 0
+
+    def test_cells_are_packed_boolean_rows(self):
+        cov = GoodCovering({a: 1.0 for a in range(19)},
+                           [([1], [0, 1, 18], range(19)), ([8, 9], [8, 9],
+                                                           [7, 8, 9, 10])],
+                           A=[1, 8, 9], Asharp=range(19))
+        masks = np.zeros((3, 2, 19), dtype=bool)
+        for i, c in enumerate(cov.cells):
+            for j, ids in enumerate((c.U, c.Ustar, c.Usharp)):
+                masks[j, i, ids] = True
+        np.testing.assert_array_equal(cov._cell_bits,
+                                      np.packbits(masks, axis=-1))
 
     def test_shared_set_is_kept_once(self):
         atoms = {a: 1.0 for a in range(3)}

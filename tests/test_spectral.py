@@ -185,6 +185,19 @@ class TestPoincare:
         with pytest.raises(DomainError):
             poincare_constant(net, [1, 2], [0, 1, 2, 3], mean_set=[3])
 
+    @pytest.mark.parametrize("U, Up, mean_set", [
+        ([-1, -2], [-1, -2, -3], None),
+        ([], [0, 1, 2], None),
+        ([3, 5], [3, 4, 5], None),
+        ([3, 4], [2, 3, 4, 5], None),
+        ([1, 2], [0, 1, 2, 3], []),
+    ], ids=["negative", "empty U", "U beyond", "U' beyond",
+            "empty mean_set"])
+    def test_vertex_ids_are_checked(self, U, Up, mean_set):
+        net = path_net(5, 1.0)
+        with pytest.raises(DomainError):
+            poincare_constant(net, U, Up, mean_set=mean_set)
+
     def test_mean_set_shrinks_drop_constant_shift(self):
         net = path_net(100, 0.01)
         U = range(20, 80)
@@ -262,6 +275,58 @@ class TestPoincareLanczos:
         got = poincare_constant(net, U, Up)
         assert got == pytest.approx(lam, rel=1e-12)
         assert got == pytest.approx(schur_reference(net, U, Up), rel=1e-9)
+
+    def test_global_pencil_memory_is_the_band(self, monkeypatch):
+        """Criterion 2's global pencil at R = 4: the traced heap peak stays
+        below its band, (kd + 1) n doubles, plus 24 arrays of E floats."""
+        cone = build_cone(CircleLink(TWO_PI), 0.15, 16.0, 168,
+                          angular_steps=48, spacing="geometric")
+        region = np.flatnonzero((cone.radii >= 4.0) & (cone.radii <= 8.0))
+        Up = net_covering(cone, region, 1.2).Asharp
+        poincare_constant(cone, region, Up)   # warm the import caches
+        shapes = []
+        band_factor = conelab.spectral._band_factor
+
+        def recorded(*args):
+            factor = band_factor(*args)
+            shapes.append(factor.shape)
+            return factor
+        monkeypatch.setattr(conelab.spectral, "_band_factor", recorded)
+        tracemalloc.start()
+        try:
+            poincare_constant(cone, region, Up)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (rows, n), = shapes
+        assert rows > 1 and n > 7000
+        assert peak < 8 * (rows * n + 24 * len(cone.edges))
+
+    def test_band_is_factored_in_place(self, monkeypatch):
+        """The band is built in LAPACK's layout and its factor overwrites
+        it, with the bits of the factor of a C-ordered copy."""
+        bands = []
+        dpbtrf = conelab.spectral.dpbtrf
+
+        def kept(ab, **kwargs):
+            bands.append((ab, ab.copy()))
+            return dpbtrf(ab, **kwargs)
+        monkeypatch.setattr(conelab.spectral, "dpbtrf", kept)
+        cone = build_cone(CircleLink(TWO_PI), 0.5, 3.0, 12, angular_steps=8)
+        n = cone.n_vertices - 1   # the last vertex grounded
+        factor = conelab.spectral._band_factor(
+            np.arange(cone.n_vertices), cone.edges, cone.conductances, n)
+        (band, built), = bands
+        assert factor.flags.f_contiguous
+        assert np.shares_memory(factor, band)
+        L = dirichlet_laplacian(cone.n_vertices, cone.edges,
+                                cone.conductances).toarray()[:n, :n]
+        want = np.zeros_like(built)
+        for k in range(len(built)):
+            want[k, :n - k] = np.diagonal(L, -k)
+        np.testing.assert_allclose(built, want, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(
+            factor, dpbtrf(np.ascontiguousarray(built), lower=1)[0])
 
     def test_two_vertex_region(self):
         # U = {i, i + 1}: the energy is least with f flat off their edge,
