@@ -31,12 +31,17 @@ import numpy as np
 
 from .covering import Cell, GoodCovering
 from .errors import DomainError, UnsupportedError
+from .graphs import _vertex_ids
 
 #: Longest accepted circle link (see :class:`CircleLink`).
 MAX_CIRCLE_LENGTH = 1e100
 
 #: Rings per block of :meth:`DiscretizedCone._edge_blocks`.
 _RING_BLOCK = 16
+
+#: Radius of a net covering's buffers U* = U#, in units of the separation,
+#: before the grid slack is added (see :func:`net_covering`).
+BUFFER_FACTOR = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +51,10 @@ _RING_BLOCK = 16
 @dataclass(frozen=True)
 class CircleLink:
     """Circle of circumference ``length``; the cone over it is a 2d cone of
-    total angle ``length`` (flat plane when length = 2*pi)."""
+    total angle ``length`` (flat plane when length = 2*pi).  Its dimension
+    ``dim`` is 1, a class constant."""
     length: float
-    dim: int = 1
+    dim = 1   # not a field: a circle has no other dimension
 
     def __post_init__(self):
         # the link spectrum scales as length^-2, and past ~1e150 it
@@ -572,28 +578,16 @@ def separated_net(cone: DiscretizedCone, region, s: float) -> list:
     Pairwise distances are >= s and every region vertex lies within s of the
     net.  Deterministic: vertices are visited in index order.
     """
-    return _net(cone, _sorted_region(cone, region), s)[0]
-
-
-def _sorted_region(cone: DiscretizedCone, region) -> list:
-    """The region's vertices, sorted; DomainError unless it is a nonempty
-    set of vertices of the cone."""
-    region = sorted(int(v) for v in region)
-    if not region:
-        raise DomainError("region is empty")
-    for v in (region[0], region[-1]):
-        if not 0 <= v < cone.n_vertices:
-            raise DomainError(f"region vertex {v} is not a vertex of the "
-                              f"cone (0..{cone.n_vertices - 1})")
-    return region
+    region = _vertex_ids(region, cone.n_vertices, "region").tolist()
+    return _net(cone, region, s)[0]
 
 
 def _net(cone: DiscretizedCone, region: list, s: float, cut=None):
-    """``separated_net`` of the sorted ``region``, what ``cut`` keeps of the
-    distance array of each net point (the array itself is dropped), and the
-    distance of each vertex to the net."""
-    if s <= 0:
-        raise DomainError("separation must be positive")
+    """``separated_net`` of the sorted, distinct ``region``, what ``cut``
+    keeps of the distance array of each net point (the array itself is
+    dropped), and the distance of each vertex to the net."""
+    if not s > 0:
+        raise DomainError(f"separation must be positive, not {s!r}")
     mindist = np.full(cone.n_vertices, np.inf)
     net, kept = [], []
     for v in region:
@@ -613,18 +607,17 @@ def _longest_edge(cone: DiscretizedCone, mask) -> float:
     return float(cone.edge_lengths[touch].max(initial=0.0))
 
 
-def net_covering(cone: DiscretizedCone, region, s: float,
-                 buffer_factor: float = 3.0) -> GoodCovering:
+def net_covering(cone: DiscretizedCone, region, s: float) -> GoodCovering:
     """Good covering of ``region`` by balls around a maximal s-separated net.
 
-    U_i = B(x_i, s) and U*_i = U#_i = B(x_i, buffer_factor*s + h) where h is
+    U_i = B(x_i, s) and U*_i = U#_i = B(x_i, BUFFER_FACTOR*s + h) where h is
     the longest grid edge; the slack h makes the witness k(i,j) = i valid on
     a discrete grid (cells that touch have centers within 2s + h).  Cells
     and regions are vertex-index arrays (U* and U# one array), the atoms the
     vertices of A# and the region, and the adjacency the cone's edges
     between them.
     """
-    region = _sorted_region(cone, region)
+    region = _vertex_ids(region, cone.n_vertices, "region").tolist()
     small = s * (1 + 1e-12)
     # grid slack h: touching cells have centers within 2s + (longest edge
     # incident to a small ball), so that much is added to the buffer
@@ -635,7 +628,7 @@ def net_covering(cone: DiscretizedCone, region, s: float,
     r = cone.radii[region]
     h_up = _longest_edge(cone, (cone.radii >= r.min() - 2 * s)
                          & (cone.radii <= r.max() + 2 * s))
-    reach = (buffer_factor * s + h_up) * (1 + 1e-12)
+    reach = (BUFFER_FACTOR * s + h_up) * (1 + 1e-12)
 
     def cut(d):
         near = np.flatnonzero(d <= reach)
@@ -643,7 +636,7 @@ def net_covering(cone: DiscretizedCone, region, s: float,
 
     _, kept, mindist = _net(cone, region, s, cut)
     h = _longest_edge(cone, mindist <= small)
-    big = (buffer_factor * s + h) * (1 + 1e-12)
+    big = (BUFFER_FACTOR * s + h) * (1 + 1e-12)
     cells = []
     for i, (U, near, d) in enumerate(kept):
         kept[i] = None   # the distances go once the cell is cut
@@ -719,14 +712,14 @@ def radius_field(cone: DiscretizedCone, base: int | None = None) -> RadiusField:
 # JSON wire format
 
 
-def cone_from_json(text: str, base_dir: str | None = None) -> DiscretizedCone:
+def cone_from_json(text: str) -> DiscretizedCone:
     """Build a cone from its JSON description.
 
     {"link": {"kind": "circle", "length": 6.2832}
            | {"kind": "sphere", "n_theta": 12, "n_phi": 24}
            | {"kind": "graph", "nodes": [...], "edges": [...], "dim": 2},
      "r_min": 0.0, "r_max": 8.0, "radial_steps": 256, "angular_steps": 256,
-     "spacing": "uniform"}
+     "spacing": "uniform"}  -- self-contained: no other file is read.
     """
     try:
         doc = json.loads(text)

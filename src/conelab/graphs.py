@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -20,12 +21,9 @@ from .errors import CapacityError, DomainError
 #: Largest vertex count for which subset enumeration is attempted.
 DEFAULT_ENUM_CAP = 22
 
-#: Vertex count above which the spectral gap switches to a sparse solver.
+#: Vertex count above which the spectral gap is the reciprocal of the
+#: sparse Poincare constant of the whole vertex set.
 DENSE_EIG_LIMIT = 3000
-
-#: Largest accepted residual bound of the sparse spectral gap, relative to
-#: the gap.
-GAP_RESIDUAL_TOL = 1e-6
 
 #: Largest accepted null eigenvalue of the dense pencil, relative to the
 #: gap and per vertex.  The pencil's exact null eigenvalue is 0, so what
@@ -64,6 +62,27 @@ def _dense_laplacian(n, edges, weights) -> np.ndarray:
                             np.concatenate((w, w)), n))
     L[a, b] = L[b, a] = -w
     return L
+
+
+def _vertex_ids(vs, n, what) -> np.ndarray:
+    """Sorted distinct vertex ids from an array or any iterable; DomainError
+    unless they are a nonempty set of integers in 0..n-1.  Floats and
+    booleans are refused, not truncated or read as a mask."""
+    vs = vs if isinstance(vs, np.ndarray) else list(vs)
+    a = np.asarray(vs)
+    if not a.size:
+        raise DomainError(f"{what} is empty")
+    # numpy reads a boolean among integers as 0 or 1
+    if (a.ndim != 1 or a.dtype.kind not in "iu" or (isinstance(vs, list)
+            and not {bool, np.bool_}.isdisjoint(map(type, vs)))):
+        raise DomainError(f"{what} must be a flat collection of integer "
+                          f"vertex ids, not floats or booleans")
+    a = a if np.all(a[1:] > a[:-1]) else np.unique(a)
+    for v in (a[0], a[-1]):
+        if not 0 <= v < n:
+            raise DomainError(f"{what} holds {v}, not a vertex of the "
+                              f"network (0..{n - 1})")
+    return a.astype(int, copy=False)
 
 
 class WeightedGraph:
@@ -357,9 +376,10 @@ def spectral_gap(g: WeightedGraph) -> float:
     ``DENSE_EIG_LIMIT`` vertices L is assembled as a dense array
     (:func:`_dense_laplacian`) and the pencil is solved by LAPACK; no
     sparse matrix is built, and a null eigenvalue further from 0 than
-    n * ``GAP_NULL_TOL`` times the gap raises CapacityError.  Above it the gap
-    is found by shift-invert Lanczos (ARPACK) just below 0, and a residual
-    check raises CapacityError instead of returning an unconverged value.
+    n * ``GAP_NULL_TOL`` times the gap raises CapacityError.  Above it the
+    gap is 1 / Lambda(V, V), the Poincare constant of the whole vertex set
+    with the edge measures as conductances, and it raises what
+    :func:`conelab.spectral.poincare_constant` raises.
     """
     n = len(g)
     if n == 1:
@@ -378,29 +398,11 @@ def spectral_gap(g: WeightedGraph) -> float:
                                 f"is lost to rounding: the null eigenvalue "
                                 f"reads {w[0]:.2e}")
         return float(w[1])
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    from .spectral import poincare_constant   # spectral imports graphs
 
-    L = dirichlet_laplacian(n, g.edge_pos, g.edge_measures)
-    # large graphs: shift-invert Lanczos just below 0 finds the two
-    # smallest eigenvalues (0 and the gap)
-    M = sp.diags(g.measures)
-    sigma = -1e-6 * float(np.max(L.diagonal() / g.measures))
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        vals, vecs = eigsh(L, k=2, M=M, sigma=sigma, which="LM", v0=v0)
-    except ArpackNoConvergence as exc:
-        raise CapacityError(f"Lanczos solve for the spectral gap on {n} "
-                            f"vertices did not converge") from exc
-    k = int(np.argmax(vals))
-    lam, v = float(vals[k]), vecs[:, k]
-    # some eigenvalue lies within |M^(-1/2) (L v - lam M v)| / |v|_M of lam
-    res = (L @ v - lam * g.measures * v) / np.sqrt(g.measures)
-    bound = np.linalg.norm(res) / math.sqrt(np.dot(v, g.measures * v))
-    if not bound <= GAP_RESIDUAL_TOL * lam:
-        raise CapacityError(f"spectral gap {lam:.6e} on {n} vertices has "
-                            f"relative residual {bound / lam:.2e}")
-    return lam
+    net = SimpleNamespace(measures=g.measures, edges=g.edge_pos,
+                          conductances=g.edge_measures)
+    return 1.0 / poincare_constant(net, np.arange(n), np.arange(n))
 
 
 def degree_bound_m0(g: WeightedGraph) -> float:

@@ -8,6 +8,8 @@ put in reverse Cuthill-McKee order and factored once as a band (LAPACK
 precision); the pencil's largest eigenpair then comes from a standard
 symmetric operator applied by Lanczos, one ``dpbtrs`` solve per step, and
 it is checked by its residual on the pencil (:func:`poincare_constant`).
+This is conelab's only sparse eigen-solver: the spectral gap of a large
+graph is 1 / Lambda(V, V) (:func:`conelab.graphs.spectral_gap`).
 
 Heat kernels and Green's functions need a
 :class:`~conelab.cones.DiscretizedCone`: they use
@@ -32,7 +34,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from .errors import (CapacityError, DomainError, InternalFault,
                      PreconditionError)
-from .graphs import _dense_laplacian, dirichlet_laplacian
+from .graphs import _dense_laplacian, _vertex_ids, dirichlet_laplacian
 
 __all__ = [
     "heat_kernel", "HeatKernelSample",
@@ -53,6 +55,17 @@ POINCARE_RESIDUAL_TOL = 1e-10
 
 #: Largest accepted deviation of a heat-kernel sample's total mass from 1.
 HEAT_MASS_TOL = 1e-9
+
+#: Factor by which the fitted Gaussian amplitudes are widened, and the
+#: largest accepted ratio of a sample to the fitted curve (either way).
+FIT_SLACK = 3.0
+
+#: Admissible distances of a Gaussian fit, in units of sqrt(t).
+FIT_BAND = (1.0, 4.0)
+
+#: Least distance of an admissible sample to the truncation boundary, in
+#: units of sqrt(t).
+FIT_BOUNDARY_FACTOR = 2.0
 
 #: Largest relative difference accepted between the Poincare constants of
 #: two congruent cells (the spot check of :func:`covering_cell_constant`).
@@ -270,8 +283,7 @@ def heat_kernel(cone, source: int, times: Sequence[float]):
     if not times or not all(0 < t <= cone.r_max ** 2 for t in times):
         raise DomainError(f"times must lie in (0, r_max^2 = "
                           f"{cone.r_max ** 2:g}]")
-    if not 0 <= source < cone.n_vertices:
-        raise DomainError("source vertex out of range")
+    source = int(_vertex_ids([source], cone.n_vertices, "source")[0])
     values, lam_bound = _modal_apply(
         cone, source, lambda lam: np.exp(-np.outer(lam, times)))
     samples = [HeatKernelSample(t, source, v) for t, v in zip(times, values)]
@@ -307,18 +319,19 @@ class GaussianFit:
     max_rel_residual: float = 0.0
 
 
-def gaussian_fit(samples, cone, slack: float = 3.0, band=(1.0, 4.0),
-                 boundary_factor: float = 2.0) -> GaussianFit:
+def gaussian_fit(samples, cone) -> GaussianFit:
     """Fit two-sided Gaussian bounds
 
         c1 e^(-C1 d^2/t) / V(x, sqrt t) <= h <= C2 e^(-c2 d^2/t) / V(x, sqrt t)
 
-    over the admissible region band[0]*sqrt(t) <= d <= band[1]*sqrt(t) with
-    distance to the truncation boundary >= boundary_factor*sqrt(t).
+    over the admissible region FIT_BAND[0] sqrt(t) <= d <= FIT_BAND[1] sqrt(t)
+    with distance to the truncation boundary >= FIT_BOUNDARY_FACTOR sqrt(t).
 
     The exponents come from a log-linear regression of h*V against d^2/t; the
-    amplitudes are the regression intercept widened by ``slack``.  ``passed``
-    records the pointwise verification, so a single corrupted node fails it.
+    amplitudes are the regression intercept widened by ``FIT_SLACK``.
+    ``passed`` records the pointwise verification (every admissible sample
+    within a factor FIT_SLACK of the regression), so a single corrupted node
+    fails it.
     """
     xs, ys, ts, vs = [], [], [], []
     nonpos = None
@@ -327,8 +340,8 @@ def gaussian_fit(samples, cone, slack: float = 3.0, band=(1.0, 4.0),
         rt = math.sqrt(s.t)
         d = cone.distances_from(s.source)
         V = cone.ball_volume(s.source, rt).volume
-        admissible = ((band[0] * rt <= d) & (d <= band[1] * rt)
-                      & (bd >= boundary_factor * rt))
+        admissible = ((FIT_BAND[0] * rt <= d) & (d <= FIT_BAND[1] * rt)
+                      & (bd >= FIT_BOUNDARY_FACTOR * rt))
         bad = admissible & (s.values <= 0)
         if bad.any():
             v = int(np.flatnonzero(bad)[-1])
@@ -345,13 +358,12 @@ def gaussian_fit(samples, cone, slack: float = 3.0, band=(1.0, 4.0),
     slope, intercept = np.polyfit(xs, ys, 1)
     c2 = -float(slope)
     amp = math.exp(float(intercept))
-    C2, c1, C1 = amp * slack, amp / slack, c2
+    C2, c1, C1 = amp * FIT_SLACK, amp / FIT_SLACK, c2
     resid = ys - (intercept + slope * xs)
     worst = int(np.argmax(np.abs(resid)))
     max_rel = float(np.exp(np.max(np.abs(resid))) - 1.0)
     passed = bool(c2 > 0 and nonpos is None
-                  and np.all(resid <= math.log(slack))
-                  and np.all(resid >= -math.log(slack)))
+                  and np.all(np.abs(resid) <= math.log(FIT_SLACK)))
     witness = nonpos if nonpos is not None else (
         float(ts[worst]), int(vs[worst]), math.exp(ys[worst]),
         amp * math.exp(slope * xs[worst]))
@@ -383,8 +395,7 @@ def greens_function(cone, source: int) -> GreensFunction:
     """
     if cone.dimension <= 2:
         raise DomainError("Green's function requires dimension n > 2")
-    if not 0 <= source < cone.n_vertices:
-        raise DomainError("source vertex out of range")
+    source = int(_vertex_ids([source], cone.n_vertices, "source")[0])
     diag, coupling, _, to_modes, from_modes = _modal(cone, robin=True)
     d, e, info = dpttrf(diag, coupling)
     if info != 0:
@@ -422,8 +433,7 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
     """
     if cone.dimension <= 2:
         raise DomainError("requires dimension n > 2")
-    if not 0 <= source < cone.n_vertices:
-        raise DomainError("source vertex out of range")
+    source = int(_vertex_ids([source], cone.n_vertices, "source")[0])
     if n_steps < 2:
         raise DomainError("n_steps must be at least 2")
     if dt is None:
@@ -484,13 +494,16 @@ def _band_factor(pos, edges, c, n):
     Raises PreconditionError if ``dpbtrf`` fails (the form is not positive
     definite), or if it succeeds with a pivot c_ii^2 <= n eps a_ii: then
     the form is singular to working precision, whatever the numbering."""
-    p = pos[edges]
-    lo, hi = p.min(axis=1), p.max(axis=1)
+    p = np.sort(pos[edges], axis=1)   # (lo, hi) of each edge
     diag = np.bincount(p.ravel(), np.repeat(c, 2), n + 1)[:n]
-    inner = hi < n
-    k = hi[inner] - lo[inner]
-    kd = int(k.max(initial=0))
-    ab = np.bincount(lo[inner] * (kd + 1) + k, -c[inner], n * (kd + 1))
+    inner = p[:, 1] < n
+    lo, hi = p[inner].T
+    kd = int(np.max(hi - lo, initial=0))
+    # entry (hi, lo) sits at row hi - lo of column lo: flat lo * kd + hi
+    flat = lo * kd + hi
+    del p, lo, hi
+    ab = np.bincount(flat, -c[inner], n * (kd + 1))
+    del flat, inner   # only the band and its diagonal stay through dpbtrf
     # without inner edges (a star about the grounded vertex) bincount
     # returns integers, which would truncate the diagonal
     ab = ab.astype(float, copy=False).reshape(n, kd + 1).T
@@ -540,25 +553,12 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
                                      eigsh)
 
     n_vertices = len(net.measures)
-
-    def ids(vs, what):
-        """Sorted distinct vertices, from an array or any iterable;
-        DomainError unless they are a nonempty set of vertices of net."""
-        a = np.asarray(vs if isinstance(vs, np.ndarray) else list(vs),
-                       dtype=int)
-        a = a if np.all(a[1:] > a[:-1]) else np.unique(a)
-        if not len(a):
-            raise DomainError(f"{what} is empty")
-        for v in (a[0], a[-1]):
-            if not 0 <= v < n_vertices:
-                raise DomainError(f"{what} holds {v}, not a vertex of the "
-                                  f"network (0..{n_vertices - 1})")
-        return a
-
-    U, Up = ids(U, "U"), ids(Uprime, "U'")
+    U = _vertex_ids(U, n_vertices, "U")
+    Up = _vertex_ids(Uprime, n_vertices, "U'")
     if not np.isin(U, Up).all():
         raise DomainError("U must be contained in U'")
-    mean_set = U if mean_set is None else ids(mean_set, "mean_set")
+    mean_set = U if mean_set is None else _vertex_ids(mean_set, n_vertices,
+                                                      "mean_set")
     if not np.isin(mean_set, U).all():
         raise DomainError("mean_set must be contained in U")
     if len(U) == 1:
@@ -626,6 +626,7 @@ def poincare_constant(net, U, Uprime, mean_set=None) -> float:
             f"vertices did not converge") from exc
     lam = float(w[0])
     f = solve(y[:, 0])[pos]
+    del factor   # the residual check runs on the edges
     a = np.dot(mm_full, f) / mu_mean
     Qf = mU_full * (f - a) - mm_full * (np.dot(mU_full, f - a) / mu_mean)
     Lf, absLf = _edge_products(nloc, e, c, f)

@@ -576,6 +576,28 @@ class TestNetsAndCoverings:
             with pytest.raises(DomainError, match="not a vertex"):
                 separated_net(cone, region, 0.5)
 
+    def test_region_ids_must_be_integers(self):
+        # int() truncated 0.9, 1.5, 2.7 to the vertices 0, 1, 2
+        cone = flat_disc(r_max=4.0, radial=8, angular=8)
+        for region in ([0.9, 1.5, 2.7], np.array([0.0, 1.0]),
+                       [True, True], [1, True], ["0", "1"]):
+            with pytest.raises(DomainError, match="integer vertex ids"):
+                net_covering(cone, region, 0.5)
+            with pytest.raises(DomainError, match="integer vertex ids"):
+                separated_net(cone, region, 0.5)
+        assert separated_net(cone, np.arange(3, dtype=np.uint8), 0.01) == [
+            0, 1, 2]
+
+    @pytest.mark.parametrize("s", [math.nan, 0.0, -0.5])
+    def test_separation_must_be_positive(self, s):
+        # a NaN passed s <= 0: the net was empty, and the covering failed
+        # with "covering needs at least one cell"
+        cone = flat_disc(r_max=4.0, radial=8, angular=8)
+        with pytest.raises(DomainError, match="separation"):
+            separated_net(cone, range(10), s)
+        with pytest.raises(DomainError, match="separation"):
+            net_covering(cone, range(10), s)
+
     def test_annular_covering(self):
         cone = build_cone(CircleLink(TWO_PI), 0.05, 40.0, 120,
                           angular_steps=24, spacing="geometric")
@@ -691,6 +713,12 @@ class TestConstructionAndIO:
                          (1.0, 1.0), dim=1)
         cone = build_cone(link, 0.5, 2.0, 12)
         assert cone.total_measure == pytest.approx(2.0 * (4.0 - 0.25) / 2.0)
+
+    def test_circle_link_dimension_is_fixed(self):
+        # dim=3 built a "4-dimensional" cone over a circle
+        assert CircleLink(TWO_PI).dim == 1
+        with pytest.raises(TypeError):
+            CircleLink(TWO_PI, dim=3)
 
     def test_json_round_trip(self):
         doc = ('{"link": {"kind": "circle", "length": 6.283185307179586},'

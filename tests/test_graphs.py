@@ -1,16 +1,19 @@
+import ast
 import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from scipy.sparse.csgraph import connected_components
 
 import conelab.graphs
-from conelab import (CapacityError, DomainError, WeightedGraph,
-                     cheeger_constant, cheeger_gap_report, degree_bound_m0,
-                     isoperimetric_constant, spectral_gap)
+from conelab import (CapacityError, DomainError, InternalFault,
+                     WeightedGraph, cheeger_constant, cheeger_gap_report,
+                     degree_bound_m0, isoperimetric_constant, spectral_gap)
 from conelab.graphs import (_dense_laplacian, _subset_chunks,
                             dirichlet_laplacian, graph_from_json,
                             graph_to_json, random_connected_graph,
@@ -203,20 +206,49 @@ class TestDenseSpectralGap:
             spectral_gap(g)
 
 
+def grid(rows, cols, measures):
+    """rows x cols grid graph, vertex r * cols + c, with the given measures."""
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    edges = np.r_[np.c_[idx[:-1].ravel(), idx[1:].ravel()],
+                  np.c_[idx[:, :-1].ravel(), idx[:, 1:].ravel()]]
+    return WeightedGraph(enumerate(measures), map(tuple, edges.tolist()))
+
+
 class TestSparseSpectralGap:
-    """Graphs above DENSE_EIG_LIMIT, solved by shift-invert Lanczos."""
+    """Graphs above DENSE_EIG_LIMIT: the gap is 1 / Lambda(V, V), the
+    Poincare constant of the whole vertex set."""
 
     @pytest.mark.parametrize("n", [3001, 5000])
     def test_path_oracle(self, n):
         assert n > conelab.graphs.DENSE_EIG_LIMIT
-        exact = 2.0 - 2.0 * math.cos(math.pi / n)
-        assert spectral_gap(path(n)) == pytest.approx(exact, rel=1e-6)
+        # 2 - 2 cos(pi / n), without its cancellation
+        exact = 4.0 * math.sin(math.pi / (2 * n)) ** 2
+        assert spectral_gap(path(n)) == pytest.approx(exact, rel=1e-12)
 
     def test_matches_dense_with_varied_measures(self, monkeypatch):
         g = random_connected_graph(np.random.default_rng(5), 60)
         dense = spectral_gap(g)
         monkeypatch.setattr(conelab.graphs, "DENSE_EIG_LIMIT", len(g) - 1)
         assert spectral_gap(g) == pytest.approx(dense, rel=1e-9)
+
+    def test_grid_matches_dense_eigh(self):
+        # the pencil (L, M) with M diagonal is M^-1/2 L M^-1/2, solved by
+        # LAPACK in place
+        g = grid(60, 60, np.random.default_rng(3).uniform(0.5, 2.0, 3600))
+        assert len(g) > conelab.graphs.DENSE_EIG_LIMIT
+        gap = spectral_gap(g)
+        s = 1.0 / np.sqrt(g.measures)
+        A = _dense_laplacian(len(g), g.edge_pos, g.edge_measures)
+        A *= s
+        A *= s[:, None]
+        (want,) = scipy.linalg.eigh(A, eigvals_only=True, overwrite_a=True,
+                                    subset_by_index=[1, 1])
+        assert gap == pytest.approx(want, rel=1e-11)
+
+    def test_disconnected_is_zero(self):
+        g = path(3001)
+        assert spectral_gap(WeightedGraph(zip(g.ids, g.measures),
+                                          g.edges[1:])) == 0.0
 
     def test_no_convergence_raises(self, monkeypatch):
         eigsh = scipy.sparse.linalg.eigsh
@@ -226,14 +258,48 @@ class TestSparseSpectralGap:
             spectral_gap(path(5000))
 
     def test_large_residual_raises(self, monkeypatch):
+        # the Poincare route's contract: an eigenpair off its pencil is a
+        # fault of the solver, not of the input
         eigsh = scipy.sparse.linalg.eigsh
 
         def off_by_1e3(*a, **k):
             vals, vecs = eigsh(*a, **k)
             return vals * (1 + 1e-3), vecs
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", off_by_1e3)
-        with pytest.raises(CapacityError):
+        with pytest.raises(InternalFault):
             spectral_gap(path(3001))
+
+
+def test_one_sparse_eigen_solver():
+    """ARPACK has one call site: ``eigsh`` is named only inside
+    spectral.poincare_constant, and graphs imports no scipy.sparse.linalg
+    (its large gaps go through that function)."""
+    def walk(node, where):
+        """(enclosing function, node) for every node below ``node``."""
+        for child in ast.iter_child_nodes(node):
+            yield where, child
+            yield from walk(child, child.name if isinstance(
+                child, ast.FunctionDef) else where)
+
+    def name(node):
+        return (node.name if isinstance(node, ast.alias) else
+                node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+
+    src = pathlib.Path(conelab.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    sites = {(module, where) for module, tree in trees.items()
+             for where, node in walk(tree, None) if name(node) == "eigsh"}
+    assert sites == {("spectral", "poincare_constant")}
+    imported = set()
+    for node in ast.walk(trees["graphs"]):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{a.name}" for a in node.names)
+    assert "scipy.linalg" in imported
+    assert not [m for m in imported if m.startswith("scipy.sparse.linalg")]
 
 
 class TestDirichletLaplacian:

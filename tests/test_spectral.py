@@ -20,7 +20,7 @@ from conelab import (CapacityError, Cell, CircleLink, DomainError,
                      heat_kernel, indicial_spectrum, net_covering,
                      poincare_constant, scale_invariant_poincare_scan,
                      sphere_link)
-from conelab.graphs import dirichlet_laplacian
+from conelab.graphs import _dense_laplacian, dirichlet_laplacian
 from conelab.spectral import HeatKernelSample
 
 TWO_PI = 2.0 * math.pi
@@ -191,8 +191,15 @@ class TestPoincare:
         ([3, 5], [3, 4, 5], None),
         ([3, 4], [2, 3, 4, 5], None),
         ([1, 2], [0, 1, 2, 3], []),
+        ([0.5, 1.7, 2.2], [0.5, 1.7, 2.2, 3.9], None),
+        (np.array([0.5, 1.7, 2.2]), np.arange(5), None),
+        (np.array([True, True]), np.arange(5), None),
+        ([1], [False, True], None),
+        ([1, True], np.arange(5), None),
+        ([1, 2], np.arange(5), [1.0]),
     ], ids=["negative", "empty U", "U beyond", "U' beyond",
-            "empty mean_set"])
+            "empty mean_set", "float lists", "float array", "bool U",
+            "bool U'", "int and bool U", "float mean_set"])
     def test_vertex_ids_are_checked(self, U, Up, mean_set):
         net = path_net(5, 1.0)
         with pytest.raises(DomainError):
@@ -278,7 +285,8 @@ class TestPoincareLanczos:
 
     def test_global_pencil_memory_is_the_band(self, monkeypatch):
         """Criterion 2's global pencil at R = 4: the traced heap peak stays
-        below its band, (kd + 1) n doubles, plus 24 arrays of E floats."""
+        below its band, (kd + 1) n doubles, plus 12 arrays of E floats (the
+        peak measured 4.28 MB, 8 * ((kd + 1) n + 9.3 E) bytes)."""
         cone = build_cone(CircleLink(TWO_PI), 0.15, 16.0, 168,
                           angular_steps=48, spacing="geometric")
         region = np.flatnonzero((cone.radii >= 4.0) & (cone.radii <= 8.0))
@@ -300,7 +308,7 @@ class TestPoincareLanczos:
             tracemalloc.stop()
         (rows, n), = shapes
         assert rows > 1 and n > 7000
-        assert peak < 8 * (rows * n + 24 * len(cone.edges))
+        assert peak < 8 * (rows * n + 12 * len(cone.edges))
 
     def test_band_is_factored_in_place(self, monkeypatch):
         """The band is built in LAPACK's layout and its factor overwrites
@@ -390,6 +398,104 @@ class TestPoincareLanczos:
         n = 1000
         with pytest.raises(CapacityError):
             poincare_constant(path_net(n, 1.0 / n), range(n), range(n))
+
+def modal_reference(cone, I, J):
+    """The constant of each link mode of the pencil of the product sets
+    U = (rings I) x (whole link) inside U' = (rings J) x (whole link), J
+    consecutive rings; Lambda(U, U') is the largest.
+
+    Separation of variables (J. Cheeger, J. Differential Geom. 18, 1983):
+    the measure is shell (x) M_S and L = L_r (x) M_S + diag(T) (x) L_S
+    (:class:`~conelab.cones.ProductFactors`), so in the link eigenbasis,
+    L_S phi_j = mu_j M_S phi_j with phi_j^T M_S phi_j = 1, both forms split
+    into one pencil of size |J| per mode: (diag(shell on I), L_r|J + mu_j
+    diag(T|J)).  The mean over U is removed in mode 0 only, the constant
+    mode, because the other modes are M_S-orthogonal to the constants; mode
+    0's forms are then shift invariant, and its first ring is grounded.
+    Dense LAPACK solves, from the factors alone.  Cones without an apex
+    (r_min > 0) only: an apex couples to mode 0.
+    """
+    assert cone.apex is None
+    f = cone.factors
+    lm = f.link_measures
+    L_S = _dense_laplacian(len(lm), f.link_edges, f.link_conductances)
+    mu = scipy.linalg.eigh(L_S, np.diag(lm), eigvals_only=True)
+    assert abs(mu[0]) <= 1e-12 * mu[-1] < mu[1]   # one constant mode
+    w = f.radial_weights[J[0]:J[-1]]
+    L_r = (np.diag(np.r_[w, 0.0] + np.r_[0.0, w])
+           - np.diag(w, 1) - np.diag(w, -1))
+    d = np.where(np.isin(J, I), f.shell[J], 0.0)
+    Q0 = np.diag(d) - np.outer(d, d) / d.sum()
+    top = len(J) - 1
+    consts = [scipy.linalg.eigh(Q0[1:, 1:], L_r[1:, 1:], eigvals_only=True,
+                                subset_by_index=[top - 1, top - 1])[0]]
+    T = np.diag(f.ring_factors[J])
+    for m in mu[1:]:
+        consts.append(scipy.linalg.eigh(np.diag(d), L_r + m * T,
+                                        eigvals_only=True,
+                                        subset_by_index=[top, top])[0])
+    return consts
+
+
+def ring_vertices(cone, rings):
+    return np.flatnonzero(np.isin(cone.ring_of, rings))
+
+
+class TestSeparationOfVariables:
+    """poincare_constant against :func:`modal_reference` on the cones and
+    at the pencil sizes (5,000-8,000 vertices) of the workloads."""
+
+    @pytest.fixture(scope="class")
+    def cones(self):
+        def annulus(length):
+            return build_cone(CircleLink(length), 0.15, 16.0, 168,
+                              angular_steps=48, spacing="geometric")
+        return {"circle": annulus(TWO_PI), "wedge": annulus(math.pi / 2),
+                "sphere": build_cone(sphere_link(12, 24), 0.05, 8.0, 160)}
+
+    @pytest.mark.parametrize("kind, I, J, top_mode", [
+        ("circle", (30, 60), (0, 108), "link"),
+        ("circle", (60, 100), (10, 168), "link"),
+        ("circle", (100, 130), (0, 158), "link"),
+        ("wedge", (30, 60), (0, 108), "constant"),
+        ("wedge", (60, 100), (10, 168), "constant"),
+        ("sphere", (45, 60), (40, 66), "link"),
+        ("sphere", (20, 30), (15, 35), "link"),
+    ])
+    def test_product_pencil(self, cones, kind, I, J, top_mode):
+        cone = cones[kind]
+        I, J = np.arange(*I), np.arange(*J)
+        Up = ring_vertices(cone, J)
+        assert len(Up) > 5000
+        consts = modal_reference(cone, I, J)
+        # both kinds of mode lead somewhere, so a fault in either shows
+        assert (np.argmax(consts) == 0) == (top_mode == "constant")
+        lam = poincare_constant(cone, ring_vertices(cone, I), Up)
+        assert lam == pytest.approx(max(consts), rel=1e-11)
+
+    @pytest.mark.parametrize("R, upper, lower", [
+        (1.0, 0.829435, 0.817780),
+        (2.0, 3.293617, 3.247651),
+        (4.0, 13.18498, 13.00128),
+    ])
+    def test_criterion_2_global_pencil_is_bracketed(self, cones, R, upper,
+                                                    lower):
+        """A# is the full rings 0..k - 1 and part of ring k, so Lambda(U, A#)
+        lies between the product constants over rings 0..k - 1 and 0..k:
+        Lambda(U, U') can only fall as U' grows."""
+        cone = cones["circle"]
+        region = np.flatnonzero((cone.radii >= R) & (cone.radii <= 2 * R))
+        Asharp = net_covering(cone, region, 0.3 * R).Asharp
+        per_ring = np.bincount(cone.ring_of[Asharp])
+        k = int(np.count_nonzero(per_ring == cone.link_nodes))
+        assert len(per_ring) == k + 1 and 0 < per_ring[k] < cone.link_nodes
+        I = np.unique(cone.ring_of[region])
+        hi = max(modal_reference(cone, I, np.arange(k)))
+        lo = max(modal_reference(cone, I, np.arange(k + 1)))
+        lam = poincare_constant(cone, region, Asharp)
+        assert hi >= lam >= lo
+        assert hi == pytest.approx(upper, rel=1e-6)
+        assert lo == pytest.approx(lower, rel=1e-6)
 
 
 def loop_gaussian_fit(samples, cone, slack=3.0, band=(1.0, 4.0),
@@ -843,7 +949,9 @@ class TestSeparatedVariables:
 
     def test_source_out_of_range(self):
         cone = build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
-        for source in (-1, cone.n_vertices):
+        # 2.5 was a bare IndexError; True indexed every vertex, and the heat
+        # kernel's mass check raised InternalFault
+        for source in (-1, cone.n_vertices, 2.5, True):
             with pytest.raises(DomainError):
                 greens_function(cone, source)
             with pytest.raises(DomainError):
