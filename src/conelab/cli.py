@@ -180,7 +180,7 @@ def run_heat(args):
     fit = spectral.gaussian_fit(samples, cone)
     results = {
         "source": source,
-        "times": times,
+        "times": [s.t for s in samples],
         "mass": [_num(s.mass(cone)) for s in samples],
         "fit": {"c1": _num(fit.c1), "C1": _num(fit.C1), "c2": _num(fit.c2),
                 "C2": _num(fit.C2), "passed": fit.passed,
@@ -367,12 +367,13 @@ def build_parser():
 
 
 def _input_errors():
-    """The exceptions that exit 2.  jsonschema's ValidationError is one of
-    them once a report was validated; jsonschema is not loaded before, so
-    a subcommand that validates nothing does not load it."""
-    errors = (DomainError, PreconditionError, CapacityError,
-              UnsupportedError, FileNotFoundError, json.JSONDecodeError,
-              KeyError, ValueError)
+    """The exceptions that exit 2.  ValueError covers DomainError,
+    PreconditionError and json.JSONDecodeError; OSError covers a file that
+    cannot be read or written (missing, a directory, no permission).
+    jsonschema's ValidationError is one of them once a report was
+    validated; jsonschema is not loaded before, so a subcommand that
+    validates nothing does not load it."""
+    errors = (ValueError, OSError, KeyError, CapacityError, UnsupportedError)
     jsonschema = sys.modules.get("jsonschema")
     if jsonschema is None:
         return errors

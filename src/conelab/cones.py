@@ -31,7 +31,7 @@ import numpy as np
 
 from .covering import Cell, GoodCovering
 from .errors import DomainError, UnsupportedError
-from .graphs import _vertex_ids
+from .graphs import _count, _vertex_ids
 
 #: Longest accepted circle link (see :class:`CircleLink`).
 MAX_CIRCLE_LENGTH = 1e100
@@ -42,6 +42,9 @@ _RING_BLOCK = 16
 #: Radius of a net covering's buffers U* = U#, in units of the separation,
 #: before the grid slack is added (see :func:`net_covering`).
 BUFFER_FACTOR = 3.0
+
+#: The epsilon of remote balls (:func:`classify_ball`), in both ball scans.
+EPSILON = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +144,10 @@ def sphere_link(n_theta: int, n_phi: int) -> GraphLink:
 
 def _link_mesh(link, angular_steps):
     """Uniform internal representation: measures, edges, conductances, and a
-    full link geodesic distance matrix."""
+    full link geodesic distance matrix.  ``angular_steps``, the node count
+    of a circle link's mesh, must be None for any other link."""
     if isinstance(link, CircleLink):
-        if angular_steps is None or angular_steps < 3:
-            raise DomainError("circle links need angular_steps >= 3")
-        A = int(angular_steps)
+        A = _count(angular_steps, 3, "a circle link's angular_steps")
         dth = link.length / A
         theta = (np.arange(A) + 0.5) * dth
         measures = np.full(A, dth)
@@ -155,6 +157,9 @@ def _link_mesh(link, angular_steps):
         dist = np.minimum(diff, link.length - diff)
         return measures, edges, cond, dist
     if isinstance(link, GraphLink):
+        if angular_steps is not None:
+            raise DomainError("angular_steps applies to circle links only; "
+                              "a graph or sphere link brings its own nodes")
         A = len(link.measures)
         measures = np.asarray(link.measures, dtype=float)
         edges = np.asarray(link.edges, dtype=int).reshape(-1, 2)
@@ -253,6 +258,10 @@ class ProductFactors:
 class DiscretizedCone:
     """Product discretization of a truncated cone over a link.
 
+    ``radial_steps`` (an integer >= 2) is the number of rings K.  A circle
+    link is meshed by ``angular_steps`` nodes (an integer >= 3); any other
+    link brings its own nodes and takes no ``angular_steps``.
+
     Vertex (k, a), ring k over link node a, has index off + k*A + a, with
     off = 1 when the apex is vertex 0.  ``link_automorphism`` is the
     rotation sigma(a) = (a+1) mod A of a circle link's nodes (see
@@ -268,8 +277,7 @@ class DiscretizedCone:
                               "2 r_max^2, the largest squared distance")
         if r_min < 0 or r_min >= r_max:
             raise DomainError("need 0 <= r_min < r_max")
-        if radial_steps < 2:
-            raise DomainError("radial_steps must be >= 2")
+        radial_steps = _count(radial_steps, 2, "radial_steps")
         if spacing not in ("uniform", "geometric"):
             raise DomainError(f"unknown spacing {spacing!r}")
         if r_min == 0 and spacing == "geometric":
@@ -279,7 +287,7 @@ class DiscretizedCone:
                 "apex vertices are only supported over circle links")
         self.link = link
         self.r_min, self.r_max = float(r_min), float(r_max)
-        self.radial_steps = int(radial_steps)
+        self.radial_steps = radial_steps
         self.spacing = spacing
         self._edge_arrays = None
         try:
@@ -491,10 +499,10 @@ def build_cone(link, r_min, r_max, radial_steps, angular_steps=None,
 
 
 def classify_ball(cone: DiscretizedCone, v: int, r: float,
-                  epsilon: float = 0.5, base: int | None = None) -> str:
-    """'anchored' if centered at the base point, 'remote' if
+                  epsilon: float = EPSILON) -> str:
+    """'anchored' if centered at the base point o of the cone, 'remote' if
     r <= epsilon * d(o, x) / 2, else 'neither'."""
-    o = cone.base_point() if base is None else base
+    o = cone.base_point()
     return _ball_case(cone.distances_from(o), o, v, r, epsilon)
 
 
@@ -518,11 +526,11 @@ def combine_parameter(epsilon: float, delta0: float) -> float:
 
 @dataclass
 class DoublingRecord:
+    """An unclipped ball's V(x, 2r) / V(x, r) and :func:`classify_ball`."""
     vertex: int
     radius: float
     ratio: float
     case: str
-    clipped: bool
 
 
 @dataclass
@@ -534,9 +542,10 @@ class DoublingScan:
 
 
 def doubling_scan(cone: DiscretizedCone, n_samples: int = 100,
-                  r_bounds=(0.5, 1.5), seed: int = 0, epsilon: float = 0.5,
+                  r_bounds=(0.5, 1.5), seed: int = 0,
                   anchored: bool = False) -> DoublingScan:
-    """Sample balls and record V(x, 2r)/V(x, r); clipped doubles excluded.
+    """Sample balls and record V(x, 2r)/V(x, r) and the ball's case (with
+    ``EPSILON``); a clipped double is counted in ``n_clipped``, not kept.
 
     With ``anchored=True`` all samples are centered at the base point.  The
     base point's distance array is computed once; it measures the anchored
@@ -561,8 +570,8 @@ def doubling_scan(cone: DiscretizedCone, n_samples: int = 100,
             continue
         d = d_base if anchored else cone.distances_from(v)
         ratio = cone._ball_measure(d, 2 * r) / cone._ball_measure(d, r)
-        case = _ball_case(d_base, base, v, r, epsilon)
-        records.append(DoublingRecord(v, r, ratio, case, False))
+        case = _ball_case(d_base, base, v, r, EPSILON)
+        records.append(DoublingRecord(v, r, ratio, case))
     worst = max(records, key=lambda rec: rec.ratio) if records else None
     return DoublingScan(records, worst.ratio if worst else math.nan, worst,
                         n_clipped)
@@ -701,11 +710,10 @@ class RadiusField:
         return float(max((self.values / ref).max(), (ref / self.values).max()))
 
 
-def radius_field(cone: DiscretizedCone, base: int | None = None) -> RadiusField:
+def radius_field(cone: DiscretizedCone) -> RadiusField:
     """Regularized radius rho = max(1, r); rho >= 1 everywhere and rho = r on
-    the exact-cone region {r >= 1}."""
-    o = cone.base_point() if base is None else base
-    return RadiusField(np.maximum(1.0, cone.radii.copy()), o)
+    the exact-cone region {r >= 1}; ``base`` is the cone's base point."""
+    return RadiusField(np.maximum(1.0, cone.radii), cone.base_point())
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +728,8 @@ def cone_from_json(text: str) -> DiscretizedCone:
            | {"kind": "graph", "nodes": [...], "edges": [...], "dim": 2},
      "r_min": 0.0, "r_max": 8.0, "radial_steps": 256, "angular_steps": 256,
      "spacing": "uniform"}  -- self-contained: no other file is read.
+    ``angular_steps`` is for circle links only, and both step counts must
+    be integers (:class:`DiscretizedCone`).
     """
     try:
         doc = json.loads(text)
@@ -746,7 +756,7 @@ def cone_from_json(text: str) -> DiscretizedCone:
         else:
             raise DomainError(f"unknown link kind {kind!r}")
         return build_cone(link, float(doc["r_min"]), float(doc["r_max"]),
-                          int(doc["radial_steps"]),
+                          doc["radial_steps"],
                           angular_steps=doc.get("angular_steps"),
                           spacing=doc.get("spacing", "uniform"))
     except (KeyError, TypeError, IndexError) as exc:

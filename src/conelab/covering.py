@@ -377,6 +377,8 @@ def covering_from_json(text: str) -> GoodCovering:
         raise DomainError(f"malformed covering JSON: {exc}") from exc
     try:
         atoms = {a["id"]: a["measure"] for a in doc["atoms"]}
+        if len(atoms) != len(doc["atoms"]):
+            raise DomainError("duplicate atom ids")
         cells = [(c["U"], c["Ustar"], c["Usharp"]) for c in doc["cells"]]
         A = doc["A"]
         Asharp = doc["Asharp"]

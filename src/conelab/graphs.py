@@ -22,8 +22,10 @@ from .errors import CapacityError, DomainError
 DEFAULT_ENUM_CAP = 22
 
 #: Vertex count above which the spectral gap is the reciprocal of the
-#: sparse Poincare constant of the whole vertex set.
-DENSE_EIG_LIMIT = 3000
+#: sparse Poincare constant of the whole vertex set: about where the band
+#: pencil overtakes the dense O(n^3) solve on paths, rings with chords and
+#: grids (1 BLAS thread).
+DENSE_EIG_LIMIT = 150
 
 #: Largest accepted null eigenvalue of the dense pencil, relative to the
 #: gap and per vertex.  The pencil's exact null eigenvalue is 0, so what
@@ -83,6 +85,16 @@ def _vertex_ids(vs, n, what) -> np.ndarray:
             raise DomainError(f"{what} holds {v}, not a vertex of the "
                               f"network (0..{n - 1})")
     return a.astype(int, copy=False)
+
+
+def _count(x, least, what) -> int:
+    """``x`` as an int; DomainError unless it is an integer >= ``least``.
+    Floats and booleans are refused, not truncated."""
+    if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+            or x < least):
+        raise DomainError(f"{what} must be an integer >= {least}, "
+                          f"not {x!r}")
+    return int(x)
 
 
 class WeightedGraph:

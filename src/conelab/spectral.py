@@ -34,7 +34,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from .errors import (CapacityError, DomainError, InternalFault,
                      PreconditionError)
-from .graphs import _dense_laplacian, _vertex_ids, dirichlet_laplacian
+from .graphs import _count, _dense_laplacian, _vertex_ids, dirichlet_laplacian
 
 __all__ = [
     "heat_kernel", "HeatKernelSample",
@@ -70,6 +70,9 @@ FIT_BOUNDARY_FACTOR = 2.0
 #: Largest relative difference accepted between the Poincare constants of
 #: two congruent cells (the spot check of :func:`covering_cell_constant`).
 _CONGRUENT_TOL = 1e-10
+
+#: The Poincare scan's inner balls B(x, delta r) and its range of radii r.
+SCAN_DELTA, SCAN_RADII = 0.5, (0.5, 1.5)
 
 
 def _outflow(cone) -> float:
@@ -430,14 +433,18 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
     network checks T_N through the identity L T_N = M (h_0 - h_N) that the
     steps sum to; InternalFault is raised if its residual exceeds
     GREEN_RESIDUAL_TOL * || |L| |T_N| ||_inf.
+
+    ``n_steps`` must be an integer >= 2 and ``dt`` a finite positive step
+    (by default 0.08 r_max^2 / N), else DomainError.
     """
     if cone.dimension <= 2:
         raise DomainError("requires dimension n > 2")
     source = int(_vertex_ids([source], cone.n_vertices, "source")[0])
-    if n_steps < 2:
-        raise DomainError("n_steps must be at least 2")
+    n_steps = _count(n_steps, 2, "n_steps")
     if dt is None:
         dt = 0.02 * cone.r_max ** 2 / n_steps * 4
+    elif not 0 < dt < math.inf:
+        raise DomainError(f"dt must be finite and positive, not {dt!r}")
     diag, coupling, mass, to_modes, from_modes = _modal(cone, robin=True)
     d, e, info = dpttrf(mass + dt * diag, dt * coupling)
     if info != 0:
@@ -654,18 +661,17 @@ class PoincareScan:
     worst: Optional[PoincareRecord]
 
 
-def scale_invariant_poincare_scan(cone, delta: float = 0.5,
-                                  n_samples: int = 20, r_bounds=(0.5, 1.5),
-                                  seed: int = 0,
-                                  epsilon: float = 0.5) -> PoincareScan:
-    """Sample unclipped balls and record Lambda(B(x, delta r), B(x, r))/r^2."""
-    from .cones import _ball_case
-    if not 0 < delta < 1:
-        raise DomainError("delta must lie in (0, 1)")
+def scale_invariant_poincare_scan(cone, n_samples: int = 20,
+                                  seed: int = 0) -> PoincareScan:
+    """Sample unclipped balls and record Lambda(B(x, delta r), B(x, r))/r^2
+    and the case (``SCAN_DELTA``, ``SCAN_RADII``, ``cones.EPSILON``)."""
+    from .cones import EPSILON, _ball_case
+    if n_samples < 1:
+        raise DomainError("need at least one sample")
     rng = np.random.default_rng(seed)
     base = cone.base_point()
     d_base = cone.distances_from(base)
-    lo, hi = r_bounds
+    lo, hi = SCAN_RADII
     records = []
     tries = 0
     while len(records) < n_samples and tries < 50 * n_samples:
@@ -675,12 +681,12 @@ def scale_invariant_poincare_scan(cone, delta: float = 0.5,
         if r > cone.boundary_distance(v):
             continue
         d = cone.distances_from(v)
-        inner = np.flatnonzero(d <= delta * r)
+        inner = np.flatnonzero(d <= SCAN_DELTA * r)
         outer = np.flatnonzero(d <= r)
         if len(inner) < 2:
             continue
         val = poincare_constant(cone, inner, outer) / r ** 2
-        case = _ball_case(d_base, base, v, r, epsilon)
+        case = _ball_case(d_base, base, v, r, EPSILON)
         records.append(PoincareRecord(v, r, val, case))
     worst = max(records, key=lambda rec: rec.value) if records else None
     return PoincareScan(records, worst.value if worst else math.nan, worst)
@@ -694,34 +700,26 @@ def _cell_key(net, cell):
     The key starts with a flag for U* = U# (every cell that
     :mod:`conelab.cones` builds), and then U# is left out.  Without a
     ``link_automorphism`` on ``net`` the rest is the sets' bytes.  On a
-    cone with the link rotation sigma it is the least image of the sets,
-    as boolean (ring x link node) masks over the cell's rings, under the
-    powers of sigma that move a node of U's lowest ring to node 0 (all
-    powers if U holds no ring vertex).  Rotating the cell rotates these
-    candidates with it, so congruent cells get the same key.  Only set
-    membership enters, so rounding that breaks the symmetry can split a
-    class, never merge two.
+    cone with the link rotation sigma it is the least image of the sets
+    under the powers sigma^-p, p a node of U's lowest ring (every node if
+    U holds no ring vertex): vertex (ring k, node a) maps to
+    k A + (a - p) mod A, the apex to -1, and each set's images are sorted.
+    Rotating the cell rotates these candidates with it, so congruent cells
+    get the same key.  Only set membership enters, so rounding that breaks
+    the symmetry can split a class, never merge two.
     """
     same = np.array_equal(cell.Ustar, cell.Usharp)
     sets = (cell.U, cell.Ustar) + (() if same else (cell.Usharp,))
     if getattr(net, "link_automorphism", None) is None:
         return (same, *(s.tobytes() for s in sets))
-    parts = [(net.ring_of[s], net.link_index[s]) for s in sets]
-    apex = tuple(bool((k < 0).any()) for k, _ in parts)   # ring -1: apex
-    parts = [(k[k >= 0], a[k >= 0]) for k, a in parts]
-    rings = np.concatenate([k for k, _ in parts])
-    lo, hi = (rings.min(), rings.max()) if len(rings) else (0, -1)
-    A = net.link_nodes
-    masks = np.zeros((len(sets), hi - lo + 1, A), dtype=bool)
-    for mask, (k, a) in zip(masks, parts):
-        mask[k - lo, a] = True
-    k_U, a_U = parts[0]
-    start = np.unique(a_U[k_U == k_U.min()]) if len(k_U) else np.arange(A)
-    # the power sigma^(-a) moves node a to node 0
-    cols = (start[:, None] + np.arange(A)) % A
-    images = np.packbits(masks[:, :, cols].transpose(2, 0, 1, 3)
-                         .reshape(len(start), -1), axis=1)
-    return same, apex, lo, hi, min(row.tobytes() for row in images)
+    A, k_U = net.link_nodes, net.ring_of[cell.U]
+    ring = k_U >= 0   # ring -1: the apex
+    start = (net.link_index[cell.U][k_U == k_U[ring].min()] if ring.any()
+             else np.arange(A))
+    images = [np.sort(np.where(net.ring_of[s] < 0, -1, net.ring_of[s] * A
+                               + (net.link_index[s] - start[:, None]) % A))
+              for s in sets]
+    return same, min(zip(*([row.tobytes() for row in im] for im in images)))
 
 
 def _agree(a, b):

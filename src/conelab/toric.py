@@ -345,13 +345,14 @@ def _polygon_points(verts2d):
 
 @dataclass
 class FanTriangulation:
+    """Triangulation of a cross-section; ``maximal`` is a class constant."""
     cone: ToricConeData
     section: CrossSection
     rays: tuple         # ambient lattice points: boundary first, then interior
     n_boundary: int
     simplices: tuple    # tuples of ray indices (m per simplex)
-    maximal: bool       # no simplex contains lattice points beyond vertices
     basic: bool         # every simplex has determinant +-1
+    maximal = True      # not a field: no simplex holds another point
 
     @property
     def interior_rays(self):
@@ -416,7 +417,7 @@ def maximal_triangulation(section: CrossSection,
     # every 2D triangle was split until it held no further lattice point
     basic = all(abs(_det([rays[i] for i in s])) == 1 for s in simplices)
     return FanTriangulation(cone, section, rays, len(boundary), simplices,
-                            True, basic)
+                            basic)
 
 
 # ---------------------------------------------------------------------------

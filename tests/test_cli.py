@@ -62,6 +62,20 @@ class TestGraphCommand:
     def test_missing_file(self, tmp_path):
         assert main(["graph", "--in", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["graph", "--in", "{dir}"],
+        ["graph", "--in", "{fixtures}/graph.json", "--out", "{dir}"],
+        ["bp", "--m", "3", "--k-range", "3..5", "--out", "{dir}"],
+    ])
+    def test_directory_path_exits_2(self, tmp_path, capsys, argv):
+        # IsADirectoryError printed a traceback and exited 1
+        fixtures = pathlib.Path(__file__).parent / "fixtures"
+        argv = [a.format(dir=tmp_path, fixtures=fixtures) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in err
+
     def test_malformed_input(self, tmp_path):
         inp = write(tmp_path, "bad.json", "{oops")
         assert main(["graph", "--in", inp]) == 2
@@ -304,6 +318,21 @@ class TestHeatCommand:
         doc = json.load(open(out))
         assert doc["results"]["mass"][0] == pytest.approx(1.0, abs=1e-9)
         assert "c2" in doc["results"]["fit"]
+
+    def test_unsorted_times_pair_with_their_masses(self, tmp_path):
+        # the samples come back sorted; the report paired them with the
+        # times in input order
+        inp = write(tmp_path, "cone.json", json.dumps(CONE_DOC))
+        out = str(tmp_path / "r.json")
+        assert main(["heat", "--in", inp, "--times", "1.0,0.1",
+                     "--out", out]) == 0
+        doc = json.load(open(out))
+        assert doc["config"]["times"] == [1.0, 0.1]
+        assert doc["results"]["times"] == [0.1, 1.0]
+        cone = conelab.cones.cone_from_json(json.dumps(CONE_DOC))
+        want = [s.mass(cone) for s in conelab.heat_kernel(
+            cone, cone.base_point(), [0.1, 1.0])]
+        assert doc["results"]["mass"] == want
 
     def test_thin_shell_exits_2(self, tmp_path, capsys):
         # lambda_max is ~5e11 here, and the eigen-solver's rounding

@@ -472,7 +472,7 @@ def doubling_by_ball_volumes(cone, n_samples, r_bounds, seed, anchored):
             continue
         b1 = cone.ball_volume(v, r)
         records.append(DoublingRecord(v, r, b2.volume / b1.volume,
-                                      classify_ball(cone, v, r), False))
+                                      classify_ball(cone, v, r)))
     return records, n_clipped
 
 
@@ -726,6 +726,30 @@ class TestConstructionAndIO:
                ' "angular_steps": 16}')
         cone = cone_from_json(doc)
         assert cone.total_measure == pytest.approx(math.pi * 4.0)
+
+    def test_angular_steps_only_for_circle_links(self):
+        # a sphere cone accepted angular_steps = 999 and ignored it
+        with pytest.raises(DomainError, match="circle links only"):
+            build_cone(sphere_link(4, 6), 0.1, 2.0, 8, angular_steps=999)
+        doc = {"link": {"kind": "sphere", "n_theta": 4, "n_phi": 6},
+               "r_min": 0.1, "r_max": 2.0, "radial_steps": 8}
+        assert cone_from_json(json.dumps(doc)).link_nodes == 24
+        with pytest.raises(DomainError, match="circle links only"):
+            cone_from_json(json.dumps(dict(doc, angular_steps=999)))
+
+    @pytest.mark.parametrize("steps", [{"radial_steps": 24.9},
+                                       {"angular_steps": 16.7},
+                                       {"radial_steps": True},
+                                       {"angular_steps": 16.0}])
+    def test_step_counts_must_be_integers(self, steps):
+        # 24.9 built 24 rings and 16.7 built 16 link nodes
+        args = {"radial_steps": 24, "angular_steps": 16, **steps}
+        with pytest.raises(DomainError, match="must be an integer"):
+            build_cone(CircleLink(TWO_PI), 0.0, 3.0, **args)
+        doc = {"link": {"kind": "circle", "length": TWO_PI},
+               "r_min": 0.0, "r_max": 3.0, **args}
+        with pytest.raises(DomainError, match="must be an integer"):
+            cone_from_json(json.dumps(doc))
 
     def test_json_malformed(self):
         with pytest.raises(DomainError):

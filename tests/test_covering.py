@@ -387,3 +387,11 @@ class TestJson:
     def test_malformed(self):
         with pytest.raises(DomainError):
             covering_from_json("[oops")
+
+    def test_duplicate_atom_ids(self):
+        # the second atom 0 silently replaced the first, measure 1 by 5
+        doc = json.loads(covering_to_json(three_intervals()))
+        doc["atoms"][0]["measure"] = 1.0
+        doc["atoms"].append({"id": 0, "measure": 5.0})
+        with pytest.raises(DomainError, match="duplicate atom ids"):
+            covering_from_json(json.dumps(doc))

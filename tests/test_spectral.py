@@ -958,8 +958,13 @@ class TestSeparatedVariables:
                 heat_kernel(cone, source, [0.2])
             with pytest.raises(DomainError):
                 green_by_time_integration(cone, source)
-        with pytest.raises(DomainError):
-            green_by_time_integration(cone, 0, n_steps=1)
+        # dt <= 0, NaN or inf raised InternalFault, and n_steps = 2.5 a bare
+        # TypeError
+        for bad in ({"n_steps": 1}, {"n_steps": 2.5}, {"n_steps": True},
+                    {"dt": 0.0}, {"dt": -0.05}, {"dt": math.nan},
+                    {"dt": math.inf}):
+            with pytest.raises(DomainError):
+                green_by_time_integration(cone, 0, **bad)
 
 
 class TestIndicial:
