@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .errors import (CapacityError, DomainError, InternalFault,
-                     PreconditionError, UnsupportedError)
+                     PreconditionError, UnsupportedError, _count)
 
 
 @functools.cache
@@ -233,8 +233,9 @@ def run_toric(args):
         text = fh.read()
     try:
         doc = json.loads(text)
-        dim = int(doc["dim"])
-        rays = tuple(tuple(int(x) for x in r) for r in doc["rays"])
+        dim = _count(doc["dim"], None, "dim")
+        rays = tuple(tuple(_count(x, None, "a ray coordinate") for x in r)
+                     for r in doc["rays"])
         omega = float(doc["omega_link"])
         raw = dict(doc.get("support_values", {}))
         interior = doc.get("interior_value", 1)

@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .covering import Cell, GoodCovering
-from .errors import DomainError, UnsupportedError
-from .graphs import _count, _vertex_ids
+from .errors import DomainError, UnsupportedError, _count
+from .graphs import _vertex_ids
 
 #: Longest accepted circle link (see :class:`CircleLink`).
 MAX_CIRCLE_LENGTH = 1e100
@@ -88,8 +88,9 @@ class GraphLink:
             raise DomainError("link needs at least one node")
         if any(m <= 0 for m in self.measures):
             raise DomainError("link cell measures must be positive")
-        if self.dim < 1:
-            raise DomainError("link dimension must be >= 1")
+        # frozen: the checked int replaces the given value
+        object.__setattr__(self, "dim", _count(self.dim, 1,
+                                               "a graph link's dim"))
         data = [self.measures, self.conductances, self.lengths]
         if self.directions is not None:
             data.append(self.directions)
@@ -108,8 +109,8 @@ def sphere_link(n_theta: int, n_phi: int) -> GraphLink:
     the first and last rings own the polar caps.  Geodesic distances come
     from the stored unit direction vectors.
     """
-    if n_theta < 2 or n_phi < 3:
-        raise DomainError("sphere mesh too coarse")
+    n_theta = _count(n_theta, 2, "a sphere link's n_theta")
+    n_phi = _count(n_phi, 3, "a sphere link's n_phi")
     dth = math.pi / n_theta
     dph = 2.0 * math.pi / n_phi
     measures, directions = [], []
@@ -181,22 +182,27 @@ def _link_mesh(link, angular_steps):
     raise DomainError(f"unknown link type {type(link).__name__}")
 
 
+def _edge_table(edges, conductances):
+    """The weighted edge set as bytes: each edge as a sorted pair, in
+    lexicographic order with its conductance, so that two edge lists
+    give equal tables exactly when they hold the same weighted edges,
+    whatever their order and orientation."""
+    e = np.sort(edges, axis=1)
+    order = np.lexsort((conductances, e[:, 1], e[:, 0]))
+    return e[order].tobytes() + conductances[order].tobytes()
+
+
 def _link_rotation(link, measures, edges, cond):
     """The rotation a -> (a+1) mod A of a circle link's nodes, kept only if
     it maps the node measures and the edges with their conductances onto
     themselves bit for bit; else None.  Graph links get None (no search
-    for their automorphisms)."""
+    for their automorphisms).  :func:`conelab.spectral._check_rotation`
+    verifies it on the whole cone."""
     if not isinstance(link, CircleLink):
         return None
     sigma = (np.arange(len(measures)) + 1) % len(measures)
-
-    def edge_table(e):
-        e = np.sort(e, axis=1)
-        order = np.lexsort((cond, e[:, 1], e[:, 0]))
-        return e[order].tobytes() + cond[order].tobytes()
-
     if (measures[sigma].tobytes() == measures.tobytes()
-            and edge_table(sigma[edges]) == edge_table(edges)):
+            and _edge_table(sigma[edges], cond) == _edge_table(edges, cond)):
         return sigma
     return None
 
@@ -267,7 +273,8 @@ class DiscretizedCone:
     rotation sigma(a) = (a+1) mod A of a circle link's nodes (see
     :func:`_link_rotation`), or None.  Since the measures and conductances
     are ring factors times link factors, (k, a) -> (k, sigma(a)) with the
-    apex fixed is then an automorphism of the whole weighted cone.
+    apex fixed is then an automorphism of the whole weighted cone, as
+    :func:`conelab.spectral._check_rotation` verifies bit for bit.
     """
 
     def __init__(self, link, r_min, r_max, radial_steps, angular_steps=None,
@@ -728,8 +735,9 @@ def cone_from_json(text: str) -> DiscretizedCone:
            | {"kind": "graph", "nodes": [...], "edges": [...], "dim": 2},
      "r_min": 0.0, "r_max": 8.0, "radial_steps": 256, "angular_steps": 256,
      "spacing": "uniform"}  -- self-contained: no other file is read.
-    ``angular_steps`` is for circle links only, and both step counts must
-    be integers (:class:`DiscretizedCone`).
+    ``angular_steps`` is for circle links only.  Both step counts, a
+    sphere link's ``n_theta`` and ``n_phi`` and a graph link's ``dim`` must
+    be integers: floats and booleans are refused, not truncated.
     """
     try:
         doc = json.loads(text)
@@ -741,7 +749,7 @@ def cone_from_json(text: str) -> DiscretizedCone:
         if kind == "circle":
             link = CircleLink(float(spec["length"]))
         elif kind == "sphere":
-            link = sphere_link(int(spec["n_theta"]), int(spec["n_phi"]))
+            link = sphere_link(spec["n_theta"], spec["n_phi"])
         elif kind == "graph":
             nodes = spec["nodes"]
             edges = [(e["i"], e["j"]) for e in spec["edges"]]
@@ -752,7 +760,7 @@ def cone_from_json(text: str) -> DiscretizedCone:
                     for e in spec["edges"]]
             link = GraphLink(tuple(float(nd["measure"]) for nd in nodes),
                              tuple(edges), tuple(cond), tuple(lengths),
-                             dim=int(spec.get("dim", 2)))
+                             dim=spec.get("dim", 2))
         else:
             raise DomainError(f"unknown link kind {kind!r}")
         return build_cone(link, float(doc["r_min"]), float(doc["r_max"]),

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one for inputs that must be integers."""
+import numbers
 
 
 class DomainError(ValueError):
@@ -19,3 +21,14 @@ class UnsupportedError(RuntimeError):
 
 class InternalFault(RuntimeError):
     """Two independent computations of the same quantity disagree."""
+
+
+def _count(x, least, what) -> int:
+    """``x`` as an int; DomainError unless it is an integer, and >=
+    ``least`` unless that is None.  Floats and booleans are refused, not
+    truncated.  No numpy import: numpy integers are ``numbers.Integral``."""
+    if (isinstance(x, bool) or not isinstance(x, numbers.Integral)
+            or least is not None and x < least):
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"{what} must be an integer{bound}, not {x!r}")
+    return int(x)

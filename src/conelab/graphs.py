@@ -87,16 +87,6 @@ def _vertex_ids(vs, n, what) -> np.ndarray:
     return a.astype(int, copy=False)
 
 
-def _count(x, least, what) -> int:
-    """``x`` as an int; DomainError unless it is an integer >= ``least``.
-    Floats and booleans are refused, not truncated."""
-    if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
-            or x < least):
-        raise DomainError(f"{what} must be an integer >= {least}, "
-                          f"not {x!r}")
-    return int(x)
-
-
 class WeightedGraph:
     """Finite simple graph with positive vertex measures.
 

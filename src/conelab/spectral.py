@@ -33,8 +33,8 @@ import scipy.linalg
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from .errors import (CapacityError, DomainError, InternalFault,
-                     PreconditionError)
-from .graphs import _count, _dense_laplacian, _vertex_ids, dirichlet_laplacian
+                     PreconditionError, _count)
+from .graphs import _dense_laplacian, _vertex_ids, dirichlet_laplacian
 
 __all__ = [
     "heat_kernel", "HeatKernelSample",
@@ -66,10 +66,6 @@ FIT_BAND = (1.0, 4.0)
 #: Least distance of an admissible sample to the truncation boundary, in
 #: units of sqrt(t).
 FIT_BOUNDARY_FACTOR = 2.0
-
-#: Largest relative difference accepted between the Poincare constants of
-#: two congruent cells (the spot check of :func:`covering_cell_constant`).
-_CONGRUENT_TOL = 1e-10
 
 #: The Poincare scan's inner balls B(x, delta r) and its range of radii r.
 SCAN_DELTA, SCAN_RADII = 0.5, (0.5, 1.5)
@@ -704,9 +700,11 @@ def _cell_key(net, cell):
     under the powers sigma^-p, p a node of U's lowest ring (every node if
     U holds no ring vertex): vertex (ring k, node a) maps to
     k A + (a - p) mod A, the apex to -1, and each set's images are sorted.
-    Rotating the cell rotates these candidates with it, so congruent cells
-    get the same key.  Only set membership enters, so rounding that breaks
-    the symmetry can split a class, never merge two.
+    Two cells get the same key only when one is the image of the other
+    under a power of sigma, and rotating the cell rotates these candidates
+    with it, so congruent cells get the same key.  That sigma is an
+    automorphism of the weighted cone is checked by
+    :func:`_check_rotation` before any key is used.
     """
     same = np.array_equal(cell.Ustar, cell.Usharp)
     sets = (cell.U, cell.Ustar) + (() if same else (cell.Usharp,))
@@ -722,8 +720,27 @@ def _cell_key(net, cell):
     return same, min(zip(*([row.tobytes() for row in im] for im in images)))
 
 
-def _agree(a, b):
-    return a == b or abs(a - b) <= _CONGRUENT_TOL * max(abs(a), abs(b))
+def _check_rotation(net):
+    """InternalFault unless the rotation that :func:`_cell_key` assumes is
+    an automorphism of the weighted network ``net``, bit for bit.
+
+    ``net.link_automorphism`` must be the link rotation a -> (a+1) mod A,
+    and sigma, vertex (ring k, node a) -> (k, sigma(a)) with the apex
+    fixed, must map the vertex measures and the table of edges with their
+    conductances (:func:`conelab.cones._edge_table`) onto themselves."""
+    from .cones import _edge_table
+
+    sigma, A = np.asarray(net.link_automorphism), net.link_nodes
+    ring, node = net.ring_of, net.link_index
+    image = np.arange(len(ring)) + np.where(ring < 0, 0, sigma[node] - node)
+    m = np.asarray(net.measures, dtype=float)
+    edges = np.asarray(net.edges, dtype=int).reshape(-1, 2)
+    c = np.asarray(net.conductances, dtype=float)
+    if not (np.array_equal(sigma, (np.arange(A) + 1) % A)
+            and m[image].tobytes() == m.tobytes()
+            and _edge_table(image[edges], c) == _edge_table(edges, c)):
+        raise InternalFault("the link rotation is not an automorphism of "
+                            "the cone's measures and conductances")
 
 
 def covering_cell_constant(cov, net) -> float:
@@ -738,28 +755,26 @@ def covering_cell_constant(cov, net) -> float:
     infinite values too: if U meets two components of U*, so does U*.
 
     Congruent cells have equal constants, so the pencils are solved once
-    per congruence class (cells with equal :func:`_cell_key`): on a cone
-    over a circle, once per cell shape up to the link rotation.  As a spot
-    check, the second member of each class is solved again, and
-    InternalFault is raised if a constant differs from the first member's
-    by more than _CONGRUENT_TOL relative.
+    per congruence class (cells with equal :func:`_cell_key`), on its first
+    member: on a cone over a circle, once per cell shape up to the link
+    rotation.  On such a cone the rotation is first checked to be an
+    automorphism of the whole network (:func:`_check_rotation`, on every
+    call): two cells of one class then give the same pencil with its
+    vertices renumbered.  InternalFault is raised if the check fails.
     """
-    first, checked = {}, set()
+    if getattr(net, "link_automorphism", None) is not None:
+        _check_rotation(net)
+    worst, solved = 0.0, set()
     for c in cov.cells:
         key = _cell_key(net, c)
-        if key in checked:
+        if key in solved:
             continue
-        values = (poincare_constant(net, c.Ustar, c.Usharp, mean_set=c.U),)
+        solved.add(key)
+        worst = max(worst, poincare_constant(net, c.Ustar, c.Usharp,
+                                             mean_set=c.U))
         if not np.array_equal(c.Ustar, c.Usharp):
-            values += (poincare_constant(net, c.U, c.Ustar),)
-        if key not in first:
-            first[key] = values
-            continue
-        if not all(map(_agree, first[key], values)):
-            raise InternalFault(f"congruent cells give Poincare constants "
-                                f"{first[key]} and {values}")
-        checked.add(key)
-    return max([0.0] + [v for values in first.values() for v in values])
+            worst = max(worst, poincare_constant(net, c.U, c.Ustar))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Run with ``pytest -v tests/test_acceptance.py``: the verbose listing gives
 one pass/fail line per criterion.  Each test prints its measured numbers,
 visible with ``-s`` or on failure.  Criterion 2 has a second test that pins
-the numbers of its R = 1 step bit for bit.
+the numbers of its R = 1 step bit for bit, and a third that pins the band
+factors of one pass.
 """
 import hashlib
 import json
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import conelab as cl
+import conelab.spectral
 from conelab.graphs import random_connected_graph, spectral_gap
 from conelab.spectral import covering_cell_constant, poincare_constant
 
@@ -87,6 +89,28 @@ def test_criterion_2_numbers_are_pinned():
     assert len(triples) == 301
     assert hashlib.sha256(json.dumps(triples).encode()).hexdigest() == (
         "020e4bb3457db5abaf20d429c5ba713ededd200e12c0418e893b8b6a09245da4")
+
+
+def test_criterion_2_band_factor_count(monkeypatch):
+    """Work guard of one criterion-2 pass: at each R the covering's 6
+    congruence classes are solved once each, plus the global pencil, so
+    3 * (6 + 1) = 21 band factors (LAPACK ``dpbtrf``)."""
+    calls = []
+    factor = conelab.spectral.dpbtrf
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return factor(*args, **kwargs)
+    monkeypatch.setattr(conelab.spectral, "dpbtrf", counted)
+    cone = cl.build_cone(cl.CircleLink(TWO_PI), 0.15, 16.0, 168,
+                         angular_steps=48, spacing="geometric")
+    for R in (1.0, 2.0, 4.0):
+        region = np.flatnonzero((cone.radii >= R)
+                                & (cone.radii <= 2.0 * R)).tolist()
+        cov = cl.net_covering(cone, region, 0.3 * R)
+        covering_cell_constant(cov, cone)
+        poincare_constant(cone, region, sorted(cov.Asharp))
+    assert len(calls) == 21
 
 
 # -- 3. Volume doubling on cones over circles -------------------------------

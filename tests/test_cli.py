@@ -434,6 +434,26 @@ class TestToricCommand:
         assert "error: malformed toric JSON: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("change", [
+        {"rays": [[1, 0, 0], [0, 1, 0], [-1.6, -1, 3]]},
+        {"rays": [[1, 0, 0], [0, 1, 0], [-1, -1, 3.0]]},
+        {"rays": [[True, 0, 0], [0, 1, 0], [-1, -1, 3]]},
+        {"dim": 3.9},
+        {"dim": 3.0},
+        {"dim": True},
+    ], ids=["ray-float", "ray-integral-float", "ray-bool", "dim-float",
+            "dim-integral-float", "dim-bool"])
+    def test_non_integers_refused(self, tmp_path, capsys, change):
+        # the ray (-1.6, -1, 3) ran as (-1, -1, 3) and "dim": 3.9 as 3
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "toric.json"
+        doc = dict(json.loads(fixture.read_text()), **change)
+        inp = write(tmp_path, "fan.json", json.dumps(doc))
+        assert main(["toric", "--in", inp]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: malformed toric JSON: ")
+        assert "must be an integer" in err
+
     @pytest.mark.parametrize("omega", ["1e308", "Infinity", "1e-320"])
     def test_bad_omega_link(self, tmp_path, capsys, omega):
         inp = write(tmp_path, "fan.json", '{"dim": 2, "rays": [[1, 0], '

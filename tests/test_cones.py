@@ -751,6 +751,29 @@ class TestConstructionAndIO:
         with pytest.raises(DomainError, match="must be an integer"):
             cone_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("link", [
+        {"kind": "sphere", "n_theta": 4.9, "n_phi": 6.7},
+        {"kind": "sphere", "n_theta": 4, "n_phi": 6.0},
+        {"kind": "sphere", "n_theta": True, "n_phi": 6},
+        {"kind": "graph", "dim": 2.5},
+        {"kind": "graph", "dim": True},
+    ], ids=["sphere-floats", "sphere-integral-float", "sphere-bool",
+            "graph-float", "graph-bool"])
+    def test_link_integers_must_be_integers(self, link):
+        # {"n_theta": 4.9, "n_phi": 6.7} built a 24-node link
+        if link["kind"] == "graph":
+            link = dict(link, nodes=[{"measure": 1.0}, {"measure": 1.0}],
+                        edges=[{"i": 0, "j": 1, "length": 1.0}])
+            with pytest.raises(DomainError, match="dim must be an integer"):
+                GraphLink((1.0, 1.0), ((0, 1),), (1.0,), (1.0,),
+                          dim=link["dim"])
+        else:
+            with pytest.raises(DomainError, match="must be an integer"):
+                sphere_link(link["n_theta"], link["n_phi"])
+        doc = {"link": link, "r_min": 0.1, "r_max": 2.0, "radial_steps": 8}
+        with pytest.raises(DomainError, match="must be an integer"):
+            cone_from_json(json.dumps(doc))
+
     def test_json_malformed(self):
         with pytest.raises(DomainError):
             cone_from_json("{")

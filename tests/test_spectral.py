@@ -1025,16 +1025,14 @@ def loop_cell_constant(cov, net):
     return worst
 
 
-def count_pencils(monkeypatch, perturb=False):
-    """Count the poincare_constant calls made through conelab.spectral;
-    with ``perturb``, scale the n-th result by 1 + n * 1e-8."""
+def count_pencils(monkeypatch):
+    """Count the poincare_constant calls made through conelab.spectral."""
     calls = []
     exact = conelab.spectral.poincare_constant
 
     def counted(*args, **kwargs):
         calls.append(args[1:3])
-        value = exact(*args, **kwargs)
-        return value * (1 + len(calls) * 1e-8) if perturb else value
+        return exact(*args, **kwargs)
     monkeypatch.setattr(conelab.spectral, "poincare_constant", counted)
     return calls
 
@@ -1081,9 +1079,9 @@ def rotated_cell(cone, cell, shift, reflect=False):
 
 
 class TestCongruenceClasses:
-    """covering_cell_constant solves the pencils once per congruence class
-    (plus a spot check of one duplicate), only the one on U* when U* = U#,
-    and equals the per-cell loop."""
+    """covering_cell_constant solves the pencils once per congruence class,
+    only the one on U* when U* = U#, and equals the per-cell loop; on a cone
+    it first checks that the link rotation is an automorphism."""
 
     def annulus(self):
         return build_cone(CircleLink(TWO_PI), 0.3, 3.0, 16, angular_steps=24,
@@ -1128,10 +1126,8 @@ class TestCongruenceClasses:
         sizes = Counter(key(cone, c) for c in cov.cells)
         pencils = {key(cone, c): 1 if np.array_equal(c.Ustar, c.Usharp)
                    else 2 for c in cov.cells}
-        # each class once, and its second member (if any) as the spot
-        # check: one pencil per solved member when U* = U#, else two
-        assert len(calls) == sum(min(n, 2) * pencils[k]
-                                 for k, n in sizes.items())
+        # one solved member per class: one pencil when U* = U#, else two
+        assert len(calls) == sum(pencils[k] for k in sizes)
         assert {u.tobytes() for u, _ in calls} <= (
             {c.Ustar.tobytes() for c in cov.cells}
             | {c.U.tobytes() for c in cov.cells
@@ -1185,21 +1181,51 @@ class TestCongruenceClasses:
         assert key(cone, same) != key(cone, cell)
         assert key(cone, rotated_cell(cone, same, 7)) == key(cone, same)
 
-    def test_perturbed_duplicate_raises(self, monkeypatch):
-        cone = self.annulus()
-        cov = band_covering(cone, 1.0, 2.0, 0.35)
-        count_pencils(monkeypatch, perturb=True)
-        with pytest.raises(InternalFault, match="congruent cells"):
-            covering_cell_constant(cov, cone)
+    @pytest.mark.parametrize("case, broken", [
+        (case, broken) for case in ("annulus", "apex")
+        for broken in ("conductance", "measure", "inverse")])
+    def test_broken_rotation_raises(self, case, broken):
+        """One tangential conductance, or one ring vertex's measure, off by
+        one ulp breaks the rotation at the cone level while every cell key
+        stays as it was; so does a link automorphism other than the
+        a -> a + 1 that the key assumes.  The network with the cone's own
+        arrays passes and gives the cone's value to the last bit."""
+        cone, cov = self.covering(case)
+        names = ("measures", "edges", "conductances", "link_automorphism",
+                 "link_nodes", "ring_of", "link_index")
 
-    def test_criterion_2_pencil_count(self, monkeypatch):
-        """Structural guard: the criterion-2 covering at R = 1 has 6 classes
-        of its 66 cells, 5 of them with a duplicate, and U* = U#: 6 + 5
-        pencils."""
+        def net(**arrays):
+            return types.SimpleNamespace(**{
+                name: arrays.get(name, getattr(cone, name))
+                for name in names})
+        assert covering_cell_constant(cov, net()) == covering_cell_constant(
+            cov, cone)
+        if broken == "conductance":
+            ring = cone.ring_of[cone.edges]
+            i = np.flatnonzero((ring[:, 0] == ring[:, 1])
+                               & (ring[:, 0] >= 0))[5]
+            arrays = {"conductances": cone.conductances.copy()}
+            arrays["conductances"][i] = np.nextafter(
+                cone.conductances[i], np.inf)
+        elif broken == "measure":
+            i = np.flatnonzero(cone.ring_of >= 0)[5]
+            arrays = {"measures": cone.measures.copy()}
+            arrays["measures"][i] = np.nextafter(cone.measures[i], np.inf)
+        else:
+            # a -> a - 1: an automorphism too, but not the key's rotation
+            arrays = {"link_automorphism": np.argsort(
+                cone.link_automorphism)}
+        with pytest.raises(InternalFault, match="not an automorphism"):
+            covering_cell_constant(cov, net(**arrays))
+
+    @pytest.mark.parametrize("R", [1.0, 2.0, 4.0])
+    def test_criterion_2_pencil_count(self, R, monkeypatch):
+        """Structural guard: each criterion-2 covering has 6 congruence
+        classes of its 66 cells, and U* = U#: 6 pencils."""
         cone = build_cone(CircleLink(TWO_PI), 0.15, 16.0, 168,
                           angular_steps=48, spacing="geometric")
-        cov = band_covering(cone, 1.0, 2.0, 0.3)
+        cov = band_covering(cone, R, 2.0 * R, 0.3 * R)
         assert len(cov.cells) == 66
         calls = count_pencils(monkeypatch)
         covering_cell_constant(cov, cone)
-        assert len(calls) == 11
+        assert len(calls) == 6
