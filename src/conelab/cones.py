@@ -182,31 +182,6 @@ def _link_mesh(link, angular_steps):
     raise DomainError(f"unknown link type {type(link).__name__}")
 
 
-def _edge_table(edges, conductances):
-    """The weighted edge set as bytes: each edge as a sorted pair, in
-    lexicographic order with its conductance, so that two edge lists
-    give equal tables exactly when they hold the same weighted edges,
-    whatever their order and orientation."""
-    e = np.sort(edges, axis=1)
-    order = np.lexsort((conductances, e[:, 1], e[:, 0]))
-    return e[order].tobytes() + conductances[order].tobytes()
-
-
-def _link_rotation(link, measures, edges, cond):
-    """The rotation a -> (a+1) mod A of a circle link's nodes, kept only if
-    it maps the node measures and the edges with their conductances onto
-    themselves bit for bit; else None.  Graph links get None (no search
-    for their automorphisms).  :func:`conelab.spectral._check_rotation`
-    verifies it on the whole cone."""
-    if not isinstance(link, CircleLink):
-        return None
-    sigma = (np.arange(len(measures)) + 1) % len(measures)
-    if (measures[sigma].tobytes() == measures.tobytes()
-            and _edge_table(sigma[edges], cond) == _edge_table(edges, cond)):
-        return sigma
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the cone
 
@@ -270,11 +245,13 @@ class DiscretizedCone:
 
     Vertex (k, a), ring k over link node a, has index off + k*A + a, with
     off = 1 when the apex is vertex 0.  ``link_automorphism`` is the
-    rotation sigma(a) = (a+1) mod A of a circle link's nodes (see
-    :func:`_link_rotation`), or None.  Since the measures and conductances
-    are ring factors times link factors, (k, a) -> (k, sigma(a)) with the
-    apex fixed is then an automorphism of the whole weighted cone, as
-    :func:`conelab.spectral._check_rotation` verifies bit for bit.
+    rotation sigma(a) = (a+1) mod A of the nodes of a circle link, whose
+    mesh has equal node measures and equal conductances on the edges
+    a -> a+1 (:func:`_link_mesh`), and None for any other link.  Since the
+    measures and conductances are ring factors times link factors,
+    (k, a) -> (k, sigma(a)) with the apex fixed is then an automorphism of
+    the whole weighted cone; :func:`conelab.spectral._check_rotation`
+    verifies that bit for bit wherever the rotation is used.
     """
 
     def __init__(self, link, r_min, r_max, radial_steps, angular_steps=None,
@@ -312,9 +289,10 @@ class DiscretizedCone:
         only, and not kept."""
         lm, ledges, lcond, ldist = _link_mesh(link, angular_steps)
         self._link_dist = ldist
-        self.link_automorphism = _link_rotation(link, lm, ledges, lcond)
         A = len(lm)
         self.link_nodes = A
+        self.link_automorphism = ((np.arange(A) + 1) % A
+                                  if isinstance(link, CircleLink) else None)
         n = link.dim + 1
         self.dimension = n
         K = self.radial_steps
@@ -562,7 +540,7 @@ def doubling_scan(cone: DiscretizedCone, n_samples: int = 100,
     lo, hi = r_bounds
     if not 0 < lo < hi < math.inf:
         raise DomainError("need 0 < r_lo < r_hi < inf")
-    if n_samples < 1:
+    if _count(n_samples, None, "n_samples") < 1:
         raise DomainError("need at least one sample")
     records, n_clipped = [], 0
     tries = 0

@@ -13,26 +13,31 @@ import io
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, _count
 
 
 @dataclass(frozen=True)
 class WeightedPolynomial:
     """Polynomial given by its exponent vectors, with positive integer
-    weights on the variables."""
+    weights on the variables and nonnegative integer exponents (DomainError
+    for floats and booleans; the checked ints are stored)."""
     weights: tuple
     monomials: tuple   # tuples of exponents, one per monomial
 
     def __post_init__(self):
-        if not self.weights or any(w <= 0 or int(w) != w for w in self.weights):
+        if not self.weights:
             raise DomainError("weights must be positive integers")
         if not self.monomials:
             raise DomainError("polynomial must have at least one monomial")
+        # frozen: the checked ints replace the given values
+        object.__setattr__(self, "weights", tuple(
+            _count(w, 1, "a weight") for w in self.weights))
+        object.__setattr__(self, "monomials", tuple(
+            tuple(_count(e, 0, "an exponent") for e in mono)
+            for mono in self.monomials))
         for mono in self.monomials:
             if len(mono) != len(self.weights):
                 raise DomainError(f"monomial {mono} has wrong arity")
-            if any(e < 0 or int(e) != e for e in mono):
-                raise DomainError(f"monomial {mono} has negative exponents")
 
 
 def weighted_degree(poly: WeightedPolynomial) -> int:
@@ -53,9 +58,7 @@ def cy_link_condition(poly: WeightedPolynomial) -> bool:
 def blowup_discrepancy(m: int, degree: int) -> int:
     """Discrepancy m - degree contributed by one blow-up of C^m at a point
     through which the strict transform has the given degree."""
-    if m < 2 or degree < 0:
-        raise DomainError("need m >= 2 and a nonnegative degree")
-    return m - degree
+    return _count(m, 2, "m") - _count(degree, 0, "degree")
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,7 @@ def bp_crepant_chain(m: int, k: int) -> BPRecord:
     the passing degree is m, dropping k by m; the chain closes crepantly when
     the leftover degree k mod m is 0 (smooth point) or 1 (smooth divisor).
     """
-    if m < 2:
-        raise DomainError("need m >= 2")
-    if k < 1:
-        raise DomainError("need k >= 1")
+    m, k = _count(m, 2, "m"), _count(k, 1, "k")
     count = k // m
     degrees = []
     d = k

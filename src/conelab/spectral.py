@@ -17,7 +17,8 @@ its product structure (separation of variables in the link eigenmodes, see
 :func:`_modal`), in which the operator is one symmetric tridiagonal matrix.
 The heat flow is an exact function of it (:func:`_modal_apply`), the Green's
 function one ``dpttrf``/``dpttrs`` solve, the backward-Euler time integral one
-tridiagonal recursion.  Each result is checked against the vertex-basis
+tridiagonal recursion, each on the link modes that the source reaches
+(:func:`_reached_modes`).  Each result is checked against the vertex-basis
 network, summed edge by edge in the cone's ring blocks, so no edge array of
 the whole cone is built (:func:`_robin_products`).
 """
@@ -121,7 +122,8 @@ def _modal(cone, robin):
     constant to the outer ring of every mode.
 
     Returns the operator's diagonal and off-diagonal, the modal mass (a
-    diagonal), and the maps x -> V^T x and c -> V c.
+    diagonal), and the maps x -> V^T x and c -> V c; the solvers take it
+    on the modes that their source reaches (:func:`_reached_modes`).
     """
     f = cone.factors
     lm = f.link_measures
@@ -152,14 +154,37 @@ def _modal(cone, robin):
     return diag.ravel(), coupling, mass, to_modes, from_modes
 
 
-def _mode_blocks(cone):
-    """(lo, hi) of each diagonal block of the operator of :func:`_modal`:
-    the apex (when present) with mode 0's rings, then the K rings of each
-    further link mode.  No coupling joins two blocks."""
-    off = 0 if cone.apex is None else 1
-    bounds = (off + cone.radial_steps
-              * np.arange(1, cone.link_nodes + 1)).tolist()
-    return list(zip([0] + bounds[:-1], bounds))
+def _reached_modes(cone, robin, source):
+    """The operator of :func:`_modal` on the link modes that ``source``
+    reaches: the one rule by which the heat kernel, the Green's function
+    and its time integration skip modes.
+
+    The operator is block diagonal, with no coupling between blocks: the
+    apex (when present) with mode 0's K rings, then the K rings of each
+    further mode.  Every solution is exactly zero on a block where
+    b = V^T e_source is zero, so only the blocks where b is nonzero are
+    kept, and mode 0's block always: a source at the apex reaches only
+    mode 0, a sphere's polar cap node not the modes that vanish there.
+    Where two kept blocks meet, the off-diagonal entry is a zero.
+
+    Returns the kept rows' diagonal, off-diagonal, mass and b, the kept
+    block sizes, and the map from the kept rows to the vertex basis."""
+    diag, coupling, mass, to_modes, from_modes = _modal(cone, robin)
+    e = np.zeros(cone.n_vertices)
+    e[source] = 1.0
+    b = to_modes(e)
+    off, K = (0 if cone.apex is None else 1), cone.radial_steps
+    sizes = np.r_[off + K, np.full(cone.link_nodes - 1, K)]
+    kept = np.r_[True, b[off + K:].reshape(-1, K).any(axis=1)]
+    rows = np.flatnonzero(np.repeat(kept, sizes))
+
+    def to_vertices(x):
+        y = np.zeros(len(b))
+        y[rows] = x
+        return from_modes(y)
+
+    return (diag[rows], coupling[rows[:-1]], mass[rows], b[rows],
+            sizes[kept], to_vertices)
 
 
 def _modal_apply(cone, source, f):
@@ -167,39 +192,30 @@ def _modal_apply(cone, source, f):
     Q Lambda Q^T the eigen-decomposition of the mass-scaled operator
     M^-1/2 L M^-1/2 of :func:`_modal` (natural boundary, no Robin term).
 
-    The operator is block diagonal: the apex (when present) with mode 0,
-    then K rings for each further link mode.  Each block takes one
-    symmetric tridiagonal eigen-solve, and f maps its eigenvalues to a
-    (block size, columns) array, so any function of the operator is exact
-    up to rounding at O(A K^2) cost.  A block where V^T e_source is zero
-    contributes exactly zero and is skipped: a source at the apex reaches
-    only mode 0, so it takes one eigen-solve instead of A.
+    The operator is block diagonal, and only the blocks that the source
+    reaches are kept (:func:`_reached_modes`): a source at the apex takes
+    one eigen-solve instead of A.  Each block takes one symmetric
+    tridiagonal eigen-solve, and f maps its eigenvalues to a (block size,
+    columns) array, so any function of the operator is exact up to
+    rounding at O(A K^2) cost.
 
     Also returns the Gershgorin bound of the first block's largest
     eigenvalue, found in O(K).  The mass lives in that block, and the
     eigen-solver finds its null eigenvalue to about eps times the bound."""
-    diag, coupling, mass, to_modes, from_modes = _modal(cone, robin=False)
-    off = 0 if cone.apex is None else 1
-    K = cone.radial_steps
+    diag, coupling, mass, b, sizes, to_vertices = _reached_modes(
+        cone, False, source)
     scale = 1.0 / np.sqrt(mass)
     diag = diag * scale ** 2
     coupling = coupling * scale[:-1] * scale[1:]
-    c0 = np.abs(coupling[:off + K - 1])
-    bound = float(np.max(diag[:off + K] + np.r_[c0, 0.0] + np.r_[0.0, c0]))
-    e = np.zeros(cone.n_vertices)
-    e[source] = 1.0
-    b = to_modes(e) * scale
-    y = None
-    for lo, hi in _mode_blocks(cone):
-        if not b[lo:hi].any():
-            continue
+    c0 = np.abs(coupling[:sizes[0] - 1])
+    bound = float(np.max(diag[:sizes[0]] + np.r_[c0, 0.0] + np.r_[0.0, c0]))
+    b, ends, y = b * scale, np.cumsum(sizes), []
+    for lo, hi in zip(ends - sizes, ends):
         lam, Q = scipy.linalg.eigh_tridiagonal(diag[lo:hi],
                                                coupling[lo:hi - 1])
-        block = Q @ (f(lam) * (Q.T @ b[lo:hi])[:, None])
-        if y is None:
-            y = np.zeros((len(b), block.shape[1]))
-        y[lo:hi] = block * scale[lo:hi, None]
-    return [from_modes(col) for col in y.T], bound
+        y.append(Q @ (f(lam) * (Q.T @ b[lo:hi])[:, None])
+                 * scale[lo:hi, None])
+    return [to_vertices(col) for col in np.concatenate(y).T], bound
 
 
 def _edge_products(n, edges, c, x):
@@ -237,10 +253,12 @@ def _robin_products(cone, x):
     return Lx, absLx
 
 
-def _check_residual(cone, x, rhs, what):
+def _check_residual(cone, x, source, sink, what):
     """InternalFault unless ||L x - rhs||_inf <= GREEN_RESIDUAL_TOL *
     || |L| |x| ||_inf, the scale of the products summed in L x (both from
-    :func:`_robin_products`)."""
+    :func:`_robin_products`), for rhs = delta_source - ``sink``."""
+    rhs = np.zeros(cone.n_vertices) - sink
+    rhs[source] += 1.0
     Lx, absLx = _robin_products(cone, x)
     residual = float(np.max(np.abs(Lx - rhs)))
     scale = float(np.max(absLx))
@@ -266,7 +284,8 @@ class HeatKernelSample:
 def heat_kernel(cone, source: int, times: Sequence[float]):
     """Heat kernel h(t, source, .) on a DiscretizedCone, exact in time:
     h(t) = exp(-t M^-1 L) delta_source / m_source, evaluated through the
-    eigen-decomposition of the link-eigenmode operator (:func:`_modal_apply`).
+    eigen-decomposition of the link-eigenmode operator on the modes that
+    the source reaches (:func:`_modal_apply`).
 
     Natural (Neumann) boundary on the truncation rings; total mass is
     conserved, and InternalFault is raised if a sample's mass is off 1 by
@@ -387,23 +406,22 @@ def greens_function(cone, source: int) -> GreensFunction:
     The outer truncation ring carries a Robin condition matching the decay
     r^(2-n), so G approximates the Green's function of the infinite cone.
     The solve is one LAPACK ``dpttrf``/``dpttrs`` pass, O(n), in the link-
-    eigenmode basis (:func:`_modal`), with InternalFault if ``dpttrf``
-    fails; the residual of G is then checked in the vertex basis, and
-    InternalFault is raised if ||L G - delta||_inf exceeds
-    GREEN_RESIDUAL_TOL * || |L| |G| ||_inf.
+    eigenmode basis (:func:`_modal`), on the rows of the modes that the
+    source reaches (:func:`_reached_modes`; G is exactly zero in the
+    others), with InternalFault if ``dpttrf`` fails; the residual of G is
+    then checked in the vertex basis, and InternalFault is raised if
+    ||L G - delta||_inf exceeds GREEN_RESIDUAL_TOL * || |L| |G| ||_inf.
     """
     if cone.dimension <= 2:
         raise DomainError("Green's function requires dimension n > 2")
     source = int(_vertex_ids([source], cone.n_vertices, "source")[0])
-    diag, coupling, _, to_modes, from_modes = _modal(cone, robin=True)
+    diag, coupling, _, b, _, to_vertices = _reached_modes(cone, True, source)
     d, e, info = dpttrf(diag, coupling)
     if info != 0:
         raise InternalFault(f"the modal Robin operator is not positive "
                             f"definite (dpttrf info {info})")
-    rhs = np.zeros(cone.n_vertices)
-    rhs[source] = 1.0
-    G = from_modes(dpttrs(d, e, to_modes(rhs))[0])
-    _check_residual(cone, G, rhs, "Green's function")
+    G = to_vertices(dpttrs(d, e, b)[0])
+    _check_residual(cone, G, source, 0.0, "Green's function")
     d = cone.distances_from(source)
     interior = (d > 0) & ~cone.is_outer
     C = float(np.max(G[interior] * d[interior] ** (cone.dimension - 2)))
@@ -420,15 +438,14 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
     to T_N = dt (h_1 + ... + h_N).  The steps run in the link-eigenmode
     basis of :func:`_modal`, where M + dt L is one symmetric positive-
     definite tridiagonal matrix: it is factored once (LAPACK ``dpttrf``,
-    InternalFault if that fails), and each step is one ``dpttrs`` solve.
-    The matrix is block diagonal (:func:`_mode_blocks`), so a block that
-    the source does not reach stays exactly 0: the steps solve only the
-    reached blocks, with their slices of the factor, in place.  A
-    tail estimate h_N / lam_N, with lam_N the decay rate of the mass from
-    h_(N-1) to h_N, stands for the rest of the integral.  The vertex-basis
-    network checks T_N through the identity L T_N = M (h_0 - h_N) that the
-    steps sum to; InternalFault is raised if its residual exceeds
-    GREEN_RESIDUAL_TOL * || |L| |T_N| ||_inf.
+    InternalFault if that fails), and each step is one ``dpttrs`` solve,
+    in place.  Only the rows of the modes that the source reaches are
+    factored and stepped (:func:`_reached_modes`); h_k is exactly zero in
+    the others.  A tail estimate h_N / lam_N, with lam_N the decay rate of
+    the mass from h_(N-1) to h_N, stands for the rest of the integral.  The
+    vertex-basis network checks T_N through the identity L T_N = M (h_0 -
+    h_N) that the steps sum to; InternalFault is raised if its residual
+    exceeds GREEN_RESIDUAL_TOL * || |L| |T_N| ||_inf.
 
     ``n_steps`` must be an integer >= 2 and ``dt`` a finite positive step
     (by default 0.08 r_max^2 / N), else DomainError.
@@ -441,35 +458,23 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
         dt = 0.02 * cone.r_max ** 2 / n_steps * 4
     elif not 0 < dt < math.inf:
         raise DomainError(f"dt must be finite and positive, not {dt!r}")
-    diag, coupling, mass, to_modes, from_modes = _modal(cone, robin=True)
+    # the first right-hand side: b = V^T M h_0
+    diag, coupling, mass, rhs, _, to_vertices = _reached_modes(cone, True,
+                                                               source)
     d, e, info = dpttrf(mass + dt * diag, dt * coupling)
     if info != 0:
         raise InternalFault(f"M + dt L is not positive definite "
                             f"(dpttrf info {info})")
-    e_source = np.zeros(cone.n_vertices)
-    e_source[source] = 1.0
-    b = to_modes(e_source)   # V^T M h_0
-    blocks = [(lo, hi) for lo, hi in _mode_blocks(cone) if b[lo:hi].any()]
-    reached = np.concatenate([np.arange(lo, hi) for lo, hi in blocks])
-    d, e, mass = d[reached], e[reached[:-1]], mass[reached]
-    # the last row of a reached block couples to no other reached block
-    e[np.cumsum([hi - lo for lo, hi in blocks[:-1]], dtype=int) - 1] = 0.0
-    rhs, h, h_prev = b[reached], np.empty(len(d)), np.empty(len(d))
-    total = np.zeros(len(d))
+    h, h_prev, total = np.empty(len(d)), np.empty(len(d)), np.zeros(len(d))
     for _ in range(n_steps):
         c = dpttrs(d, e, rhs, overwrite_b=1)[0]
         total += c
         # three buffers: h_(k-2)'s takes the next right-hand side
         rhs, h, h_prev = np.multiply(mass, c, out=h_prev), c, h
-
-    def from_reached(x):
-        y = np.zeros(len(b))
-        y[reached] = x
-        return from_modes(y)
-
-    total, h, h_prev = map(from_reached, (dt * total, h, h_prev))
-    rhs = e_source - cone.measures * h   # M (h_0 - h_N)
-    _check_residual(cone, total, rhs, "time integration")
+    total, h, h_prev = map(to_vertices, (dt * total, h, h_prev))
+    # L T_N = M (h_0 - h_N)
+    _check_residual(cone, total, source, cone.measures * h,
+                    "time integration")
     norm = float(np.dot(h, cone.measures))
     prev_norm = float(np.dot(h_prev, cone.measures))
     if prev_norm > 0 and norm > 0:
@@ -662,7 +667,7 @@ def scale_invariant_poincare_scan(cone, n_samples: int = 20,
     """Sample unclipped balls and record Lambda(B(x, delta r), B(x, r))/r^2
     and the case (``SCAN_DELTA``, ``SCAN_RADII``, ``cones.EPSILON``)."""
     from .cones import EPSILON, _ball_case
-    if n_samples < 1:
+    if _count(n_samples, None, "n_samples") < 1:
         raise DomainError("need at least one sample")
     rng = np.random.default_rng(seed)
     base = cone.base_point()
@@ -702,9 +707,9 @@ def _cell_key(net, cell):
     k A + (a - p) mod A, the apex to -1, and each set's images are sorted.
     Two cells get the same key only when one is the image of the other
     under a power of sigma, and rotating the cell rotates these candidates
-    with it, so congruent cells get the same key.  That sigma is an
-    automorphism of the weighted cone is checked by
-    :func:`_check_rotation` before any key is used.
+    with it, so congruent cells get the same key.  A cone over a circle
+    link carries sigma (:class:`~conelab.cones.DiscretizedCone`), and
+    :func:`_check_rotation` checks it before any key is used.
     """
     same = np.array_equal(cell.Ustar, cell.Usharp)
     sets = (cell.U, cell.Ustar) + (() if same else (cell.Usharp,))
@@ -720,6 +725,16 @@ def _cell_key(net, cell):
     return same, min(zip(*([row.tobytes() for row in im] for im in images)))
 
 
+def _edge_table(edges, conductances):
+    """The weighted edge set as bytes: each edge as a sorted pair, in
+    lexicographic order with its conductance, so that two edge lists
+    give equal tables exactly when they hold the same weighted edges,
+    whatever their order and orientation."""
+    e = np.sort(edges, axis=1)
+    order = np.lexsort((conductances, e[:, 1], e[:, 0]))
+    return e[order].tobytes() + conductances[order].tobytes()
+
+
 def _check_rotation(net):
     """InternalFault unless the rotation that :func:`_cell_key` assumes is
     an automorphism of the weighted network ``net``, bit for bit.
@@ -727,9 +742,8 @@ def _check_rotation(net):
     ``net.link_automorphism`` must be the link rotation a -> (a+1) mod A,
     and sigma, vertex (ring k, node a) -> (k, sigma(a)) with the apex
     fixed, must map the vertex measures and the table of edges with their
-    conductances (:func:`conelab.cones._edge_table`) onto themselves."""
-    from .cones import _edge_table
-
+    conductances (:func:`_edge_table`) onto themselves.  The rotation's
+    only check: a cone takes it from its link's type."""
     sigma, A = np.asarray(net.link_automorphism), net.link_nodes
     ring, node = net.ring_of, net.link_index
     image = np.arange(len(ring)) + np.where(ring < 0, 0, sigma[node] - node)

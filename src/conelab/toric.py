@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (DomainError, InternalFault, PreconditionError,
-                     UnsupportedError)
+                     UnsupportedError, _count)
 
 Vec = tuple
 
@@ -147,10 +147,8 @@ def _solve(A, b):
 
 
 def _primitive(v):
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(int(x)))
-    return g
+    """The gcd of an integer vector's entries (0 for the zero vector)."""
+    return math.gcd(*v)
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +157,18 @@ def _primitive(v):
 
 @dataclass(frozen=True)
 class ToricConeData:
-    """Rational polyhedral cone given by its primitive ray generators."""
+    """Rational polyhedral cone given by its primitive ray generators, with
+    integer ``dim`` (>= 2) and coordinates (DomainError for floats)."""
     dim: int
     rays: tuple
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise DomainError("dimension must be >= 2")
+        # frozen: the checked ints replace the given values
+        object.__setattr__(self, "dim", _count(self.dim, 2,
+                                               "a toric cone's dim"))
+        object.__setattr__(self, "rays", tuple(
+            tuple(_count(x, None, "a ray coordinate") for x in u)
+            for u in self.rays))
         if len(self.rays) < self.dim:
             raise DomainError("need at least dim rays")
         for u in self.rays:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import conelab.cones
-from conelab import (CircleLink, DomainError, GraphLink, annular_covering,
-                     associated_graph, build_cone, classify_ball,
-                     combine_parameter, doubling_scan, net_covering,
-                     radius_field, separated_net, sphere_link,
-                     validate_covering)
+from conelab import (CircleLink, DomainError, GraphLink, InternalFault,
+                     annular_covering, associated_graph, build_cone,
+                     classify_ball, combine_parameter, covering_cell_constant,
+                     doubling_scan, net_covering, radius_field,
+                     separated_net, sphere_link, validate_covering)
 from conelab.cones import DoublingRecord, _link_mesh, cone_from_json
 from conelab.graphs import dirichlet_laplacian
 
@@ -449,6 +449,13 @@ class TestDoublingScan:
         # flat plane doubles exactly by 4; the grid only roughens that
         assert s1.ratio_max < 8.0
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, np.float64(3.0)])
+    def test_sample_count_must_be_an_integer(self, n):
+        # 2.5 drew 3 records
+        with pytest.raises(DomainError, match="n_samples must be an integer"):
+            doubling_scan(flat_disc(r_max=2.0, radial=8, angular=8),
+                          n_samples=n)
+
     def test_anchored_exact(self):
         cone = flat_disc(r_max=6.0, radial=192, angular=96)
         scan = doubling_scan(cone, n_samples=20, r_bounds=(0.5, 1.2),
@@ -644,15 +651,22 @@ class TestLinkAutomorphism:
         cone = build_cone(sphere_link(4, 8), 0.5, 2.0, 6)
         assert cone.link_automorphism is None
 
-    def test_perturbed_link_measure_has_none(self, monkeypatch):
+    def test_perturbed_link_measure_fails_the_cone_check(self, monkeypatch):
+        """A circle link keeps its rotation whatever its mesh holds; the
+        cone-level check, run on every cell-constant call, refuses a mesh
+        one ulp off the rotation."""
         def perturbed(link, angular_steps):
             measures, edges, cond, dist = _link_mesh(link, angular_steps)
             measures = measures.copy()
             measures[3] = np.nextafter(measures[3], 1.0)
             return measures, edges, cond, dist
         monkeypatch.setattr(conelab.cones, "_link_mesh", perturbed)
-        cone = build_cone(CircleLink(TWO_PI), 0.2, 3.0, 9, angular_steps=12)
-        assert cone.link_automorphism is None
+        A = 12
+        cone = build_cone(CircleLink(TWO_PI), 0.2, 3.0, 9, angular_steps=A)
+        assert np.array_equal(cone.link_automorphism, (np.arange(A) + 1) % A)
+        cov = net_covering(cone, range(cone.n_vertices), 0.8)
+        with pytest.raises(InternalFault, match="not an automorphism"):
+            covering_cell_constant(cov, cone)
 
 
 class TestRadiusField:

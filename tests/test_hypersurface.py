@@ -23,6 +23,19 @@ class TestWeightedDegree:
             weighted_degree(poly)
 
 
+class TestPolynomialData:
+    @pytest.mark.parametrize("weights, monomials", [
+        ((True, 2.0), ((2, 1.0),)),   # constructed
+        ((1, 2.0), ((2, 1),)),
+        ((0, 1), ((2, 1),)),
+        ((1, 1), ((2, 1.0),)),
+        ((1, 1), ((2, False),)),
+        ((1, 1), ((2, -1),))])
+    def test_rejects_non_integers(self, weights, monomials):
+        with pytest.raises(DomainError, match="must be an integer"):
+            WeightedPolynomial(weights, monomials)
+
+
 class TestLinkCondition:
     def test_small_degree_passes(self):
         poly = WeightedPolynomial((1, 1, 1), [(2, 0, 0), (0, 2, 0),
@@ -59,6 +72,19 @@ class TestBlowupChain:
         with pytest.raises(DomainError):
             bp_crepant_chain(3, 0)
 
+    @pytest.mark.parametrize("m, k", [(3, 7.5), (3.0, 7), (True, 5),
+                                      (3, True), (3, 6.0)])
+    def test_chain_needs_integers(self, m, k):
+        # (3, 7.5) gave blowup_count 2.0
+        with pytest.raises(DomainError, match="must be an integer"):
+            bp_crepant_chain(m, k)
+
+    @pytest.mark.parametrize("m, degree", [(3.0, 3), (3, 2.0), (3, True),
+                                           (3, -1), (1, 0)])
+    def test_discrepancy_needs_integers(self, m, degree):
+        with pytest.raises(DomainError, match="must be an integer"):
+            blowup_discrepancy(m, degree)
+
 
 class TestCsv:
     def test_byte_exact_m3(self):
@@ -76,3 +102,9 @@ class TestCsv:
             "3,12,true,true,4\n"
         )
         assert bp_table_csv(3, range(3, 13)) == want
+
+    @pytest.mark.parametrize("m, ks", [(3.0, [7]), (3, [7.0]), (3, [True])])
+    def test_table_needs_integers(self, m, ks):
+        # (3.0, [7]) wrote the row 3.0,7,true,true,2.0
+        with pytest.raises(DomainError, match="must be an integer"):
+            bp_table_csv(m, ks)

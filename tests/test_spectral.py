@@ -837,44 +837,69 @@ class TestSeparatedVariables:
             assert np.all(np.abs(absLx - want_abs) <= 1e-13 * want_abs)
             assert np.all(np.abs(Lx - want) <= 1e-13 * want_abs)
 
-    @pytest.mark.parametrize("source", [0, 700, 3999])
-    def test_time_integration_steps_only_the_reached_blocks(self, source,
+    @pytest.mark.parametrize("solver, source", [
+        (solver, source) for solver in ("time", "green")
+        for source in (0, 700, 3999)],
+        ids=["0", "700", "3999", "green-0", "green-700", "green-3999"])
+    def test_time_integration_steps_only_the_reached_blocks(self, solver,
+                                                            source,
                                                             monkeypatch):
-        """The steps solve the mode blocks that the source reaches, and
-        give the bits of stepping the whole modal system."""
+        """The time integration (ids 0, 700, 3999) and the Green's function
+        (ids green-*) factor and solve exactly the rows of the mode blocks
+        that the source reaches, and give the bits of the same computation
+        on the whole modal system."""
         cone = build_cone(sphere_link(10, 20), 0.05, 5.0, 20)
+        K = cone.radial_steps
         dt, n_steps = 0.05, 30
         diag, coupling, mass, to_modes, from_modes = \
             conelab.spectral._modal(cone, robin=True)
-        d, e, _ = scipy.linalg.lapack.dpttrf(mass + dt * diag,
-                                             dt * coupling)
         e_source = np.zeros(cone.n_vertices)
         e_source[source] = 1.0
         b = to_modes(e_source)
-        total, c = np.zeros_like(b), None
-        for _ in range(n_steps):
-            c_prev, c = c, scipy.linalg.lapack.dpttrs(d, e, b)[0]
-            total += c
-            b = mass * c
-        total, h, h_prev = (from_modes(x) for x in (dt * total, c, c_prev))
-        want = total + h / (-math.log(np.dot(h, cone.measures)
-                                      / np.dot(h_prev, cone.measures)) / dt)
-        reached = [hi - lo for lo, hi in conelab.spectral._mode_blocks(cone)
-                   if to_modes(e_source)[lo:hi].any()]
-        sizes = []
-        dpttrs = conelab.spectral.dpttrs
+        lapack = scipy.linalg.lapack
+        if solver == "green":
+            d, e, _ = lapack.dpttrf(diag, coupling)
+            want = from_modes(lapack.dpttrs(d, e, b)[0])
+        else:
+            d, e, _ = lapack.dpttrf(mass + dt * diag, dt * coupling)
+            total, c = np.zeros_like(b), None
+            for _ in range(n_steps):
+                c_prev, c = c, lapack.dpttrs(d, e, b)[0]
+                total += c
+                b = mass * c
+            total, h, h_prev = (from_modes(x)
+                                for x in (dt * total, c, c_prev))
+            want = total + h / (-math.log(np.dot(h, cone.measures)
+                                          / np.dot(h_prev, cone.measures))
+                                / dt)
+        # the apex-free cone's K-row blocks, one per link mode; mode 0
+        # (the constants) reaches every vertex
+        reached = K * int(np.count_nonzero(
+            to_modes(e_source).reshape(-1, K).any(axis=1)))
+        factored, solved = [], []
+        dpttrf, dpttrs = conelab.spectral.dpttrf, conelab.spectral.dpttrs
 
-        def counted(d, e, b, **kwargs):
-            sizes.append(len(d))
+        def counted_factor(d, e, **kwargs):
+            factored.append(len(d))
+            return dpttrf(d, e, **kwargs)
+
+        def counted_solve(d, e, b, **kwargs):
+            solved.append(len(d))
             return dpttrs(d, e, b, **kwargs)
 
-        monkeypatch.setattr(conelab.spectral, "dpttrs", counted)
-        got = green_by_time_integration(cone, source, dt=dt, n_steps=n_steps)
+        monkeypatch.setattr(conelab.spectral, "dpttrf", counted_factor)
+        monkeypatch.setattr(conelab.spectral, "dpttrs", counted_solve)
+        if solver == "green":
+            got = greens_function(cone, source).values
+        else:
+            got = green_by_time_integration(cone, source, dt=dt,
+                                            n_steps=n_steps)
         assert got.tobytes() == want.tobytes()
-        assert sizes == [sum(reached)] * n_steps
+        assert factored == [reached]
+        assert solved == [reached] * (1 if solver == "green" else n_steps)
         if source == 0:
             # the polar cap node is a zero of a quarter of the link modes
-            assert sum(reached) < cone.n_vertices
+            assert reached == 3000 < cone.n_vertices == 4000
 
     def test_green_path_needs_no_superlu(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -1006,6 +1031,13 @@ class TestCoveringConstants:
             cov = net_covering(cone, region, 0.35 * R)
             vals[R] = covering_cell_constant(cov, cone) / R ** 2
         assert vals[2.0] == pytest.approx(vals[1.0], rel=0.25)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, np.float64(3.0)])
+    def test_scan_sample_count_must_be_an_integer(self, n):
+        # 1.5 drew 2 records
+        cone = build_cone(CircleLink(TWO_PI), 0.0, 3.0, 12, angular_steps=8)
+        with pytest.raises(DomainError, match="n_samples must be an integer"):
+            scale_invariant_poincare_scan(cone, n_samples=n)
 
     def test_scan_deterministic(self):
         cone = build_cone(CircleLink(TWO_PI), 0.0, 6.0, 72, angular_steps=36)

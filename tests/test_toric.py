@@ -153,6 +153,22 @@ class TestConeData:
         with pytest.raises(DomainError):
             ToricConeData(2, [(1, 0), (-1, 0)])
 
+    @pytest.mark.parametrize("dim, rays", [
+        (2, ((1.6, 0), (1, 2))),   # constructed, with gamma = (1, 0) unique
+        (2, ((1.0, 0), (1, 2))),
+        (2, ((True, 0), (1, 2))),
+        (2.0, ((1, 0), (1, 2))),
+        (True, ((1,), (-1,))),
+        (np.float64(2), ((1, 0), (1, 2)))])
+    def test_rejects_non_integers(self, dim, rays):
+        with pytest.raises(DomainError, match="must be an integer"):
+            ToricConeData(dim, rays)
+
+    def test_stores_python_ints(self):
+        cone = ToricConeData(np.int64(2), [np.array([1, 0]), (1, 2)])
+        assert cone == ToricConeData(2, ((1, 0), (1, 2)))
+        assert all(type(x) is int for x in (cone.dim, *sum(cone.rays, ())))
+
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(st.integers(2, 4).flatmap(lambda dim: st.lists(
         st.tuples(*[st.integers(-3, 3)] * dim).filter(any),
