@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .errors import (CapacityError, DomainError, InternalFault,
-                     PreconditionError, UnsupportedError, _count)
+                     PreconditionError, UnsupportedError, _count, _real)
 
 
 @functools.cache
@@ -236,7 +236,7 @@ def run_toric(args):
         dim = _count(doc["dim"], None, "dim")
         rays = tuple(tuple(_count(x, None, "a ray coordinate") for x in r)
                      for r in doc["rays"])
-        omega = float(doc["omega_link"])
+        omega = _real(doc["omega_link"], "omega_link")
         raw = dict(doc.get("support_values", {}))
         interior = doc.get("interior_value", 1)
     except (ValueError, KeyError, TypeError) as exc:
@@ -294,9 +294,14 @@ def run_bp(args):
     return 0
 
 
+def _not_strict_json(name):
+    raise DomainError(f"{name} is not strict JSON; reports hold no NaN or "
+                      f"Infinity")
+
+
 def run_report(args):
     with open(args.infile) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_constant=_not_strict_json)
     _validate(doc)
     print(f"valid report: tool={doc['tool']} version={doc['version']}")
     return 0

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .covering import Cell, GoodCovering
-from .errors import DomainError, UnsupportedError, _count
+from .errors import DomainError, UnsupportedError, _count, _real
 from .graphs import _vertex_ids
 
 #: Longest accepted circle link (see :class:`CircleLink`).
@@ -715,7 +715,9 @@ def cone_from_json(text: str) -> DiscretizedCone:
      "spacing": "uniform"}  -- self-contained: no other file is read.
     ``angular_steps`` is for circle links only.  Both step counts, a
     sphere link's ``n_theta`` and ``n_phi`` and a graph link's ``dim`` must
-    be integers: floats and booleans are refused, not truncated.
+    be integers: floats and booleans are refused, not truncated.  Lengths,
+    radii, measures and conductances must be JSON numbers: strings and
+    booleans are refused, not converted.
     """
     try:
         doc = json.loads(text)
@@ -725,23 +727,27 @@ def cone_from_json(text: str) -> DiscretizedCone:
         spec = doc["link"]
         kind = spec["kind"]
         if kind == "circle":
-            link = CircleLink(float(spec["length"]))
+            link = CircleLink(_real(spec["length"], "a circle's length"))
         elif kind == "sphere":
             link = sphere_link(spec["n_theta"], spec["n_phi"])
         elif kind == "graph":
             nodes = spec["nodes"]
             edges = [(e["i"], e["j"]) for e in spec["edges"]]
-            lengths = [float(e["length"]) for e in spec["edges"]]
-            cond = [float(e.get("conductance",
-                                max(nodes[e["i"]]["measure"],
-                                    nodes[e["j"]]["measure"]) / e["length"]))
-                    for e in spec["edges"]]
-            link = GraphLink(tuple(float(nd["measure"]) for nd in nodes),
+            measures = [_real(nd["measure"], "a node's measure")
+                        for nd in nodes]
+            lengths = [_real(e["length"], "an edge's length")
+                       for e in spec["edges"]]
+            cond = [_real(e["conductance"], "an edge's conductance")
+                    if "conductance" in e else
+                    max(measures[e["i"]], measures[e["j"]]) / length
+                    for e, length in zip(spec["edges"], lengths)]
+            link = GraphLink(tuple(measures),
                              tuple(edges), tuple(cond), tuple(lengths),
                              dim=spec.get("dim", 2))
         else:
             raise DomainError(f"unknown link kind {kind!r}")
-        return build_cone(link, float(doc["r_min"]), float(doc["r_max"]),
+        return build_cone(link, _real(doc["r_min"], "r_min"),
+                          _real(doc["r_max"], "r_max"),
                           doc["radial_steps"],
                           angular_steps=doc.get("angular_steps"),
                           spacing=doc.get("spacing", "uniform"))

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, _real
 from .graphs import WeightedGraph
 
 
@@ -89,7 +89,8 @@ class GoodCovering:
                                          for a in atom_measures}))
             raise DomainError(f"atom ids must be all integers or all "
                               f"strings, not a mix of {kinds}") from None
-        measures = np.array([float(atom_measures[a]) for a in ids])
+        measures = np.array([_real(atom_measures[a], f"atom {a!r}'s measure")
+                             for a in ids])
         self._build(np.array(ids), measures, cells, A, Asharp, adjacency)
 
     @classmethod
@@ -376,14 +377,16 @@ def covering_from_json(text: str) -> GoodCovering:
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed covering JSON: {exc}") from exc
     try:
-        atoms = {a["id"]: a["measure"] for a in doc["atoms"]}
+        atoms = {a["id"]: _real(a["measure"], "malformed covering JSON: "
+                                f"atom {a['id']!r}'s measure")
+                 for a in doc["atoms"]}
         if len(atoms) != len(doc["atoms"]):
             raise DomainError("duplicate atom ids")
         cells = [(c["U"], c["Ustar"], c["Usharp"]) for c in doc["cells"]]
         A = doc["A"]
         Asharp = doc["Asharp"]
         adjacency = [tuple(e) for e in doc.get("adjacency", [])]
-        # unhashable atom ids and non-numeric measures fail in here
+        # unhashable atom ids fail in here
         return GoodCovering(atoms, cells, A, Asharp, adjacency)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed covering JSON: {exc}") from exc

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check that
-raises one for inputs that must be integers."""
+"""Exception types shared across the package, and the integer and real
+checks that raise one for inputs that must be numbers."""
 import numbers
 
 
@@ -32,3 +32,15 @@ def _count(x, least, what) -> int:
         bound = "" if least is None else f" >= {least}"
         raise DomainError(f"{what} must be an integer{bound}, not {x!r}")
     return int(x)
+
+
+def _real(x, what) -> float:
+    """``x`` as a float; DomainError unless it is a real number.  Strings and
+    booleans are refused, not converted.  No numpy import: numpy floats and
+    integers are ``numbers.Real``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise DomainError(f"{what} must be a real number, not {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{what} is too large for a float") from None

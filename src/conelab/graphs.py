@@ -14,9 +14,8 @@ from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, _real
 
 #: Largest vertex count for which subset enumeration is attempted.
 DEFAULT_ENUM_CAP = 22
@@ -100,11 +99,7 @@ class WeightedGraph:
         ids = []
         measures = []
         for vid, m in vertices:
-            try:
-                m = float(m)
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"vertex {vid!r} has a non-numeric "
-                                  f"measure {m!r}") from exc
+            m = _real(m, f"vertex {vid!r}'s measure")
             if not m > 0.0 or not math.isfinite(m):
                 raise DomainError(f"vertex {vid!r} has non-positive measure {m}")
             ids.append(vid)
@@ -389,6 +384,8 @@ def spectral_gap(g: WeightedGraph) -> float:
     if not g.is_connected():
         return 0.0
     if n <= DENSE_EIG_LIMIT:
+        import scipy.linalg
+
         L = _dense_laplacian(n, g.edge_pos, g.edge_measures)
         try:
             w = scipy.linalg.eigh(L, np.diag(g.measures), eigvals_only=True)

@@ -183,20 +183,22 @@ class ToricConeData:
 
 
 def _contains_line(rays):
-    """Whether the cone spanned by ``rays`` contains a line.  It does not
-    when the sum of the rays is positive on every ray.  Otherwise, by the
-    conformal decomposition of a nonnegative dependence into circuits, it
-    does exactly when some circuit (at most dim + 1 rays with a
-    one-dimensional kernel) has coefficients of one sign."""
-    w = [sum(c) for c in zip(*rays)]
-    if all(sum(map(operator.mul, w, u)) > 0 for u in rays):
-        return False
-    for k in range(2, len(rays[0]) + 2):
-        for subset in itertools.combinations(rays, k):
-            kernel = _kernel_basis(list(zip(*subset)))
-            if len(kernel) == 1 and (min(kernel[0]) > 0 or max(kernel[0]) < 0):
-                return True
-    return False
+    """Whether the cone C spanned by ``rays`` contains a line, from the rays
+    of its dual cone.  P, the kernel of the rays, spans C's orthogonal
+    complement, and C has rank r = dim - |P|.  Within span C the dual cone
+    is pointed; its rays are the y orthogonal to P and to r - 1 independent
+    rays with <u, y> of one sign on every ray u.  C is pointed exactly when
+    their sum is positive on every ray (Gordan): a line in C is orthogonal
+    to every dual ray.  C(n, r - 1) + 1 kernels for n rays."""
+    P = _kernel_basis(rays)
+    total = [0] * len(rays)
+    for subset in itertools.combinations(rays, len(rays[0]) - len(P) - 1):
+        kernel = _kernel_basis([*subset, *P])
+        if len(kernel) == 1:
+            vals = [sum(map(operator.mul, u, kernel[0])) for u in rays]
+            sign = (min(vals) >= 0) - (max(vals) <= 0)
+            total = [t + sign * v for t, v in zip(total, vals)]
+    return min(total) <= 0
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 import contextlib
+import copy
+import functools
 import io
 import json
 import math
+import operator
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -27,6 +31,14 @@ TWO_PI = 2.0 * math.pi
 CONE_DOC = {"link": {"kind": "circle", "length": 6.283185307179586},
             "r_min": 0.0, "r_max": 3.0, "radial_steps": 24,
             "angular_steps": 16}
+
+
+#: A cone over a two-node graph link, every real field given.
+GRAPH_CONE_DOC = {"link": {"kind": "graph", "dim": 2,
+                           "nodes": [{"measure": 1.0}, {"measure": 1.0}],
+                           "edges": [{"i": 0, "j": 1, "length": 1.0,
+                                      "conductance": 1.0}]},
+                  "r_min": 1.0, "r_max": 10.0, "radial_steps": 9}
 
 
 def write(tmp_path, name, text):
@@ -308,6 +320,62 @@ class TestNonFiniteInput:
         assert "at least one sample" in capsys.readouterr().err
 
 
+class TestRealInputs:
+    """Every real-valued input field is a JSON number: a boolean or a string
+    is refused with exit 2, not read through float()."""
+
+    FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+    READERS = {
+        "circle-length": ("cone", CONE_DOC, ("link", "length")),
+        "r_min": ("cone", CONE_DOC, ("r_min",)),
+        "r_max": ("cone", CONE_DOC, ("r_max",)),
+        "node-measure": ("cone", GRAPH_CONE_DOC,
+                         ("link", "nodes", 0, "measure")),
+        "edge-length": ("cone", GRAPH_CONE_DOC,
+                        ("link", "edges", 0, "length")),
+        "conductance": ("cone", GRAPH_CONE_DOC,
+                        ("link", "edges", 0, "conductance")),
+        "vertex-measure": ("graph", "graph.json", ("vertices", 0, "measure")),
+        "atom-measure": ("cover", "cover.json", ("atoms", 0, "measure")),
+        "omega_link": ("toric", "toric.json", ("omega_link",)),
+    }
+
+    def document(self, doc):
+        if isinstance(doc, str):
+            return json.loads((self.FIXTURES / doc).read_text())
+        return copy.deepcopy(doc)
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_valid_document_runs(self, tmp_path, reader):
+        command, doc, _ = self.READERS[reader]
+        inp = write(tmp_path, "in.json", json.dumps(self.document(doc)))
+        out = str(tmp_path / "r.json")
+        assert main([command, "--in", inp, "--out", out]) == 0
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "must be a real number, not True"),
+        ("1.5", "must be a real number, not '1.5'"),
+        # an integer beyond the float range
+        (10 ** 400, "is too large for a float")],
+        ids=["true", "string", "huge-integer"])
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_non_float_value_exits_2(self, tmp_path, capsys, reader, value,
+                                     message):
+        command, doc, path = self.READERS[reader]
+        doc = self.document(doc)
+        *head, last = path
+        target = functools.reduce(operator.getitem, head, doc)
+        assert isinstance(target[last], float)
+        target[last] = value
+        inp = write(tmp_path, "in.json", json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main([command, "--in", inp, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert not out.exists()
+
+
 class TestHeatCommand:
     def test_fit_report(self, tmp_path):
         inp = write(tmp_path, "cone.json", json.dumps(
@@ -415,6 +483,18 @@ class TestToricCommand:
         assert res["gamma"] == [1, 0]
         assert res["basic"] and res["maximal"]
         assert res["invariant_A"] == pytest.approx(-6.283185307179586)
+
+    @pytest.mark.parametrize("rays", [
+        [[1, a % 5, a // 5] for a in range(29)] + [[-30, 1, 0]],
+        [[1, a % 3, (a // 3) % 3, a // 9] for a in range(25)]
+        + [[-26, 1, 0, 0]],
+    ], ids=["30-rays-3d", "26-rays-4d"])
+    def test_many_pointed_rays_have_no_covector(self, tmp_path, capsys, rays):
+        # pointed, so the cone is built; its rays lie on no level set
+        doc = {"dim": len(rays[0]), "rays": rays, "omega_link": 1.0}
+        inp = write(tmp_path, "fan.json", json.dumps(doc))
+        assert main(["toric", "--in", inp]) == 2
+        assert "error: no Gorenstein covector" in capsys.readouterr().err
 
     def test_non_gorenstein_rejected(self, tmp_path):
         doc = {"dim": 2, "rays": [[1, 0], [2, 3]], "omega_link": 1.0}
@@ -838,6 +918,21 @@ class TestReportCommand:
         inp = write(tmp_path, "x.json", json.dumps({"hello": 1}))
         assert main(["report", "--in", inp]) == 2
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_nan_and_infinity(self, tmp_path, capsys, token):
+        # the schema cannot see these tokens: json.load reads them as floats
+        golden = pathlib.Path(__file__).parent / "fixtures" / "golden"
+        text, n = re.subn(r'"spectral_gap": [^,\n]+',
+                          f'"spectral_gap": {token}',
+                          (golden / "graph.json").read_text())
+        assert n == 1
+        inp = write(tmp_path, "r.json", text)
+        assert main(["report", "--in", inp]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {token} is not strict JSON; reports hold "
+                       f"no NaN or Infinity\n")
+
     @pytest.mark.parametrize("option", [["--out", "r.json"], ["--seed", "3"]])
     def test_takes_no_out_or_seed(self, tmp_path, capsys, option):
         # report only reads its input: an output path or a seed is refused
@@ -872,7 +967,7 @@ class TestImportFloor:
         (["graph", "--in", "graph.json"], ("scipy.sparse",)),
         (["cover", "--in", "cover.json"], ("scipy.sparse",)),
         (["cone", "--in", "cone.json", "--samples", "20", "--csv", "c.csv"],
-         ("scipy.sparse",)),
+         ("scipy",)),
         (["heat", "--in", "heat.json", "--times", "0.2,0.4",
           "--csv", "h.csv"], ("scipy.sparse",)),
         (["green", "--in", "green.json", "--csv", "g.csv"],

@@ -37,6 +37,14 @@ class TestValidation:
         assert rep.witnesses[(0, 1)] == 0
         assert rep.witnesses[(1, 2)] == 1
 
+    @pytest.mark.parametrize("measure", [True, "1.5"])
+    def test_rejects_non_real_measure(self, measure):
+        atoms = dict.fromkeys(range(3), 1.0) | {1: measure}
+        with pytest.raises(DomainError,
+                           match="atom 1's measure must be a real number"):
+            GoodCovering(atoms, [([1], [0, 1, 2], [0, 1, 2])], [1],
+                         range(3), [(0, 1), (1, 2)])
+
     def test_validation_order_independent(self):
         cov = three_intervals()
         atoms = {a: 1.0 for a in range(5)}

@@ -387,7 +387,7 @@ class TestValidationAndIO:
         with pytest.raises(DomainError, match="hashable"):
             WeightedGraph(vertices, edges)
 
-    @pytest.mark.parametrize("measure", [None, [1.0], "x"])
+    @pytest.mark.parametrize("measure", [None, [1.0], "x", True, "2.5"])
     def test_rejects_non_numeric_measure(self, measure):
         with pytest.raises(DomainError, match="measure"):
             WeightedGraph([(0, measure)], [])

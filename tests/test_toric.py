@@ -31,6 +31,14 @@ def z3_cone():
     return ToricConeData(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 3)])
 
 
+#: Pointed cones with many rays and no Gorenstein covector: 29 rays on the
+#: level <(1, 0, ...), u> = 1 and one ray far below it.
+MANY_RAYS = {
+    3: tuple((1, a % 5, a // 5) for a in range(29)) + ((-30, 1, 0),),
+    4: tuple((1, a % 3, (a // 3) % 3, a // 9) for a in range(25))
+    + ((-26, 1, 0, 0),)}
+
+
 def default_values(tri, interior=1):
     return {r: (0 if i < tri.n_boundary else interior)
             for i, r in enumerate(tri.rays)}
@@ -181,6 +189,28 @@ class TestConeData:
                       b_ub=-np.ones(len(rays)),
                       bounds=[(None, None)] * dim, method="highs")
         assert _contains_line(rays) == (not res.success)
+
+    @pytest.mark.parametrize("dim, kernels", [(3, 436), (4, 2601)])
+    def test_dual_ray_test_kernel_count(self, monkeypatch, dim, kernels):
+        # C(n, rank - 1) + 1 kernels for n rays; enumerating every subset of
+        # 2 .. dim + 1 rays, as a circuit search does, needs 31,900 and 83,655
+        calls = []
+
+        def counted(A):
+            calls.append(len(A))
+            return _kernel_basis(A)
+
+        monkeypatch.setattr(conelab.toric, "_kernel_basis", counted)
+        assert ToricConeData(dim, MANY_RAYS[dim]).rays == MANY_RAYS[dim]
+        assert len(calls) == kernels
+
+    def test_many_rays_with_a_line_rejected(self):
+        # (1, 1, 1) is already a ray (a = 6): its opposite closes the line
+        assert (1, 1, 1) in MANY_RAYS[3]
+        rays = MANY_RAYS[3] + ((-1, -1, -1),)
+        with pytest.raises(DomainError,
+                           match="do not span a strictly convex cone"):
+            ToricConeData(3, rays)
 
     @pytest.mark.parametrize("x, want", [
         (0.1, Fraction(1, 10)), (1e-13, Fraction(1, 10 ** 13)),
