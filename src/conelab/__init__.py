@@ -26,14 +26,13 @@ _EXPORTS = {
               "annular_covering", "radius_field"),
     "spectral": ("heat_kernel", "gaussian_fit", "greens_function",
                  "green_by_time_integration", "poincare_constant",
-                 "scale_invariant_poincare_scan", "covering_cell_constant",
-                 "indicial_spectrum"),
+                 "scale_invariant_poincare_scan", "covering_cell_constant"),
     "toric": ("ToricConeData", "gorenstein_covector", "cross_section",
               "maximal_triangulation", "support_function_check",
               "kahler_class", "invariant_A"),
     "hypersurface": ("WeightedPolynomial", "weighted_degree",
                      "cy_link_condition", "bp_crepant_chain", "bp_table_csv",
-                     "blowup_discrepancy"),
+                     "blowup_discrepancy", "indicial_spectrum"),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"cli"}
 _ORIGIN = {name: mod for mod, names in _EXPORTS.items() for name in names}

@@ -100,6 +100,8 @@ class GraphLink:
                               "directions must be finite")
         if any(c < 0 for c in self.conductances):
             raise DomainError("link conductances must be non-negative")
+        if not all(x > 0 for x in self.lengths):
+            raise DomainError("link edge lengths must be positive")
 
 
 def sphere_link(n_theta: int, n_phi: int) -> GraphLink:
@@ -717,7 +719,7 @@ def cone_from_json(text: str) -> DiscretizedCone:
     sphere link's ``n_theta`` and ``n_phi`` and a graph link's ``dim`` must
     be integers: floats and booleans are refused, not truncated.  Lengths,
     radii, measures and conductances must be JSON numbers: strings and
-    booleans are refused, not converted.
+    booleans are refused, not converted.  Edge lengths must be positive.
     """
     try:
         doc = json.loads(text)
@@ -737,6 +739,9 @@ def cone_from_json(text: str) -> DiscretizedCone:
                         for nd in nodes]
             lengths = [_real(e["length"], "an edge's length")
                        for e in spec["edges"]]
+            # a missing conductance is divided by its edge's length
+            if not all(x > 0 for x in lengths):
+                raise DomainError("link edge lengths must be positive")
             cond = [_real(e["conductance"], "an edge's conductance")
                     if "conductance" in e else
                     max(measures[e["i"]], measures[e["j"]]) / length

@@ -371,9 +371,11 @@ def spectral_gap(g: WeightedGraph) -> float:
     over nonconstant f.  Returns 0 for disconnected graphs and +inf for a
     single vertex (no nonconstant test functions).  Up to
     ``DENSE_EIG_LIMIT`` vertices L is assembled as a dense array
-    (:func:`_dense_laplacian`) and the pencil is solved by LAPACK; no
-    sparse matrix is built, and a null eigenvalue further from 0 than
-    n * ``GAP_NULL_TOL`` times the gap raises CapacityError.  Above it the
+    (:func:`_dense_laplacian`), scaled to M^-1/2 L M^-1/2 and solved by
+    numpy's LAPACK (``dsyevd``); no sparse matrix is built, no scipy is
+    loaded, and a scaled matrix that overflows a float, or a null
+    eigenvalue further from 0 than n * ``GAP_NULL_TOL`` times the gap,
+    raises CapacityError.  Above it the
     gap is 1 / Lambda(V, V), the Poincare constant of the whole vertex set
     with the edge measures as conductances, and it raises what
     :func:`conelab.spectral.poincare_constant` raises.
@@ -384,11 +386,21 @@ def spectral_gap(g: WeightedGraph) -> float:
     if not g.is_connected():
         return 0.0
     if n <= DENSE_EIG_LIMIT:
-        import scipy.linalg
-
         L = _dense_laplacian(n, g.edge_pos, g.edge_measures)
+        b = np.sqrt(g.measures)
+        # M^-1/2 L M^-1/2, rounded as LAPACK dsygs2 forms it from the
+        # Cholesky factor diag(b) of M: an off-diagonal entry L_ik * (1/b_k)
+        # / b_i, a diagonal one L_kk / (b_k * b_k); only the lower triangle
+        # is read
+        with np.errstate(over="ignore"):
+            C = L * (1.0 / b) / b[:, None]
+            np.fill_diagonal(C, np.diag(L) / (b * b))
+        if not np.isfinite(C).all():
+            raise CapacityError(f"spectral gap on {n} vertices: the pencil "
+                                f"scaled by the vertex measures overflows "
+                                f"a float")
         try:
-            w = scipy.linalg.eigh(L, np.diag(g.measures), eigvals_only=True)
+            w = np.linalg.eigvalsh(C, UPLO="L")
         except np.linalg.LinAlgError as exc:
             raise CapacityError(
                 f"spectral gap on {n} vertices: {exc}") from exc

@@ -1,17 +1,21 @@
 """Weighted homogeneous hypersurface singularities and the Brieskorn-Pham
-family  z_0^m + ... + z_{m-1}^m + z_m^k = 0.
+family  z_0^m + ... + z_{m-1}^m + z_m^k = 0, and the indicial roots of a
+Calabi-Yau cone.
 
 Arithmetic criteria only: weighted degrees, the Calabi-Yau link condition
-d < |w|, and the crepant step-by-step resolution bookkeeping for the
+d < |w|, the crepant step-by-step resolution bookkeeping for the
 Brieskorn-Pham chain (each blow-up drops the degree of the strict transform
-by m; the discrepancy contributed at degree d is m - d).
+by m; the discrepancy contributed at degree d is m - d), and the exceptional
+weights of the cone's Laplacian from its link eigenvalues.  No numpy or
+scipy is imported.
 """
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError, _count
 
@@ -99,3 +103,53 @@ def bp_table_csv(m: int, k_values: Sequence[int]) -> str:
         writer.writerow([rec.m, rec.k, str(rec.se_ok).lower(),
                          str(rec.resolvable).lower(), rec.blowup_count])
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# indicial roots
+
+
+@dataclass(frozen=True)
+class IndicialSpectrum:
+    m: int
+    link_eigenvalues: tuple
+    mu_pairs: tuple          # (mu_minus, mu_plus) per eigenvalue
+    exceptional_weights: tuple
+    negated_weights: tuple   # the same set in the opposite sign convention
+    fredholm_interval: Optional[tuple]
+
+
+def indicial_spectrum(m: int, link_eigenvalues) -> IndicialSpectrum:
+    """Exceptional weights of the Laplacian on a Calabi-Yau cone of complex
+    dimension m: {0, 2m-2} together with the roots mu of
+
+        mu^2 - (2m-2) mu - lambda_j = 0
+
+    for each link eigenvalue lambda_j >= 0.  The roots satisfy
+    mu+ + mu- = 2m-2 and mu+ mu- = -lambda_j exactly.  When the first nonzero
+    eigenvalue satisfies lambda_1 >= 2m-1 (Lichnerowicz), the interval
+    (-mu_1^+, 2-2m) is free of exceptional weights of decaying type and is
+    reported; mu_1^+ = 2m-1 iff lambda_1 = 2m-1.
+    """
+    if m < 2:
+        raise DomainError("complex dimension m must be >= 2")
+    evs = sorted(float(x) for x in link_eigenvalues)
+    if any(x < 0 for x in evs):
+        raise DomainError("link eigenvalues must be nonnegative")
+    pairs = []
+    weights = {0.0, 2.0 * m - 2.0}
+    for lam in evs:
+        disc = math.sqrt((2 * m - 2) ** 2 + 4 * lam)
+        mu_plus = ((2 * m - 2) + disc) / 2.0
+        mu_minus = ((2 * m - 2) - disc) / 2.0
+        pairs.append((mu_minus, mu_plus))
+        weights.update((mu_minus, mu_plus))
+    fredholm = None
+    positive = [lam for lam in evs if lam > 1e-12]
+    if positive and positive[0] >= 2 * m - 1 - 1e-12:
+        disc = math.sqrt((2 * m - 2) ** 2 + 4 * positive[0])
+        mu1p = ((2 * m - 2) + disc) / 2.0
+        fredholm = (-mu1p, 2.0 - 2.0 * m)
+    sw = tuple(sorted(weights))
+    return IndicialSpectrum(m, tuple(evs), tuple(pairs), sw,
+                            tuple(sorted(-w for w in sw)), fredholm)

@@ -1,4 +1,6 @@
-"""Heat kernels, Green's functions, Poincare constants and indicial roots.
+"""Heat kernels, Green's functions and Poincare constants.  The indicial
+roots of a cone need no linear algebra and live in
+:mod:`conelab.hypersurface`.
 
 Poincare constants act on the conductance data of any network exposing
 ``measures``, ``edges`` and ``conductances``: the quadratic form
@@ -42,7 +44,6 @@ __all__ = [
     "gaussian_fit", "GaussianFit", "greens_function", "GreensFunction",
     "green_by_time_integration", "poincare_constant",
     "scale_invariant_poincare_scan", "covering_cell_constant",
-    "indicial_spectrum", "IndicialSpectrum",
 ]
 
 #: Largest accepted residual of the Green's function, relative to the scale
@@ -789,53 +790,3 @@ def covering_cell_constant(cov, net) -> float:
         if not np.array_equal(c.Ustar, c.Usharp):
             worst = max(worst, poincare_constant(net, c.U, c.Ustar))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# indicial roots
-
-
-@dataclass(frozen=True)
-class IndicialSpectrum:
-    m: int
-    link_eigenvalues: tuple
-    mu_pairs: tuple          # (mu_minus, mu_plus) per eigenvalue
-    exceptional_weights: tuple
-    negated_weights: tuple   # the same set in the opposite sign convention
-    fredholm_interval: Optional[tuple]
-
-
-def indicial_spectrum(m: int, link_eigenvalues) -> IndicialSpectrum:
-    """Exceptional weights of the Laplacian on a Calabi-Yau cone of complex
-    dimension m: {0, 2m-2} together with the roots mu of
-
-        mu^2 - (2m-2) mu - lambda_j = 0
-
-    for each link eigenvalue lambda_j >= 0.  The roots satisfy
-    mu+ + mu- = 2m-2 and mu+ mu- = -lambda_j exactly.  When the first nonzero
-    eigenvalue satisfies lambda_1 >= 2m-1 (Lichnerowicz), the interval
-    (-mu_1^+, 2-2m) is free of exceptional weights of decaying type and is
-    reported; mu_1^+ = 2m-1 iff lambda_1 = 2m-1.
-    """
-    if m < 2:
-        raise DomainError("complex dimension m must be >= 2")
-    evs = sorted(float(x) for x in link_eigenvalues)
-    if any(x < 0 for x in evs):
-        raise DomainError("link eigenvalues must be nonnegative")
-    pairs = []
-    weights = {0.0, 2.0 * m - 2.0}
-    for lam in evs:
-        disc = math.sqrt((2 * m - 2) ** 2 + 4 * lam)
-        mu_plus = ((2 * m - 2) + disc) / 2.0
-        mu_minus = ((2 * m - 2) - disc) / 2.0
-        pairs.append((mu_minus, mu_plus))
-        weights.update((mu_minus, mu_plus))
-    fredholm = None
-    positive = [lam for lam in evs if lam > 1e-12]
-    if positive and positive[0] >= 2 * m - 1 - 1e-12:
-        disc = math.sqrt((2 * m - 2) ** 2 + 4 * positive[0])
-        mu1p = ((2 * m - 2) + disc) / 2.0
-        fredholm = (-mu1p, 2.0 - 2.0 * m)
-    sw = tuple(sorted(weights))
-    return IndicialSpectrum(m, tuple(evs), tuple(pairs), sw,
-                            tuple(sorted(-w for w in sw)), fredholm)

@@ -430,8 +430,13 @@ def maximal_triangulation(section: CrossSection,
 
 
 def _as_fraction(x):
+    """A support value as an exact Fraction: a float by its shortest decimal
+    repr, a string like ``"3/2"`` parsed.  A boolean is refused, not read
+    as 0 or 1."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise DomainError(f"support value {x!r} is not a number")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):

@@ -81,7 +81,7 @@ def test_criterion_2_numbers_are_pinned():
     s_cell = covering_cell_constant(cov, cone)
     lam = poincare_constant(cone, region, sorted(cov.Asharp))
     assert (rep.q1, repr(rep.q2)) == (55, "15.481140289858345")
-    assert repr(s_graph) == "3.471695418872512"
+    assert repr(s_graph) == "3.4716954188724096"
     assert repr(s_cell) == "0.7210546181615378"
     assert repr(lam) == "0.8293670316752491"
     # the witnesses k(i, j) as a JSON list of sorted [i, j, k] triples

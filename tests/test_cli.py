@@ -376,6 +376,28 @@ class TestRealInputs:
         assert not out.exists()
 
 
+class TestLinkEdgeLengths:
+    """A graph link's edge lengths must be positive: a missing conductance
+    is the larger end measure over the length, and the link distance is
+    a shortest path over the lengths."""
+
+    @pytest.mark.parametrize("length", [0, 0.0, -1.0])
+    @pytest.mark.parametrize("conductance", [None, 1.0])
+    def test_non_positive_length_exits_2(self, tmp_path, capsys, length,
+                                         conductance):
+        doc = copy.deepcopy(GRAPH_CONE_DOC)
+        edge = doc["link"]["edges"][0]
+        edge["length"] = length
+        if conductance is None:
+            del edge["conductance"]
+        inp = write(tmp_path, "in.json", json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["cone", "--in", inp, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: link edge lengths must be positive\n"
+        assert not out.exists()
+
+
 class TestHeatCommand:
     def test_fit_report(self, tmp_path):
         inp = write(tmp_path, "cone.json", json.dumps(
@@ -590,6 +612,26 @@ class TestToricCommand:
         # difference of two capped volumes would lose; 1e-13 must not be
         # read as the zero class
         self.assert_scales_as_cube(tmp_path, interior)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_interior_value_exits_2(self, tmp_path, capsys, value):
+        # a boolean was read as the support value 1 or 0
+        doc = {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [-1, -1, 3]],
+               "omega_link": 1.0, "interior_value": value}
+        inp = write(tmp_path, "fan.json", json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["toric", "--in", inp, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: support value {value!r} is not a number\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [2, 2.0, "2", "3/2"])
+    def test_numeric_interior_value_exits_0(self, tmp_path, value):
+        doc = {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [-1, -1, 3]],
+               "omega_link": 1.0, "interior_value": value}
+        inp = write(tmp_path, "fan.json", json.dumps(doc))
+        assert main(["toric", "--in", inp, "--out",
+                     str(tmp_path / "r.json")]) == 0
 
     def test_overflowing_invariant_exits_2(self, tmp_path, capsys):
         doc = {"dim": 2, "rays": [[1, 0], [1, 2]], "omega_link": 1e-300,
@@ -964,8 +1006,8 @@ class TestImportFloor:
          ("numpy", "scipy", "jsonschema")),
         (["toric", "--in", "toric.json"], ("numpy", "scipy")),
         (["report", "--in", "golden/graph.json"], ("numpy", "scipy")),
-        (["graph", "--in", "graph.json"], ("scipy.sparse",)),
-        (["cover", "--in", "cover.json"], ("scipy.sparse",)),
+        (["graph", "--in", "graph.json"], ("scipy",)),
+        (["cover", "--in", "cover.json"], ("scipy",)),
         (["cone", "--in", "cone.json", "--samples", "20", "--csv", "c.csv"],
          ("scipy",)),
         (["heat", "--in", "heat.json", "--times", "0.2,0.4",
@@ -993,6 +1035,18 @@ class TestImportFloor:
         return subprocess.run([sys.executable, "-c", code, *argv],
                               capture_output=True, text=True, env=env,
                               timeout=120)
+
+    def test_indicial_roots_load_no_numpy(self):
+        proc = self.fresh_process(
+            "import json, sys\n"
+            "import conelab\n"
+            "spec = conelab.indicial_spectrum(3, [5.0])\n"
+            "assert spec.mu_pairs == ((-1.0, 5.0),)\n"
+            "print(json.dumps(sorted(sys.modules)))\n", [])
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")
+                ] == []
 
     def test_schema_error_exits_2_in_a_fresh_process(self, tmp_path):
         # jsonschema loads inside the validation that raises the error

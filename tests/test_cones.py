@@ -721,6 +721,12 @@ class TestConstructionAndIO:
             GraphLink((1.0, 1.0, 1.0), ((0, 1), (1, 2), (2, 0)),
                       (1.0, -5.0, 1.0), (1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("length", [0.0, -1.0])
+    def test_rejects_non_positive_link_length(self, length):
+        # a negative length kept the link's shortest paths from ending
+        with pytest.raises(DomainError, match="lengths must be positive"):
+            GraphLink((1.0, 1.0), ((0, 1),), (1.0,), (length,))
+
     def test_graph_link_cone(self):
         # two segments of length 1 joined at both ends: a circle of length 2
         link = GraphLink((1.0, 1.0), ((0, 1), (1, 0)), (1.0, 1.0),

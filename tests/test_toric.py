@@ -219,6 +219,11 @@ class TestConeData:
     def test_float_support_values_read_as_decimals(self, x, want):
         assert _as_fraction(x) == want
 
+    @pytest.mark.parametrize("x", [True, False])
+    def test_boolean_support_value_refused(self, x):
+        with pytest.raises(DomainError, match="is not a number"):
+            _as_fraction(x)
+
 
 class TestIntegerLinearAlgebra:
     def test_snf_diagonal_divisibility(self):
