@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DomainError, _count
+from .errors import DomainError, _count, _real
 
 
 @dataclass(frozen=True)
@@ -130,12 +130,14 @@ def indicial_spectrum(m: int, link_eigenvalues) -> IndicialSpectrum:
     eigenvalue satisfies lambda_1 >= 2m-1 (Lichnerowicz), the interval
     (-mu_1^+, 2-2m) is free of exceptional weights of decaying type and is
     reported; mu_1^+ = 2m-1 iff lambda_1 = 2m-1.
+
+    ``m`` must be an integer >= 2 and each eigenvalue a finite real number
+    >= 0 (not a string or a boolean), else DomainError.
     """
-    if m < 2:
-        raise DomainError("complex dimension m must be >= 2")
-    evs = sorted(float(x) for x in link_eigenvalues)
-    if any(x < 0 for x in evs):
-        raise DomainError("link eigenvalues must be nonnegative")
+    m = _count(m, 2, "complex dimension m")
+    evs = sorted(_real(x, "a link eigenvalue") for x in link_eigenvalues)
+    if not all(0 <= x < math.inf for x in evs):
+        raise DomainError("link eigenvalues must be finite and nonnegative")
     pairs = []
     weights = {0.0, 2.0 * m - 2.0}
     for lam in evs:

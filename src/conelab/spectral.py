@@ -15,12 +15,12 @@ graph is 1 / Lambda(V, V) (:func:`conelab.graphs.spectral_gap`).
 
 Heat kernels and Green's functions need a
 :class:`~conelab.cones.DiscretizedCone`: they use
-its product structure (separation of variables in the link eigenmodes, see
-:func:`_modal`), in which the operator is one symmetric tridiagonal matrix.
-The heat flow is an exact function of it (:func:`_modal_apply`), the Green's
-function one ``dpttrf``/``dpttrs`` solve, the backward-Euler time integral one
-tridiagonal recursion, each on the link modes that the source reaches
-(:func:`_reached_modes`).  Each result is checked against the vertex-basis
+its product structure (separation of variables in the link eigenmodes), in
+which the operator is one symmetric tridiagonal matrix, built only on the
+link modes that the source reaches (:func:`_reached_modes`).  The heat flow
+is an exact function of it (:func:`_modal_apply`), the Green's function one
+``dpttrf``/``dpttrs`` solve, the backward-Euler time integral one
+tridiagonal recursion.  Each result is checked against the vertex-basis
 network, summed edge by edge in the cone's ring blocks, so no edge array of
 the whole cone is built (:func:`_robin_products`).
 """
@@ -105,8 +105,11 @@ def _link_modes(cone):
     return modes
 
 
-def _modal(cone, robin):
-    """The cone's Laplacian and measure in the basis of link eigenmodes.
+def _reached_modes(cone, robin, source):
+    """The cone's Laplacian and measure in the basis of link eigenmodes, on
+    the modes that ``source`` reaches: the one builder of the modal
+    operator, and the one rule by which the heat kernel, the Green's
+    function and its time integration skip modes.
 
     The link eigenpairs of :func:`_link_modes`, L_S Phi = M_S Phi diag(mu)
     with Phi^T M_S Phi = I, give V = 1 (+) (I_K (x) Phi) (the apex, when
@@ -114,29 +117,44 @@ def _modal(cone, robin):
     L_S, V^T L V is the radial tridiagonal matrix L_r + mu_j diag(T) in each
     mode j, and V^T M V is diag(shell) in each mode (Cheeger's separation of
     variables on cones, in discrete form).  Coordinates are ordered apex
-    first, then mode 0's rings, mode 1's rings, ..., so the whole operator
-    is one symmetric tridiagonal matrix: the apex edges add the constant
-    c_apex to ring 0 of every mode and couple the apex only to mode 0,
-    with weight -c_apex Phi_0^T M_S 1, since the other modes are
-    M_S-orthogonal to the constants.  With ``robin`` the outflow term of
-    :func:`_outflow` on the outer ring, a multiple of M_S, adds the same
-    constant to the outer ring of every mode.
+    first, then mode 0's rings, mode 1's rings, ..., so the operator is one
+    symmetric tridiagonal matrix: the apex edges add the constant c_apex to
+    ring 0 of every mode and couple the apex only to mode 0, with weight
+    -c_apex Phi_0^T M_S 1, since the other modes are M_S-orthogonal to the
+    constants.  With ``robin`` the outflow term of :func:`_outflow` on the
+    outer ring, a multiple of M_S, adds the same constant to the outer ring
+    of every mode.
 
-    Returns the operator's diagonal and off-diagonal, the modal mass (a
-    diagonal), and the maps x -> V^T x and c -> V c; the solvers take it
-    on the modes that their source reaches (:func:`_reached_modes`).
-    """
+    The operator is block diagonal, with no coupling between blocks: the
+    apex (when present) with mode 0's K rings, then the K rings of each
+    further mode.  b = V^T e_source is Phi's row at the source's link node,
+    on the source's ring in each mode (the apex coordinate alone for a
+    source at the apex), and every solution is exactly zero on a block
+    where b is zero.  So only mode 0 and the modes where that row is
+    nonzero are built: a source at the apex reaches only mode 0, a sphere's
+    polar cap node not the modes that vanish there.  Where two kept blocks
+    meet, the off-diagonal entry is a zero.
+
+    Returns the kept rows' diagonal, off-diagonal, mass and b, the kept
+    block sizes, and the map from the kept rows to the vertex basis."""
     f = cone.factors
     lm = f.link_measures
     A, K = len(lm), cone.radial_steps
     off = 0 if cone.apex is None else 1
     mu, Phi = _link_modes(cone)
+    at_apex = source == cone.apex
+    ring, node = divmod(source - off, A)
+    kept = np.r_[True, (Phi[node, 1:] != 0) & (not at_apex)]
+    b = np.zeros((np.count_nonzero(kept), K))
+    if not at_apex:
+        b[:, ring] = Phi[node, kept]
     w = f.radial_weights
-    diag = np.r_[w, 0.0] + np.r_[0.0, w] + np.outer(mu, f.ring_factors)
-    coupling = np.zeros((A, K))
+    diag = np.r_[w, 0.0] + np.r_[0.0, w] + np.outer(mu[kept], f.ring_factors)
+    coupling = np.zeros(b.shape)
     coupling[:, :-1] = -w
     coupling = coupling.ravel()[:-1]
-    mass = np.tile(f.shell, A)
+    mass = np.tile(f.shell, len(b))
+    b = b.ravel()
     if robin:
         diag[:, -1] += _outflow(cone)
     if off:
@@ -145,60 +163,27 @@ def _modal(cone, robin):
         diag = np.r_[c_apex * lm.sum(), diag.ravel()]
         coupling = np.r_[-c_apex * np.dot(Phi[:, 0], lm), coupling]
         mass = np.r_[cone.measures[0], mass]
-
-    def to_modes(x):
-        return np.r_[x[:off], (x[off:].reshape(K, A) @ Phi).T.ravel()]
-
-    def from_modes(c):
-        return np.r_[c[:off], (c[off:].reshape(A, K).T @ Phi.T).ravel()]
-
-    return diag.ravel(), coupling, mass, to_modes, from_modes
-
-
-def _reached_modes(cone, robin, source):
-    """The operator of :func:`_modal` on the link modes that ``source``
-    reaches: the one rule by which the heat kernel, the Green's function
-    and its time integration skip modes.
-
-    The operator is block diagonal, with no coupling between blocks: the
-    apex (when present) with mode 0's K rings, then the K rings of each
-    further mode.  Every solution is exactly zero on a block where
-    b = V^T e_source is zero, so only the blocks where b is nonzero are
-    kept, and mode 0's block always: a source at the apex reaches only
-    mode 0, a sphere's polar cap node not the modes that vanish there.
-    Where two kept blocks meet, the off-diagonal entry is a zero.
-
-    Returns the kept rows' diagonal, off-diagonal, mass and b, the kept
-    block sizes, and the map from the kept rows to the vertex basis."""
-    diag, coupling, mass, to_modes, from_modes = _modal(cone, robin)
-    e = np.zeros(cone.n_vertices)
-    e[source] = 1.0
-    b = to_modes(e)
-    off, K = (0 if cone.apex is None else 1), cone.radial_steps
-    sizes = np.r_[off + K, np.full(cone.link_nodes - 1, K)]
-    kept = np.r_[True, b[off + K:].reshape(-1, K).any(axis=1)]
+        b = np.r_[float(at_apex), b]
+    sizes = np.r_[off + K, np.full(A - 1, K)]
     rows = np.flatnonzero(np.repeat(kept, sizes))
 
     def to_vertices(x):
-        y = np.zeros(len(b))
+        y = np.zeros(off + A * K)
         y[rows] = x
-        return from_modes(y)
+        return np.r_[y[:off], (y[off:].reshape(A, K).T @ Phi.T).ravel()]
 
-    return (diag[rows], coupling[rows[:-1]], mass[rows], b[rows],
-            sizes[kept], to_vertices)
+    return diag.ravel(), coupling, mass, b, sizes[kept], to_vertices
 
 
 def _modal_apply(cone, source, f):
     """The columns of V M^-1/2 Q f(Lambda) Q^T M^-1/2 V^T e_source, for
     Q Lambda Q^T the eigen-decomposition of the mass-scaled operator
-    M^-1/2 L M^-1/2 of :func:`_modal` (natural boundary, no Robin term).
-
-    The operator is block diagonal, and only the blocks that the source
-    reaches are kept (:func:`_reached_modes`): a source at the apex takes
-    one eigen-solve instead of A.  Each block takes one symmetric
+    M^-1/2 L M^-1/2 of :func:`_reached_modes` (natural boundary, no Robin
+    term), built on the blocks that the source reaches: a source at the apex
+    takes one eigen-solve instead of A.  Each block takes one symmetric
     tridiagonal eigen-solve, and f maps its eigenvalues to a (block size,
-    columns) array, so any function of the operator is exact up to
-    rounding at O(A K^2) cost.
+    columns) array, so any function of the operator is exact up to rounding
+    at O(A K^2) cost.
 
     Also returns the Gershgorin bound of the first block's largest
     eigenvalue, found in O(K).  The mass lives in that block, and the
@@ -407,10 +392,10 @@ def greens_function(cone, source: int) -> GreensFunction:
     The outer truncation ring carries a Robin condition matching the decay
     r^(2-n), so G approximates the Green's function of the infinite cone.
     The solve is one LAPACK ``dpttrf``/``dpttrs`` pass, O(n), in the link-
-    eigenmode basis (:func:`_modal`), on the rows of the modes that the
-    source reaches (:func:`_reached_modes`; G is exactly zero in the
-    others), with InternalFault if ``dpttrf`` fails; the residual of G is
-    then checked in the vertex basis, and InternalFault is raised if
+    eigenmode basis, on the rows of the modes that the source reaches
+    (:func:`_reached_modes`; G is exactly zero in the others), with
+    InternalFault if ``dpttrf`` fails; the residual of G is then checked in
+    the vertex basis, and InternalFault is raised if
     ||L G - delta||_inf exceeds GREEN_RESIDUAL_TOL * || |L| |G| ||_inf.
     """
     if cone.dimension <= 2:
@@ -437,16 +422,22 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
     converges) but a different computation: the N = ``n_steps`` steps
     h_k = (M + dt L)^-1 M h_(k-1) from h_0 = delta_source / m_source, summed
     to T_N = dt (h_1 + ... + h_N).  The steps run in the link-eigenmode
-    basis of :func:`_modal`, where M + dt L is one symmetric positive-
-    definite tridiagonal matrix: it is factored once (LAPACK ``dpttrf``,
-    InternalFault if that fails), and each step is one ``dpttrs`` solve,
-    in place.  Only the rows of the modes that the source reaches are
-    factored and stepped (:func:`_reached_modes`); h_k is exactly zero in
-    the others.  A tail estimate h_N / lam_N, with lam_N the decay rate of
-    the mass from h_(N-1) to h_N, stands for the rest of the integral.  The
+    basis, where M + dt L is one symmetric positive-definite tridiagonal
+    matrix: it is factored once (LAPACK ``dpttrf``, InternalFault if that
+    fails), and each step is one ``dpttrs`` solve, in place.  Only the rows
+    of the modes that the source reaches are factored and stepped
+    (:func:`_reached_modes`); h_k is exactly zero in the others.  The
     vertex-basis network checks T_N through the identity L T_N = M (h_0 -
     h_N) that the steps sum to; InternalFault is raised if its residual
     exceeds GREEN_RESIDUAL_TOL * || |L| |T_N| ||_inf.
+
+    The rest of the integral is estimated as h_N m(h_N) / F(h_N), with m
+    the mass and F = sum r_i h_i the outflow through the outer ring (the r
+    of :func:`_robin_products`).  Mass leaves only there, m(h_(k-1)) -
+    m(h_k) = dt F(h_k), so for the slowest mode, L v = lam_0 M v, the
+    estimate is h_N / lam_0, the exact sum of the remaining steps.  A flow
+    that has not reached the outer ring (F(h_N) = 0 in floating point) has
+    no such estimate: PreconditionError.
 
     ``n_steps`` must be an integer >= 2 and ``dt`` a finite positive step
     (by default 0.08 r_max^2 / N), else DomainError.
@@ -466,23 +457,23 @@ def green_by_time_integration(cone, source: int, dt: float | None = None,
     if info != 0:
         raise InternalFault(f"M + dt L is not positive definite "
                             f"(dpttrf info {info})")
-    h, h_prev, total = np.empty(len(d)), np.empty(len(d)), np.zeros(len(d))
+    h, total = np.empty(len(d)), np.zeros(len(d))
     for _ in range(n_steps):
         c = dpttrs(d, e, rhs, overwrite_b=1)[0]
         total += c
-        # three buffers: h_(k-2)'s takes the next right-hand side
-        rhs, h, h_prev = np.multiply(mass, c, out=h_prev), c, h
-    total, h, h_prev = map(to_vertices, (dt * total, h, h_prev))
+        # two buffers: h_(k-1)'s takes the next right-hand side
+        rhs, h = np.multiply(mass, c, out=h), c
+    total, h = to_vertices(dt * total), to_vertices(h)
     # L T_N = M (h_0 - h_N)
     _check_residual(cone, total, source, cone.measures * h,
                     "time integration")
-    norm = float(np.dot(h, cone.measures))
-    prev_norm = float(np.dot(h_prev, cone.measures))
-    if prev_norm > 0 and norm > 0:
-        lam = -math.log(norm / prev_norm) / dt
-        if lam > 0:
-            total += h / lam
-    return total
+    r = _outflow(cone) * cone.factors.link_measures
+    flux = float(np.dot(r, h[-cone.link_nodes:]))
+    if not flux > 0:
+        raise PreconditionError(
+            f"h_N has not reached the outer ring after {n_steps} steps of "
+            f"dt = {dt:g}: no tail estimate")
+    return total + h * (float(np.dot(h, cone.measures)) / flux)
 
 
 # ---------------------------------------------------------------------------

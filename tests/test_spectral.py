@@ -2,6 +2,7 @@ import gc
 import math
 import tracemalloc
 import types
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -672,27 +673,59 @@ def vertex_heat(cone, source, times):
     return [Phi @ (np.exp(-t * lam) * Phi[source]) for t in times]
 
 
+def outflow_tail(cone, h):
+    """The tail estimate h_N m(h_N) / F(h_N): the mass over the outflow
+    through the outer ring, with the Robin term of vertex_robin_laplacian."""
+    r = conelab.spectral._outflow(cone) * cone.factors.link_measures
+    return h * (np.dot(h, cone.measures) / np.dot(r, h[-cone.link_nodes:]))
+
+
 def vertex_time_integration(cone, source, dt, n_steps):
     """Reference backward-Euler quadrature of the heat flow with the Robin
-    term of vertex_green, stepped in the vertex basis, plus the tail
-    estimate h_N / lam from the last decay rate of the mass."""
+    term of vertex_green, stepped in the vertex basis, plus outflow_tail."""
     L = vertex_robin_laplacian(cone)
     M = sp.diags(cone.measures)
     lu = splu((M + dt * L).tocsc())
     h = np.zeros(cone.n_vertices)
     h[source] = 1.0 / cone.measures[source]
     total = np.zeros_like(h)
-    prev_norm = lam = None
     for _ in range(n_steps):
         h = lu.solve(M @ h)
         total += dt * h
-        norm = float(np.dot(h, cone.measures))
-        if prev_norm and norm > 0:
-            lam = -math.log(norm / prev_norm) / dt
-        prev_norm = norm
-    if lam and lam > 0:
-        total += h / lam
-    return total
+    return total + outflow_tail(cone, h)
+
+
+def whole_modal(cone, robin):
+    """Reference: the modal operator on every link mode, as the diagonal,
+    off-diagonal and mass of one tridiagonal system ordered apex, mode 0's
+    rings, mode 1's rings, ..., with the maps x -> V^T x and c -> V c."""
+    f = cone.factors
+    lm = f.link_measures
+    A, K = len(lm), cone.radial_steps
+    off = 0 if cone.apex is None else 1
+    mu, Phi = conelab.spectral._link_modes(cone)
+    w = f.radial_weights
+    diag = np.r_[w, 0.0] + np.r_[0.0, w] + np.outer(mu, f.ring_factors)
+    coupling = np.zeros((A, K))
+    coupling[:, :-1] = -w
+    coupling = coupling.ravel()[:-1]
+    mass = np.tile(f.shell, A)
+    if robin:
+        diag[:, -1] += conelab.spectral._outflow(cone)
+    if off:
+        c_apex = f.apex_conductance
+        diag[:, 0] += c_apex
+        diag = np.r_[c_apex * lm.sum(), diag.ravel()]
+        coupling = np.r_[-c_apex * np.dot(Phi[:, 0], lm), coupling]
+        mass = np.r_[cone.measures[0], mass]
+
+    def to_modes(x):
+        return np.r_[x[:off], (x[off:].reshape(K, A) @ Phi).T.ravel()]
+
+    def from_modes(c):
+        return np.r_[c[:off], (c[off:].reshape(A, K).T @ Phi.T).ravel()]
+
+    return diag.ravel(), coupling, mass, to_modes, from_modes
 
 
 def ring_sources(cone):
@@ -722,6 +755,9 @@ CONES = [build_cone(CircleLink(TWO_PI), 0.0, 3.0, 24, angular_steps=12),
          build_cone(sphere_link(4, 8), 0.1, 3.0, 12),
          build_cone(sphere_link(4, 8), 0.1, 3.0, 12, spacing="geometric")]
 CONE_IDS = ["disc", "half_disc", "sphere", "sphere_geometric"]
+
+#: The 46,080-vertex cone of the benchmark's Green's function.
+GREEN_BENCH = build_cone(sphere_link(12, 24), 0.05, 8.0, 160)
 
 
 class TestSeparatedVariables:
@@ -773,15 +809,15 @@ class TestSeparatedVariables:
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
 
     def test_corrupted_coupling_trips_internal_fault(self, monkeypatch):
-        modal = conelab.spectral._modal
+        reached = conelab.spectral._reached_modes
 
-        def corrupted(cone, robin):
-            diag, coupling, mass, to_modes, from_modes = modal(cone, robin)
+        def corrupted(cone, robin, source):
+            diag, coupling, *rest = reached(cone, robin, source)
             coupling = coupling.copy()
             coupling[1] *= 1.001
-            return diag, coupling, mass, to_modes, from_modes
+            return (diag, coupling, *rest)
 
-        monkeypatch.setattr(conelab.spectral, "_modal", corrupted)
+        monkeypatch.setattr(conelab.spectral, "_reached_modes", corrupted)
         sphere = build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
         with pytest.raises(InternalFault):
             greens_function(sphere, 0)
@@ -792,14 +828,13 @@ class TestSeparatedVariables:
             heat_kernel(disc, 0, [0.2])
 
     def test_indefinite_step_matrix_trips_internal_fault(self, monkeypatch):
-        modal = conelab.spectral._modal
+        reached = conelab.spectral._reached_modes
 
-        def indefinite(cone, robin):
-            diag, coupling, mass, to_modes, from_modes = modal(cone, robin)
-            return (-diag, -coupling, np.zeros_like(mass), to_modes,
-                    from_modes)
+        def indefinite(cone, robin, source):
+            diag, coupling, mass, *rest = reached(cone, robin, source)
+            return (-diag, -coupling, np.zeros_like(mass), *rest)
 
-        monkeypatch.setattr(conelab.spectral, "_modal", indefinite)
+        monkeypatch.setattr(conelab.spectral, "_reached_modes", indefinite)
         sphere = build_cone(sphere_link(4, 8), 0.1, 3.0, 12)
         with pytest.raises(InternalFault, match="dpttrf"):
             green_by_time_integration(sphere, 0, dt=0.05, n_steps=60)
@@ -818,7 +853,7 @@ class TestSeparatedVariables:
             assert np.max(np.abs(Lx - L @ x)) <= 1e-13 * np.max(want)
 
     @pytest.mark.parametrize("cone", CONES + [
-        build_cone(sphere_link(12, 24), 0.05, 8.0, 160),
+        GREEN_BENCH,
         build_cone(CircleLink(TWO_PI), 0.0, 4.0, 40, angular_steps=12)],
         ids=CONE_IDS + ["green_bench", "disc_40_rings"])
     def test_ring_blocks_match_the_whole_edge_sum(self, cone):
@@ -851,8 +886,7 @@ class TestSeparatedVariables:
         cone = build_cone(sphere_link(10, 20), 0.05, 5.0, 20)
         K = cone.radial_steps
         dt, n_steps = 0.05, 30
-        diag, coupling, mass, to_modes, from_modes = \
-            conelab.spectral._modal(cone, robin=True)
+        diag, coupling, mass, to_modes, from_modes = whole_modal(cone, True)
         e_source = np.zeros(cone.n_vertices)
         e_source[source] = 1.0
         b = to_modes(e_source)
@@ -862,16 +896,12 @@ class TestSeparatedVariables:
             want = from_modes(lapack.dpttrs(d, e, b)[0])
         else:
             d, e, _ = lapack.dpttrf(mass + dt * diag, dt * coupling)
-            total, c = np.zeros_like(b), None
+            total = np.zeros_like(b)
             for _ in range(n_steps):
-                c_prev, c = c, lapack.dpttrs(d, e, b)[0]
+                c = lapack.dpttrs(d, e, b)[0]
                 total += c
                 b = mass * c
-            total, h, h_prev = (from_modes(x)
-                                for x in (dt * total, c, c_prev))
-            want = total + h / (-math.log(np.dot(h, cone.measures)
-                                          / np.dot(h_prev, cone.measures))
-                                / dt)
+            want = from_modes(dt * total) + outflow_tail(cone, from_modes(c))
         # the apex-free cone's K-row blocks, one per link mode; mode 0
         # (the constants) reaches every vertex
         reached = K * int(np.count_nonzero(
@@ -900,6 +930,45 @@ class TestSeparatedVariables:
         if source == 0:
             # the polar cap node is a zero of a quarter of the link modes
             assert reached == 3000 < cone.n_vertices == 4000
+
+    @pytest.mark.parametrize("cone, robin", [
+        (CONES[0], False), (CONES[1], False),
+        (build_cone(sphere_link(10, 20), 0.05, 5.0, 20), True),
+        (GREEN_BENCH, True)],
+        ids=["disc", "half_disc", "sphere_10_20", "green_bench"])
+    def test_reached_modes_are_rows_of_the_whole_system(self, cone, robin):
+        """_reached_modes builds, bit for bit, the rows of whole_modal in
+        mode 0's block and in the blocks where b = V^T e_source is nonzero,
+        for the heat operator (robin=False) of the apex circle cones and
+        the Robin operator of the sphere cones; to_vertices is V on them."""
+        diag, coupling, mass, to_modes, from_modes = whole_modal(cone, robin)
+        A, K = cone.link_nodes, cone.radial_steps
+        off = cone.n_vertices - A * K
+        sizes = np.r_[off + K, np.full(A - 1, K)]
+        rng = np.random.default_rng(5)
+        for source in ring_sources(cone) + [off + 1]:
+            e_source = np.zeros(cone.n_vertices)
+            e_source[source] = 1.0
+            b = to_modes(e_source)
+            kept = np.r_[True, b[off + K:].reshape(-1, K).any(axis=1)]
+            rows = np.flatnonzero(np.repeat(kept, sizes))
+            *got, got_sizes, to_vertices = conelab.spectral._reached_modes(
+                cone, robin, source)
+            want = diag[rows], coupling[rows[:-1]], mass[rows], b[rows]
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            assert got_sizes.tolist() == sizes[kept].tolist()
+            x = rng.standard_normal(len(rows))
+            y = np.zeros(len(b))
+            y[rows] = x
+            assert to_vertices(x).tobytes() == from_modes(y).tobytes()
+
+    def test_time_integration_tail_needs_outflow(self):
+        """Two steps of dt = 1e-7 leave h_N zero in floating point on the
+        outer ring of 160, so the outflow that sets the tail is 0."""
+        cone = build_cone(sphere_link(4, 8), 0.05, 8.0, 160)
+        with pytest.raises(PreconditionError, match="outer ring"):
+            green_by_time_integration(cone, 0, dt=1e-7, n_steps=2)
 
     def test_green_path_needs_no_superlu(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -937,10 +1006,11 @@ class TestSeparatedVariables:
         assert got_green.tobytes() == want_green.tobytes()
         assert got_time.tobytes() == want_time.tobytes()
         # the modes are kept only while their cone lives
-        kept = len(conelab.spectral._LINK_MODES)
+        assert cone in conelab.spectral._LINK_MODES
+        alive = weakref.ref(cone)
         del cone
         gc.collect()
-        assert len(conelab.spectral._LINK_MODES) == kept - 1
+        assert alive() is None
 
     def test_green_memory_is_linear(self):
         """The traced heap peak of one solve on a 46,080-vertex cone stays
@@ -1018,6 +1088,15 @@ class TestIndicial:
             indicial_spectrum(1, [1.0])
         with pytest.raises(DomainError):
             indicial_spectrum(3, [-1.0])
+
+    @pytest.mark.parametrize("m, evs", [
+        (2.5, [5.0]), (3.0, [5.0]), (True, [5.0]), (3, ["5", True]),
+        (3, [5.0, True]), (3, [math.nan]), (3, [math.inf])])
+    def test_dimension_and_eigenvalues_are_checked(self, m, evs):
+        # 2.5 returned weights, ['5', True] read as (1.0, 5.0), and NaN
+        # gave NaN weights
+        with pytest.raises(DomainError):
+            indicial_spectrum(m, evs)
 
 
 class TestCoveringConstants:
