@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: graph | cover | cone | heat | green | toric | bp | report.
-Reports are JSON documents validated against the schema shipped with the
-package; runs are deterministic for a fixed seed (byte-identical output).
+Reports are JSON objects with the keys tool, version, seed, config,
+results and optionally warnings, checked by :func:`_check_report`; runs
+are deterministic for a fixed seed (byte-identical output).
 Exit codes: 0 success, 2 invalid input or infeasible configuration,
 1 internal fault.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib.resources
 import json
 import math
 import sys
@@ -19,26 +19,41 @@ from . import __version__
 from .errors import (CapacityError, DomainError, InternalFault,
                      PreconditionError, UnsupportedError, _count, _real)
 
-
-@functools.cache
-def _validator():
-    """The report schema's validator, built and checked once."""
-    import jsonschema
-
-    ref = importlib.resources.files("conelab.schemas") / "report.schema.json"
-    schema = json.loads(ref.read_text())
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+#: The subcommands that write a report, one of which a report's tool names.
+_TOOLS = ("graph", "cover", "cone", "heat", "green", "toric", "bp")
+#: The keys every report has; the only other key allowed is warnings.
+_ENVELOPE = ("tool", "version", "seed", "config", "results")
 
 
-def _validate(doc):
-    """``jsonschema.validate(doc, schema)`` with the compiled validator."""
-    import jsonschema
-
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-    if error is not None:
-        raise error
+def _check_report(doc):
+    """DomainError unless ``doc`` is a report: an object with every key of
+    _ENVELOPE and no other key but warnings; tool one of _TOOLS, version a
+    string, seed an integer (as in JSON Schema, a float with no fractional
+    part counts), config and results objects, and warnings a list of
+    strings."""
+    if not isinstance(doc, dict):
+        raise DomainError(f"a report is a JSON object, not {doc!r:.60}")
+    for key in _ENVELOPE:
+        if key not in doc:
+            raise DomainError(f"the report has no {key!r}")
+    for key in doc:
+        if key not in _ENVELOPE and key != "warnings":
+            raise DomainError(f"the report has an unknown key {key!r:.60}")
+    seed, warnings = doc["seed"], doc.get("warnings", [])
+    for key, ok, want in [
+        ("tool", doc["tool"] in _TOOLS, "one of " + ", ".join(_TOOLS)),
+        ("version", isinstance(doc["version"], str), "a string"),
+        ("seed", not isinstance(seed, bool) and (
+            isinstance(seed, int)
+            or isinstance(seed, float) and seed.is_integer()), "an integer"),
+        ("config", isinstance(doc["config"], dict), "an object"),
+        ("results", isinstance(doc["results"], dict), "an object"),
+        ("warnings", isinstance(warnings, list)
+         and all(isinstance(w, str) for w in warnings), "a list of strings"),
+    ]:
+        if not ok:
+            raise DomainError(f"the report's {key} must be {want}, not "
+                              f"{doc[key]!r:.60}")
 
 
 def write_report(tool, config, results, args, warnings=()):
@@ -51,7 +66,7 @@ def write_report(tool, config, results, args, warnings=()):
     }
     if warnings:
         doc["warnings"] = list(warnings)
-    _validate(doc)
+    _check_report(doc)
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -226,6 +241,20 @@ def run_green(args):
     return 0
 
 
+def _support_ray(key):
+    """The ray that a support_values key names: a JSON list of integers,
+    such as "[1, 2]"."""
+    try:
+        ray = json.loads(key)
+    except (TypeError, ValueError):
+        ray = None
+    if not isinstance(ray, list):
+        raise DomainError(f"support_values key {key!r:.60} is not a JSON "
+                          f"list of integers")
+    return tuple(_count(x, None, "a support_values ray coordinate")
+                 for x in ray)
+
+
 def run_toric(args):
     from . import toric
 
@@ -237,7 +266,13 @@ def run_toric(args):
         rays = tuple(tuple(_count(x, None, "a ray coordinate") for x in r)
                      for r in doc["rays"])
         omega = _real(doc["omega_link"], "omega_link")
-        raw = dict(doc.get("support_values", {}))
+        support = {}
+        for key, value in dict(doc.get("support_values", {})).items():
+            ray = _support_ray(key)
+            if ray in support:
+                raise DomainError(f"support_values names the ray "
+                                  f"{list(ray)} twice")
+            support[ray] = value
         interior = doc.get("interior_value", 1)
     except (ValueError, KeyError, TypeError) as exc:
         raise DomainError(f"malformed toric JSON: {exc}") from exc
@@ -248,8 +283,11 @@ def run_toric(args):
             f"no Gorenstein covector: {gres.certificate}")
     section = toric.cross_section(cone, gres.gamma)
     tri = toric.maximal_triangulation(section, cone)
-    values = {u: raw.get(json.dumps(list(u)),
-                         0 if i < tri.n_boundary else interior)
+    unknown = sorted(support.keys() - set(tri.rays))
+    if unknown:
+        raise DomainError(f"support_values names {list(unknown[0])}, which "
+                          f"is not a ray of the triangulation")
+    values = {u: support.get(u, 0 if i < tri.n_boundary else interior)
               for i, u in enumerate(tri.rays)}
     inv = toric.invariant_A(tri, values, omega, method="both")
     results = {
@@ -275,6 +313,8 @@ def run_bp(args):
     from . import hypersurface
 
     lo, hi = (int(x) for x in args.k_range.split(".."))
+    if lo > hi:
+        raise DomainError(f"empty k-range {args.k_range}: {lo} > {hi}")
     ks = list(range(lo, hi + 1))
     if args.format == "csv":
         text = hypersurface.bp_table_csv(args.m, ks)
@@ -299,10 +339,20 @@ def _not_strict_json(name):
                       f"Infinity")
 
 
+def _finite_float(text):
+    """``float(text)``, refusing a literal such as 1e400 that reads as an
+    infinity."""
+    x = float(text)
+    if math.isinf(x):
+        _not_strict_json(text)
+    return x
+
+
 def run_report(args):
     with open(args.infile) as fh:
-        doc = json.load(fh, parse_constant=_not_strict_json)
-    _validate(doc)
+        doc = json.load(fh, parse_constant=_not_strict_json,
+                        parse_float=_finite_float)
+    _check_report(doc)
     print(f"valid report: tool={doc['tool']} version={doc['version']}")
     return 0
 
@@ -372,18 +422,11 @@ def build_parser():
     return p
 
 
-def _input_errors():
-    """The exceptions that exit 2.  ValueError covers DomainError,
-    PreconditionError and json.JSONDecodeError; OSError covers a file that
-    cannot be read or written (missing, a directory, no permission).
-    jsonschema's ValidationError is one of them once a report was
-    validated; jsonschema is not loaded before, so a subcommand that
-    validates nothing does not load it."""
-    errors = (ValueError, OSError, KeyError, CapacityError, UnsupportedError)
-    jsonschema = sys.modules.get("jsonschema")
-    if jsonschema is None:
-        return errors
-    return errors + (jsonschema.ValidationError,)
+#: The exceptions that exit 2.  ValueError covers DomainError,
+#: PreconditionError and json.JSONDecodeError; OSError covers a file that
+#: cannot be read or written (missing, a directory, no permission).
+_INPUT_ERRORS = (ValueError, OSError, KeyError, CapacityError,
+                 UnsupportedError)
 
 
 def main(argv=None) -> int:
@@ -391,7 +434,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _input_errors() as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalFault as exc:

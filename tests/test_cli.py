@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +25,11 @@ import conelab.toric
 from conelab import GoodCovering, WeightedGraph, bp_table_csv
 from conelab.cli import build_parser, main
 from conelab.covering import covering_to_json
+from conelab.errors import DomainError
 from conelab.graphs import graph_to_json
 
 TWO_PI = 2.0 * math.pi
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 CONE_DOC = {"link": {"kind": "circle", "length": 6.283185307179586},
             "r_min": 0.0, "r_max": 3.0, "radial_steps": 24,
@@ -660,6 +663,47 @@ class TestToricCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_support_value_keys_read_as_rays(self, tmp_path):
+        # keys written "[1,1]" were dropped silently, and the run failed
+        # with "not strictly convex"
+        doc = json.loads((FIXTURES / "a9.json").read_text())
+        doc["support_values"] = {key.replace(" ", ""): value for key, value
+                                 in doc["support_values"].items()}
+        inp = write(tmp_path, "a9.json", json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["toric", "--in", inp, "--out", str(out)]) == 0
+        golden = FIXTURES / "golden" / "toric_a9.json"
+        assert (json.loads(out.read_text())["results"]
+                == json.loads(golden.read_text())["results"])
+
+    @pytest.mark.parametrize("keys, message", [
+        ({"[7, 7]": 1},
+         "support_values names [7, 7], which is not a ray of the "
+         "triangulation"),
+        ({"[1]": 1},
+         "support_values names [1], which is not a ray of the triangulation"),
+        ({"[1,1]": 9}, "support_values names the ray [1, 1] twice"),
+        ({"[1, x]": 1}, "support_values key '[1, x]' is not a JSON list of "
+                        "integers"),
+        ({"1": 1}, "support_values key '1' is not a JSON list of integers"),
+        ({"[1, 1.0]": 1},
+         "a support_values ray coordinate must be an integer, not 1.0"),
+        ({"[1, true]": 1},
+         "a support_values ray coordinate must be an integer, not True"),
+    ], ids=["unknown-ray", "short-ray", "twice", "not-json", "not-a-list",
+            "float", "bool"])
+    def test_bad_support_value_key_exits_2(self, tmp_path, capsys, keys,
+                                           message):
+        # "[7, 7]" was ignored and the run exited 0
+        doc = json.loads((FIXTURES / "a9.json").read_text())
+        doc["support_values"].update(keys)
+        inp = write(tmp_path, "a9.json", json.dumps(doc))
+        assert main(["toric", "--in", inp]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(message + "\n")
+        assert err.count("\n") == 1
+
     def test_one_class_check_per_run(self, tmp_path, monkeypatch):
         calls = []
         check = conelab.toric.support_function_check
@@ -945,6 +989,14 @@ class TestBpCommand:
         assert doc["tool"] == "bp"
         assert [row["k"] for row in doc["results"]["rows"]] == [2, 3, 4, 5]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_k_range_exits_2(self, capsys, fmt):
+        # 12..3 printed a header-only table and exited 0
+        assert main(["bp", "--m", "3", "--k-range", "12..3",
+                     "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", "error: empty k-range 12..3: "
+                                           "12 > 3\n")
+
 
 class TestReportCommand:
     def test_round_trip_validation(self, tmp_path, capsys):
@@ -956,14 +1008,20 @@ class TestReportCommand:
         assert main(["report", "--in", out]) == 0
         assert "valid report" in capsys.readouterr().out
 
-    def test_rejects_foreign_document(self, tmp_path):
+    def test_rejects_foreign_document(self, tmp_path, capsys):
+        # one line: jsonschema's message came with a dump of the schema and
+        # of the document
         inp = write(tmp_path, "x.json", json.dumps({"hello": 1}))
         assert main(["report", "--in", inp]) == 2
+        assert capsys.readouterr() == ("", "error: the report has no "
+                                           "'tool'\n")
 
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
+                                       "1e400", "-1e400"])
     def test_rejects_nan_and_infinity(self, tmp_path, capsys, token):
-        # the schema cannot see these tokens: json.load reads them as floats
-        golden = pathlib.Path(__file__).parent / "fixtures" / "golden"
+        # the envelope check cannot see these tokens: json.load reads them
+        # as floats; 1e400 was read as inf and passed
+        golden = FIXTURES / "golden"
         text, n = re.subn(r'"spectral_gap": [^,\n]+',
                           f'"spectral_gap": {token}',
                           (golden / "graph.json").read_text())
@@ -989,17 +1047,70 @@ class TestReportCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+#: Values that replace an envelope field: every JSON type, integral and
+#: fractional floats, and strings that do and do not name a tool.
+ENVELOPE_VALUES = [None, True, False, 0, 3, -7, 2 ** 70, 3.0, -0.0, 2.5,
+                   1e300, math.inf, math.nan, "", "graph", "bp", "Graph",
+                   "report", "0.1.0", [], ["a"], ["a", "b"], [1], ["a", None],
+                   [[]], {}, {"a": 1}, {"tool": "graph"}]
+
+
+def envelope_documents():
+    """The bare values of ENVELOPE_VALUES, and every golden report with
+    each envelope field dropped or set to each of them, or with a foreign
+    key added."""
+    docs = list(ENVELOPE_VALUES)
+    for path in sorted((FIXTURES / "golden").glob("*.json")):
+        doc = json.loads(path.read_text())
+        docs.append(doc)
+        for key in ("tool", "version", "seed", "config", "results",
+                    "warnings"):
+            docs.append({k: v for k, v in doc.items() if k != key})
+            docs += [dict(doc, **{key: v}) for v in ENVELOPE_VALUES]
+        docs += [dict(doc, **{key: 1}) for key in ("hello", "Tool", "",
+                                                   "warning")]
+    return docs
+
+
+class TestCheckReport:
+    def test_agrees_with_the_schema(self):
+        """_check_report accepts a document exactly when JSON Schema
+        validation against the schema fixture does, and refuses it in one
+        line."""
+        schema = json.loads((FIXTURES / "report.schema.json").read_text())
+        jsonschema.Draft202012Validator.check_schema(schema)
+        validator = jsonschema.Draft202012Validator(schema)
+        docs = envelope_documents()
+        ours = []
+        for doc in docs:
+            try:
+                conelab.cli._check_report(doc)
+                ours.append(True)
+            except DomainError as exc:
+                assert "\n" not in str(exc)
+                ours.append(False)
+        theirs = [validator.is_valid(doc) for doc in docs]
+        assert len(ours) >= 1000
+        assert 100 < sum(ours) < len(ours) - 100
+        only_ours = [i for i, (a, b) in enumerate(zip(ours, theirs))
+                     if a and not b]
+        only_theirs = [i for i, (a, b) in enumerate(zip(ours, theirs))
+                       if b and not a]
+        assert only_ours == [] and only_theirs == []
+
+
 class TestImportFloor:
     """Each subcommand loads only the modules it runs: in a fresh process,
     after ``main`` on the subcommand's fixture, no module of the forbidden
-    packages is in ``sys.modules``."""
+    packages, nor of jsonschema, is in ``sys.modules``."""
 
     CODE = ("import json, sys\n"
             "from conelab.cli import main\n"
             "assert main(sys.argv[1:]) == 0\n"
             "print(json.dumps(sorted(sys.modules)))\n")
 
-    @pytest.mark.parametrize("argv, forbidden", [
+    #: (argv, forbidden packages) of each subcommand on its fixture
+    RUNS = [
         (["bp", "--m", "3", "--k-range", "3..8", "--format", "json"],
          ("numpy", "scipy")),
         (["bp", "--m", "3", "--k-range", "3..8"],
@@ -1014,18 +1125,43 @@ class TestImportFloor:
           "--csv", "h.csv"], ("scipy.sparse",)),
         (["green", "--in", "green.json", "--csv", "g.csv"],
          ("scipy.sparse",)),
-    ], ids=lambda v: v[0] if isinstance(v, list) else "-".join(v))
-    def test_fresh_process_modules(self, argv, forbidden, tmp_path):
-        fixtures = pathlib.Path(__file__).parent / "fixtures"
-        argv = [str(fixtures / a) if a.endswith(".json") else
+    ]
+
+    @staticmethod
+    def fixture_argv(argv, tmp_path):
+        """``argv`` with fixture paths for its inputs, and its CSV and
+        report outputs in ``tmp_path``."""
+        argv = [str(FIXTURES / a) if a.endswith(".json") else
                 str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
         if argv[0] != "report":
             argv += ["--out", str(tmp_path / "r.json")]
-        proc = self.fresh_process(self.CODE, argv)
+        return argv
+
+    @pytest.mark.parametrize("argv, forbidden", RUNS, ids=lambda v: v[0]
+                             if isinstance(v, list) else "-".join(v))
+    def test_fresh_process_modules(self, argv, forbidden, tmp_path):
+        proc = self.fresh_process(self.CODE,
+                                  self.fixture_argv(argv, tmp_path))
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert [m for m in loaded if any(
-            m == p or m.startswith(p + ".") for p in forbidden)] == []
+            m == p or m.startswith(p + ".")
+            for p in (*forbidden, "jsonschema"))] == []
+
+    def test_runs_with_jsonschema_blocked(self, tmp_path):
+        # every subcommand on its fixture, and report on every golden, in a
+        # process where importing jsonschema raises ImportError
+        runs = [self.fixture_argv(argv, tmp_path) for argv, _ in self.RUNS]
+        runs += [["report", "--in", str(p)]
+                 for p in sorted((FIXTURES / "golden").glob("*.json"))]
+        proc = self.fresh_process(
+            "import json, sys\n"
+            "sys.modules['jsonschema'] = None\n"
+            "from conelab.cli import main\n"
+            "print(json.dumps([main(a) for a in json.loads(sys.argv[1])]))\n",
+            [json.dumps(runs)])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs)
 
     @staticmethod
     def fresh_process(code, argv):
@@ -1049,13 +1185,13 @@ class TestImportFloor:
                 ] == []
 
     def test_schema_error_exits_2_in_a_fresh_process(self, tmp_path):
-        # jsonschema loads inside the validation that raises the error
+        # the envelope check that refuses the document loads no jsonschema
         inp = write(tmp_path, "x.json", json.dumps({"hello": 1}))
         proc = self.fresh_process(
             "import sys\n"
             "from conelab.cli import main\n"
+            "code = main(sys.argv[1:])\n"
             "assert 'jsonschema' not in sys.modules\n"
-            "sys.exit(main(sys.argv[1:]))\n", ["report", "--in", inp])
+            "sys.exit(code)\n", ["report", "--in", inp])
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: ")
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: the report has no 'tool'\n"
