@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -312,7 +313,11 @@ def run_toric(args):
 def run_bp(args):
     from . import hypersurface
 
-    lo, hi = (int(x) for x in args.k_range.split(".."))
+    bounds = re.fullmatch(r"([0-9]+)\.\.([0-9]+)", args.k_range)
+    if bounds is None:
+        raise DomainError(f"--k-range must read LO..HI, two decimal "
+                          f"integers, not {args.k_range!r}")
+    lo, hi = map(int, bounds.groups())
     if lo > hi:
         raise DomainError(f"empty k-range {args.k_range}: {lo} > {hi}")
     ks = list(range(lo, hi + 1))

@@ -13,12 +13,11 @@ On flat model cones this is the true distance at every resolution, which is
 what the heat-kernel and Green comparisons require.
 
 A cone stores its vertex arrays (radii, measures, ring and link indices)
-and the product factors of its measures and conductances.  Its edges come
-in blocks of a few rings (:meth:`DiscretizedCone._edge_blocks`); the
-edge arrays ``edges``, ``conductances`` and ``edge_lengths`` are built from
-them on first read and kept.  The heat, Green and doubling computations
-never read them: the heat and Green solves run on the product factors, and
-their vertex-basis checks sum the edges block by block.
+and the product factors of its measures and conductances
+(:class:`ProductFactors`).  The edge arrays ``edges``, ``conductances`` and
+``edge_lengths`` are built from the factors on first read and kept.  The
+heat, Green and doubling computations never read them: the heat and Green
+solves and their vertex-basis checks run on the product factors.
 """
 from __future__ import annotations
 
@@ -35,9 +34,6 @@ from .graphs import _vertex_ids
 
 #: Longest accepted circle link (see :class:`CircleLink`).
 MAX_CIRCLE_LENGTH = 1e100
-
-#: Rings per block of :meth:`DiscretizedCone._edge_blocks`.
-_RING_BLOCK = 16
 
 #: Radius of a net covering's buffers U* = U#, in units of the separation,
 #: before the grid slack is added (see :func:`net_covering`).
@@ -154,7 +150,7 @@ def _link_mesh(link, angular_steps):
         dth = link.length / A
         theta = (np.arange(A) + 0.5) * dth
         measures = np.full(A, dth)
-        edges = np.array([(a, (a + 1) % A) for a in range(A)])
+        edges = np.c_[np.arange(A), (np.arange(A) + 1) % A]
         cond = np.full(A, 1.0 / dth)
         diff = np.abs(theta[:, None] - theta[None, :])
         dist = np.minimum(diff, link.length - diff)
@@ -211,6 +207,10 @@ class ProductFactors:
     denominators are kept apart because the conductances divide
     (numerator * link factor) by the denominator, which is what keeps them
     bitwise equal to the edge-by-edge formulas.
+
+    The edge arrays are built from these factors; the modal operator of
+    :func:`conelab.spectral._reached_modes` and the vertex-basis products
+    of :func:`conelab.spectral._robin_products` apply them directly.
     """
     link_measures: np.ndarray
     link_edges: np.ndarray          # (E_S, 2) node pairs
@@ -287,8 +287,7 @@ class DiscretizedCone:
     def _assemble(self, link, angular_steps):
         """Link mesh, rings and measures; FloatingPointError or
         OverflowError where one of them, a conductance or an edge length
-        overflows.  The edge blocks are computed here for that check
-        only, and not kept."""
+        overflows."""
         lm, ledges, lcond, ldist = _link_mesh(link, angular_steps)
         self._link_dist = ldist
         A = len(lm)
@@ -347,51 +346,41 @@ class DiscretizedCone:
             self.measures = np.r_[lm.sum() * apex_hi ** n / n, self.measures]
 
         self.is_outer = self.ring_of == K - 1
-        for _ in self._edge_blocks():
-            pass
-
-    def _edge_blocks(self):
-        """The cone's edges as ``(edges, conductances, lengths)`` blocks of
-        at most _RING_BLOCK rings, in edge order: the radial edges between
-        consecutive rings (across their shared face), the apex edges, then
-        the tangential edges within each ring."""
-        f = self.factors
-        lm, ledges = f.link_measures, f.link_edges
-        A, K = self.link_nodes, self.radial_steps
-        off = 0 if self.apex is None else 1
-        for k0 in range(0, K - 1, _RING_BLOCK):
-            k = slice(k0, min(k0 + _RING_BLOCK, K - 1))
-            inner = off + np.arange(k.start * A, k.stop * A)
-            yield (np.c_[inner, inner + A],
-                   (f.face_powers[k, None] * lm / f.gaps[k, None]).ravel(),
-                   np.repeat(f.gaps[k], A))
+        # An edge's conductance and length are ring factors times a link
+        # factor >= 0, and rounding is monotone: they overflow exactly where
+        # those of the ring's largest link factor do.  The products below
+        # are evaluated for their floating-point errors only.
+        f.face_powers * lm.max() / f.gaps
+        f.ring_powers * lcond.max(initial=0.0) * f.widths
+        ring_r * ldist[ledges[:, 0], ledges[:, 1]].max(initial=0.0)
         if off:
-            yield (np.c_[np.zeros(A, dtype=int), off + np.arange(A)],
-                   f.apex_power * lm / f.apex_gap, np.full(A, f.apex_gap))
-        link_lengths = self._link_dist[ledges[:, 0], ledges[:, 1]]
-        for k0 in range(0, K, _RING_BLOCK):
-            k = slice(k0, min(k0 + _RING_BLOCK, K))
-            rings = np.arange(k.start, k.stop)
-            yield ((off + rings[:, None, None] * A + ledges).reshape(-1, 2),
-                   (f.ring_powers[k, None] * f.link_conductances
-                    * f.widths[k, None]).ravel(),
-                   (self.ring_radii[k, None] * link_lengths).ravel())
+            f.apex_power * lm.max() / f.apex_gap
 
     def _materialize_edges(self):
-        """``(edges, conductances, lengths)``, filled block by block from
-        :meth:`_edge_blocks` on first call and kept read-only."""
+        """``(edges, conductances, lengths)``, built from the product
+        factors on first call and kept read-only.  Edge order: the radial
+        edges between consecutive rings (across their shared face), the
+        apex edges, then the tangential edges within each ring."""
         if self._edge_arrays is None:
+            f = self.factors
+            lm, ledges = f.link_measures, f.link_edges
             A, K = self.link_nodes, self.radial_steps
-            n_edges = ((K - 1) * A + (A if self.apex is not None else 0)
-                       + K * len(self.factors.link_edges))
-            arrays = (np.empty((n_edges, 2), dtype=int),
-                      np.empty(n_edges), np.empty(n_edges))
-            i = 0
-            for block in self._edge_blocks():
-                j = i + len(block[1])
-                for a, b in zip(arrays, block):
-                    a[i:j] = b
-                i = j
+            off = 0 if self.apex is None else 1
+            inner = off + np.arange((K - 1) * A)
+            parts = [(np.c_[inner, inner + A],
+                      (f.face_powers[:, None] * lm / f.gaps[:, None]).ravel(),
+                      np.repeat(f.gaps, A))]
+            if off:
+                parts.append((np.c_[np.zeros(A, dtype=int), inner[:A]],
+                              f.apex_power * lm / f.apex_gap,
+                              np.full(A, f.apex_gap)))
+            link_lengths = self._link_dist[ledges[:, 0], ledges[:, 1]]
+            rings = np.arange(K)[:, None, None]
+            parts.append(((off + rings * A + ledges).reshape(-1, 2),
+                          (f.ring_powers[:, None] * f.link_conductances
+                           * f.widths[:, None]).ravel(),
+                          (self.ring_radii[:, None] * link_lengths).ravel()))
+            arrays = tuple(np.concatenate(a) for a in zip(*parts))
             for a in arrays:
                 a.setflags(write=False)
             self._edge_arrays = arrays
@@ -399,7 +388,7 @@ class DiscretizedCone:
 
     @property
     def edges(self) -> np.ndarray:
-        """(E, 2) vertex pairs, in the order of :meth:`_edge_blocks`."""
+        """(E, 2) vertex pairs, in the order of :meth:`_materialize_edges`."""
         return self._materialize_edges()[0]
 
     @property

@@ -52,16 +52,17 @@ def dirichlet_laplacian(n, edges, weights) -> scipy.sparse.csr_matrix:
 
 
 def _dense_laplacian(n, edges, weights) -> np.ndarray:
-    """:func:`dirichlet_laplacian` as a dense array, bit for bit where
-    scipy sums a row's duplicate entries in input order.  Each off-diagonal
-    entry is one edge's; ``np.bincount`` adds the diagonal in the same
-    order as that matrix, all edges by their first end, then all by their
-    second."""
+    """:func:`dirichlet_laplacian` as a dense array, bit for bit (loops
+    aside) where scipy sums a row's duplicate entries in input order.
+    ``np.bincount`` adds the diagonal in the same order as that matrix, all
+    edges by their first end, then all by their second, and ``np.add.at``
+    the off-diagonal entries, so parallel edges add up and a loop adds 0."""
     a, b = np.asarray(edges, dtype=int).reshape(-1, 2).T
     w = np.asarray(weights, dtype=float)
     L = np.diag(np.bincount(np.concatenate((a, b)),
                             np.concatenate((w, w)), n))
-    L[a, b] = L[b, a] = -w
+    np.add.at(L, (a, b), -w)
+    np.add.at(L, (b, a), -w)
     return L
 
 

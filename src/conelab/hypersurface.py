@@ -84,13 +84,9 @@ def bp_crepant_chain(m: int, k: int) -> BPRecord:
     """
     m, k = _count(m, 2, "m"), _count(k, 1, "k")
     count = k // m
-    degrees = []
-    d = k
-    while d >= m:
-        degrees.append(m)  # the singular point always has local degree m
-        d -= m
+    # the singular point always has local degree m
     return BPRecord(m, k, k > m * (m - 1), (k % m) in (0, 1), count,
-                    tuple(degrees))
+                    (m,) * count)
 
 
 def bp_table_csv(m: int, k_values: Sequence[int]) -> str:

@@ -21,8 +21,8 @@ link modes that the source reaches (:func:`_reached_modes`).  The heat flow
 is an exact function of it (:func:`_modal_apply`), the Green's function one
 ``dpttrf``/``dpttrs`` solve, the backward-Euler time integral one
 tridiagonal recursion.  Each result is checked against the vertex-basis
-network, summed edge by edge in the cone's ring blocks, so no edge array of
-the whole cone is built (:func:`_robin_products`).
+operator, applied from the cone's product factors, so no edge array of the
+whole cone is built (:func:`_robin_products`).
 """
 from __future__ import annotations
 
@@ -218,25 +218,34 @@ def _edge_products(n, edges, c, x):
 
 def _robin_products(cone, x):
     """L x and |L| |x| for L the vertex-basis Laplacian plus r, the outflow of
-    :func:`_outflow` times the link measure, on the outer ring: summed edge
-    by edge (:func:`_edge_products`), one ring block of the cone's edges at
-    a time (:meth:`~conelab.cones.DiscretizedCone._edge_blocks`), so the
-    scratch is the size of a block; then r_i x_i, r_i |x_i| added."""
-    n = cone.n_vertices
-    Lx, absLx = np.zeros(n), np.zeros(n)
-    for edges, c, _ in cone._edge_blocks():
-        if not len(c):
-            continue
-        # a block joins the vertices of a few consecutive rings
-        lo, hi = int(edges.min()), int(edges.max()) + 1
-        block = _edge_products(hi - lo, edges - lo, c, x[lo:hi])
-        Lx[lo:hi] += block[0]
-        absLx[lo:hi] += block[1]
-    outer = slice(n - cone.link_nodes, n)
-    r = _outflow(cone) * cone.factors.link_measures
-    Lx[outer] += r * x[outer]
-    absLx[outer] += r * np.abs(x[outer])
-    return Lx, absLx
+    :func:`_outflow` times the link measure, on the outer ring, applied from
+    the cone's :class:`~conelab.cones.ProductFactors` with no edge array:
+    on x as the (rings x link nodes) grid X, L = L_r (x) M_S + diag(T) (x)
+    L_S is T_k (X L_S)_ka plus the difference of consecutive rings weighted
+    by w_k lm_a, and |L| |x| the same on |X| and |L_S| (taken in place).
+    The cone has no apex: the callers refuse dimension <= 2, and only
+    circle links (dimension 2) have one."""
+    f = cone.factors
+    lm = f.link_measures
+    L_S = _dense_laplacian(len(lm), f.link_edges, f.link_conductances)
+
+    def product(X, op):
+        """The sums over the edges ij at each vertex i of c_ij op(x_i, x_j),
+        with op np.subtract or np.add, and the outflow term."""
+        Y = X @ L_S
+        Y *= f.ring_factors[:, None]
+        flow = op(X[:-1], X[1:])
+        flow *= f.radial_weights[:, None]
+        flow *= lm
+        Y[:-1] += flow
+        op(Y[1:], flow, out=Y[1:])
+        Y[-1] += _outflow(cone) * lm * X[-1]
+        return Y.ravel()
+
+    X = x.reshape(cone.radial_steps, -1)
+    Lx = product(X, np.subtract)
+    np.abs(L_S, out=L_S)
+    return Lx, product(np.abs(X), np.add)
 
 
 def _check_residual(cone, x, source, sink, what):

@@ -997,6 +997,15 @@ class TestBpCommand:
         assert capsys.readouterr() == ("", "error: empty k-range 12..3: "
                                            "12 > 3\n")
 
+    @pytest.mark.parametrize("k_range", ["1_0..1_1", " 3..4", "3..4..5", "3"])
+    def test_malformed_k_range_exits_2(self, capsys, k_range):
+        # 1_0..1_1 ran k = 10..11 and " 3..4" k = 3..4; 3..4..5 and 3 failed
+        # to unpack, with messages that did not name the option
+        assert main(["bp", "--m", "3", "--k-range", k_range]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --k-range must read LO..HI, two decimal integers, "
+                f"not {k_range!r}\n")
+
 
 class TestReportCommand:
     def test_round_trip_validation(self, tmp_path, capsys):

@@ -149,7 +149,7 @@ class TestAssemblyMatchesLoops:
         (CircleLink(TWO_PI), 0.15, 16.0, 168, 3, "geometric"),
         (sphere_link(2, 3), 0.05, 5.0, 128),
         (sphere_link(4, 8), 0.2, 2.0, 6, None, "geometric"),
-        # several edge blocks each, with a short last block
+        # 17 to 40 rings: an apex, geometric spacing and a sphere link
         (CircleLink(TWO_PI), 0.0, 4.0, 40, 12),
         (CircleLink(3 * math.pi), 0.5, 9.0, 33, 7, "geometric"),
         (sphere_link(3, 6), 0.1, 3.0, 17),
@@ -218,12 +218,15 @@ EDGE_OVERFLOWS = {
     # ring radius * link length
     "edge_length": _overflow_doc((1.0, 1.0), 1e300, 1.0, 1,
                                  1.0, 1e10, 4),
+    # one edge only: the radial edge of the last gap at the larger measure
+    "largest_link_factor_only": _overflow_doc((1.0, 2.8e307), 1.0, 1.0, 1,
+                                              0.5, 1.0, 4),
 }
 
 
 class TestEdgesOnDemand:
-    """A cone keeps no edge array until one is read; the edges come in
-    ring blocks, and their overflow is still caught at construction."""
+    """A cone keeps no edge array until one is read, and an overflowing
+    edge is still caught at construction."""
 
     def test_arrays_are_built_once_and_read_only(self):
         cone = flat_disc(r_max=3.0, radial=40, angular=12)
@@ -236,19 +239,6 @@ class TestEdgesOnDemand:
                 setattr(cone, name, None)
             with pytest.raises(ValueError):
                 getattr(cone, name)[0] = 0
-
-    def test_blocks_hold_a_few_rings(self):
-        cone = build_cone(sphere_link(3, 6), 0.1, 3.0, 40)
-        A = cone.link_nodes
-        blocks = list(cone._edge_blocks())
-        # 39 radial gaps and 40 rings in blocks of 16 rings
-        assert len(blocks) == 3 + 3
-        for edges, cond, lengths in blocks:
-            assert len(edges) == len(cond) == len(lengths)
-            rings = cone.ring_of[edges]
-            assert rings.max() - rings.min() <= conelab.cones._RING_BLOCK
-        E_S = len(cone.factors.link_edges)
-        assert sum(len(c) for _, c, _ in blocks) == 39 * A + 40 * E_S
 
     @pytest.fixture
     def no_edge_arrays(self, monkeypatch):
@@ -282,13 +272,30 @@ class TestEdgesOnDemand:
 
     @pytest.mark.parametrize("doc", list(EDGE_OVERFLOWS.values()),
                              ids=list(EDGE_OVERFLOWS))
-    def test_edge_overflow_raises_at_construction(self, doc, monkeypatch):
+    def test_edge_overflow_raises_at_construction(self, doc):
         with pytest.raises(DomainError, match="floating-point range"):
             cone_from_json(doc)
         # the measures are finite: the edges are what overflow
-        monkeypatch.setattr(conelab.cones.DiscretizedCone, "_edge_blocks",
-                            lambda self: iter(()))
-        assert np.isfinite(cone_from_json(doc).measures).all()
+        spec = json.loads(doc)
+        n = spec["link"]["dim"] + 1
+        faces = np.linspace(spec["r_min"], spec["r_max"],
+                            spec["radial_steps"] + 1)
+        lm = [node["measure"] for node in spec["link"]["nodes"]]
+        with np.errstate(over="raise"):
+            assert np.isfinite(np.kron((faces[1:] ** n - faces[:-1] ** n)
+                                       / n, lm)).all()
+
+    def test_largest_link_factor_case_overflows_one_edge(self):
+        """In EDGE_OVERFLOWS' last case, of the radial conductances
+        face_k * lm_a / gap_k (n = 2), only the last gap's at the larger
+        link measure overflows; every other edge is finite."""
+        faces = np.linspace(0.5, 1.0, 5)
+        gaps = np.diff(0.5 * (faces[:-1] + faces[1:]))
+        lm = np.array([1.0, 2.8e307])
+        with np.errstate(over="ignore"):
+            cond = faces[1:-1, None] * lm / gaps[:, None]
+        assert np.isinf(cond).tolist() == [[False, False], [False, False],
+                                           [False, True]]
 
     @pytest.mark.parametrize("command", ["cone", "heat", "green"])
     @pytest.mark.parametrize("doc", list(EDGE_OVERFLOWS.values()),
