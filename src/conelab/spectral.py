@@ -242,7 +242,7 @@ def _robin_products(cone, x):
         Y[-1] += _outflow(cone) * lm * X[-1]
         return Y.ravel()
 
-    X = x.reshape(cone.radial_steps, -1)
+    X = x.reshape(-1, len(lm))
     Lx = product(X, np.subtract)
     np.abs(L_S, out=L_S)
     return Lx, product(np.abs(X), np.add)
