@@ -885,6 +885,25 @@ class TestSeparatedVariables:
             assert np.all(np.abs(absLx - want) <= 1e-13 * want)
             assert np.max(np.abs(Lx - L @ x)) <= 1e-13 * np.max(want)
 
+    @pytest.mark.parametrize("cone", CONES[2:], ids=CONE_IDS[2:])
+    def test_ring_blocks_match_the_whole_edge_sum(self, cone):
+        """Summed ring by ring from the product factors, L x and |L| |x|
+        equal the edge-by-edge sums of _edge_products over the cone's whole
+        edge arrays, plus the outflow of _outflow on the outer ring, to
+        1e-13 relative."""
+        lm = cone.factors.link_measures
+        r = np.where(cone.is_outer, conelab.spectral._outflow(cone)
+                     * lm[cone.link_index], 0.0)
+        rng = np.random.default_rng(11)
+        for x in (rng.standard_normal(cone.n_vertices),
+                  rng.uniform(0.5, 2.0, cone.n_vertices)):
+            Lx, absLx = conelab.spectral._robin_products(cone, x)
+            want, want_abs = conelab.spectral._edge_products(
+                cone.n_vertices, cone.edges, cone.conductances, x)
+            want, want_abs = want + r * x, want_abs + r * np.abs(x)
+            assert np.all(np.abs(absLx - want_abs) <= 1e-13 * want_abs)
+            assert np.all(np.abs(Lx - want) <= 1e-13 * want_abs)
+
     def test_parallel_edges_and_loops_of_the_link(self):
         """A graph link's parallel edges add up and a loop links nothing,
         in the modal solve and in its residual check alike: G matches the
